@@ -28,7 +28,7 @@ class CouplingGraph:
     name: str
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
-    _adjacency: dict[int, frozenset[int]] = field(
+    _incident: dict[int, tuple[int, ...]] = field(   # qubit -> edge indices
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -46,12 +46,12 @@ class CouplingGraph:
             seen.add(key)
             canon.append(key)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        adj: dict[int, set[int]] = {p: set() for p in range(self.num_qubits)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        incident: dict[int, list[int]] = {p: [] for p in range(self.num_qubits)}
+        for k, (a, b) in enumerate(self.edges):
+            incident[a].append(k)
+            incident[b].append(k)
         object.__setattr__(
-            self, "_adjacency", {p: frozenset(s) for p, s in adj.items()}
+            self, "_incident", {p: tuple(ks) for p, ks in incident.items()}
         )
         if self.num_qubits > 1 and not self._is_connected():
             warnings.warn(f"coupling graph {self.name!r} is not connected", stacklevel=2)
@@ -62,30 +62,26 @@ class CouplingGraph:
         seen = {0}
         stack = [0]
         while stack:
-            for n in self._adjacency[stack.pop()]:
+            for n in self.neighbors(stack.pop()):
                 if n not in seen:
                     seen.add(n)
                     stack.append(n)
         return len(seen) == self.num_qubits
 
     def neighbors(self, p: int) -> frozenset[int]:
-        return self._adjacency[p]
+        return frozenset(q for k in self._incident[p] for q in self.edges[k] if q != p)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in set(self.edges)
+        return a != b and any(b in self.edges[k] for k in self._incident.get(a, ()))
 
     def edges_touching(self, edge_index: int) -> list[int]:
-        """Indices of other edges sharing a physical qubit with this edge."""
+        """Indices of other edges sharing a physical qubit with this edge, ascending."""
         a, b = self.edges[edge_index]
-        out = []
-        for k, (x, y) in enumerate(self.edges):
-            if k != edge_index and {x, y} & {a, b}:
-                out.append(k)
-        return out
+        return sorted(set(self._incident[a] + self._incident[b]) - {edge_index})
 
     def edges_at(self, p: int) -> list[int]:
-        """Indices of edges incident to physical qubit ``p``."""
-        return [k for k, (a, b) in enumerate(self.edges) if p in (a, b)]
+        """Indices of edges incident to physical qubit ``p``, ascending."""
+        return list(self._incident[p])
 
 
 def line_graph(n: int) -> CouplingGraph:

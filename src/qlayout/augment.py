@@ -232,7 +232,6 @@ def build_corpus(
     *,
     kmax: int = DEFAULT_KMAX,
     refine: bool = True,
-    start_index: int = 0,
     jobs: int = 1,
     **solve_kwargs,
 ) -> tuple[Dataset, Dataset]:
@@ -250,7 +249,7 @@ def build_corpus(
     out.mkdir(parents=True, exist_ok=True)
     depth_ds = Dataset("depth", graph=graph.name)
     swap_ds = Dataset("swaps", graph=graph.name)
-    index = start_index
+    index = 0
 
     work = []
     for source_name, circuit in inputs:

@@ -14,7 +14,7 @@ import re
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .arch import CouplingGraph
@@ -178,6 +178,25 @@ def _replay_map(initial_map: tuple[int, ...], swaps, upto: int) -> list[int]:
     return current
 
 
+def _value(values: dict[str, int | bool], name: str) -> int | bool:
+    try:
+        return values[name]
+    except KeyError:
+        raise DecodeError(f"model is missing variable {name!r}") from None
+
+
+def model_swaps(
+    values: dict[str, int | bool], ctx: EncodingContext
+) -> tuple[tuple[tuple[int, int], int], ...]:
+    """(edge, completion time) of every true swap indicator, edge-major."""
+    return tuple(
+        (edge, t)
+        for e, edge in enumerate(ctx.graph.edges)
+        for t in range(ctx.horizon)
+        if _value(values, ctx.swap_name(e, t)) is True
+    )
+
+
 def decode_solution(
     values: dict[str, int | bool],
     ctx: EncodingContext,
@@ -186,21 +205,13 @@ def decode_solution(
 ) -> MappingSolution:
     """Turn a model value table into a validated-shape MappingSolution."""
     circuit = ctx.circuit
-    try:
-        initial_map = tuple(
-            int(values[ctx.pos_name(q, 0)]) for q in range(circuit.num_qubits)
-        )
-        gate_times = tuple(
-            int(values[ctx.time_name(g)]) for g in range(len(circuit.gates))
-        )
-        swaps = tuple(
-            (ctx.graph.edges[e], t)
-            for e in range(len(ctx.graph.edges))
-            for t in range(ctx.horizon)
-            if values[ctx.swap_name(e, t)] is True
-        )
-    except KeyError as exc:
-        raise DecodeError(f"model is missing variable {exc}") from None
+    initial_map = tuple(
+        int(_value(values, ctx.pos_name(q, 0))) for q in range(circuit.num_qubits)
+    )
+    gate_times = tuple(
+        int(_value(values, ctx.time_name(g))) for g in range(len(circuit.gates))
+    )
+    swaps = model_swaps(values, ctx)
 
     completions = list(gate_times) + [t for _, t in swaps]
     final_depth = 1 + max(completions) if completions else 0
@@ -215,26 +226,18 @@ def decode_solution(
         events.append((t, 0, g))
     for edge, t in swaps:
         events.append((t, 1, edge))
-    current = list(initial_map)
-    occupant = {p: q for q, p in enumerate(current)}
     for t, kind, payload in sorted(events, key=lambda e: (e[0], e[1])):
         if kind == 0:
             g: Gate = payload
+            current = _replay_map(initial_map, swaps, t)
             add(g.name, tuple(current[q] for q in g.qubits), g.params)
+        elif keep_swap_opcode:
+            add("swap", payload)
         else:
             a, b = payload
-            if keep_swap_opcode:
-                add("swap", (a, b))
-            else:
-                add("cx", (a, b))
-                add("cx", (b, a))
-                add("cx", (a, b))
-            qa, qb = occupant.get(a), occupant.get(b)
-            if qa is not None:
-                current[qa] = b
-            if qb is not None:
-                current[qb] = a
-            occupant = {p: q for q, p in enumerate(current)}
+            add("cx", (a, b))
+            add("cx", (b, a))
+            add("cx", (a, b))
 
     mapped = Circuit(num_qubits=ctx.graph.num_qubits, gates=tuple(mapped_gates))
     return MappingSolution(
@@ -321,10 +324,9 @@ def validate_solution(
     if any(t < 0 for t in solution.gate_times):
         fail("order", "negative gate time")
 
-    edge_set = {tuple(sorted(e)) for e in graph.edges}
     swaps = sorted(solution.swaps, key=lambda s: s[1])
     for (a, b), t in swaps:
-        if tuple(sorted((a, b))) not in edge_set:
+        if not graph.has_edge(a, b):
             fail("swap_overlap", f"swap on ({a},{b}) is not a device edge")
         if t < swap_duration - 1:
             fail(
@@ -354,13 +356,11 @@ def validate_solution(
                         f"gate {g.id} at t={tg} sits on qubits busy with the"
                         f" swap ({a},{b}) completing at t={ts}",
                     )
-            if g.is_two_qubit:
-                pair = tuple(sorted(spots))
-                if pair not in edge_set:
-                    fail(
-                        "adjacency",
-                        f"gate {g.id} at t={tg} maps to non-adjacent qubits {spots}",
-                    )
+            if g.is_two_qubit and not graph.has_edge(*spots):
+                fail(
+                    "adjacency",
+                    f"gate {g.id} at t={tg} maps to non-adjacent qubits {spots}",
+                )
 
     completions = list(solution.gate_times) + [t for _, t in swaps]
     expected_depth = 1 + max(completions) if completions else 0

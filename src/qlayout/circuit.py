@@ -64,10 +64,6 @@ class Circuit:
                     f" {self.num_qubits} qubits"
                 )
 
-    @property
-    def two_qubit_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.is_two_qubit)
-
 
 def make_circuit(num_qubits: int, ops: list[tuple]) -> Circuit:
     """Build a Circuit from ``(name, qubits)`` or ``(name, qubits, params)`` tuples."""
@@ -85,9 +81,6 @@ class DependencyDag:
 
     num_gates: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def successors(self, gate_id: int) -> list[int]:
-        return sorted(j for i, j in self.edges if i == gate_id)
 
 
 def build_dag(circuit: Circuit) -> DependencyDag:
@@ -108,14 +101,7 @@ def longest_chain(circuit: Circuit) -> int:
     This is the depth of the unmapped circuit and a lower bound on any
     mapped depth.
     """
-    chain_at_qubit = [0] * circuit.num_qubits
-    best = 0
-    for g in circuit.gates:
-        depth = 1 + max(chain_at_qubit[q] for q in g.qubits)
-        for q in g.qubits:
-            chain_at_qubit[q] = depth
-        best = max(best, depth)
-    return best
+    return max(gate_depths(circuit), default=0)
 
 
 def gate_depths(circuit: Circuit) -> list[int]:

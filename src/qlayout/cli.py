@@ -4,10 +4,13 @@ Subcommands: ``map`` (optimally lay out one circuit), ``features`` (print
 the six-feature description), ``augment`` (build a labeled corpus),
 ``train`` (fit a regression tree), ``predict`` (query trained models),
 ``validate`` (replay-check a solution file), and ``bench`` (compare
-predictor-seeded and unseeded searches).
+predictor-seeded and unseeded searches).  ``map`` and ``bench`` search
+with the default :class:`~qlayout.search.ResizePolicy`; library callers
+pass their own.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error,
-4 validation failure.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error
+(including a ``sat`` answer whose model leaves out a value), 4 validation
+failure.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .augment import (
     load_dataset,
 )
 from .backend import (
+    DecodeError,
     MappingSolution,
     SolverConfig,
     SolverError,
@@ -37,7 +41,7 @@ from .circuit import QasmError, emit_qasm, load_qasm
 from .encode import DEFAULT_SWAP_DURATION
 from .features import extract_features
 from .regressor import DEFAULT_MAX_DEPTH, RegressionTree, fit
-from .search import ResizePolicy, SearchError, solve_optimal
+from .search import SearchError, solve_optimal
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,12 +65,6 @@ def _add_solver_args(p: argparse.ArgumentParser):
                    help="wall-clock seconds per solver check")
     p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION,
                    help="time steps one swap occupies (default 3)")
-    p.add_argument("--threshold", type=int, default=50,
-                   help="bound at which extent growth switches to the large step")
-    p.add_argument("--large-step", type=int, default=15,
-                   help="extent increment at or above the threshold")
-    p.add_argument("--small-step", type=int, default=10,
-                   help="extent increment below the threshold")
 
 
 def build_parser() -> _Parser:
@@ -144,14 +142,6 @@ def _solver_config(args) -> SolverConfig:
                                 timeout=getattr(args, "timeout", 300.0))
 
 
-def _policy(args) -> ResizePolicy:
-    return ResizePolicy(
-        threshold=getattr(args, "threshold", 50),
-        large_step=getattr(args, "large_step", 15),
-        small_step=getattr(args, "small_step", 10),
-    )
-
-
 def _load_model(path: str | None):
     return RegressionTree.load(path) if path else None
 
@@ -166,7 +156,6 @@ def _cmd_map(args) -> int:
         swap_model=_load_model(args.swap_model),
         solver=_solver_config(args),
         swap_duration=args.swap_duration,
-        policy=_policy(args),
         keep_swap_opcode=args.keep_swap_opcode,
     )
     report = validate_solution(circuit, graph, result.solution, args.swap_duration)
@@ -269,16 +258,14 @@ def _cmd_bench(args) -> int:
     depth_model = _load_model(args.depth_model)
     swap_model = _load_model(args.swap_model)
     solver = _solver_config(args)
-    policy = _policy(args)
     circuits = [(path, load_qasm(path)) for path in args.inputs]
 
     def run(item):
         path, circuit = item
         seeded = solve_optimal(circuit, graph, depth_model, swap_model,
-                               solver=solver, swap_duration=args.swap_duration,
-                               policy=policy)
+                               solver=solver, swap_duration=args.swap_duration)
         bare = solve_optimal(circuit, graph, solver=solver,
-                             swap_duration=args.swap_duration, policy=policy)
+                             swap_duration=args.swap_duration)
         return path, seeded, bare
 
     if args.jobs > 1:
@@ -344,12 +331,12 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (SolverError, SearchError, DecodeError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, SearchError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

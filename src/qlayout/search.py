@@ -12,13 +12,17 @@ Variable shapes grow on demand: the time-grid extent starts one increment
 above the first bound and grows by a large or small increment (chosen by
 comparing the just-checked bound against a threshold) whenever the next
 bound would not fit; gate-time widths widen before a bound that crosses a
-power of two and may narrow again after satisfiable checks.  Every check
-emits a fresh, self-contained script to its own solver subprocess.
+power of two and may narrow again after satisfiable checks.  Increments are
+at least 2, the search's stride, so a grown grid always fits the next bound.
+
+One probe serves both phases.  Each call emits a fresh, self-contained
+script to its own solver subprocess, records the check's wall time, and
+turns a solver failure into a :class:`SearchError` naming the phase; only
+depth-phase calls resize the grid.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,6 +56,10 @@ class ResizePolicy:
     threshold: int = 50
     large_step: int = 15
     small_step: int = 10
+
+    def __post_init__(self):
+        if min(self.large_step, self.small_step) < 2:
+            raise ValueError("resize steps must be at least 2, the search's stride")
 
     def step(self, bound: int) -> int:
         return self.large_step if bound >= self.threshold else self.small_step
@@ -190,88 +198,54 @@ def solve_optimal(
     predicted_depth = depth_model.predict(features) if depth_model else 0
     start = max(predicted_depth, ldc)
 
-    shape = {
-        "horizon": start + policy.step(start),
-        "time_bits": 0,
-        "last_bound": None,
-    }
-    shape["time_bits"] = bit_length(shape["horizon"])
+    # Grid shape of the next check; only depth-phase checks change it.
+    horizon = start + policy.step(start)
+    time_bits = bit_length(horizon)
+    last_depth = start
     resize_events: list[dict] = []
     wall_times: list[float] = []
-    check_index = [0]
 
-    def record_resize(phase: str, kind: str, old: int, new: int):
-        resize_events.append(
-            {"phase": phase, "check_index": check_index[0], "kind": kind,
-             "old": old, "new": new}
-        )
+    def resize(kind: str, old: int, new: int) -> int:
+        resize_events.append({"phase": "depth", "check_index": len(wall_times),
+                              "kind": kind, "old": old, "new": new})
+        return new
 
-    def run_check(fragments_for, bound: int, phase: str):
-        ctx = build_context(
-            circuit, graph, shape["horizon"], shape["time_bits"], swap_duration
-        )
-        script = emit_script(ctx, fragments_for(ctx, bound))
-        result = be.check(script, solver)
+    def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
+        """One check at a depth bound; the swap phase adds a swap bound."""
+        nonlocal horizon, time_bits, last_depth
+        phase = "depth" if swap_bound is None else "swap"
+        if phase == "depth":
+            if depth >= horizon:
+                horizon = resize("horizon", horizon, last_depth + policy.step(last_depth))
+            if bit_length(depth) > time_bits:
+                time_bits = resize("time_bits", time_bits, bit_length(depth))
+        ctx = build_context(circuit, graph, horizon, time_bits, swap_duration)
+        fragments = [encode_base(ctx), encode_depth_bound(ctx, depth)]
+        if phase == "swap":
+            fragments.append(encode_swap_bound(ctx, swap_bound))
+        try:
+            result = be.check(emit_script(ctx, fragments), solver)
+        except be.SolverError as exc:
+            raise SearchError(
+                f"{phase} phase failed: {exc}",
+                {"wall_time_per_check": wall_times, "resize_events": resize_events},
+            ) from exc
         wall_times.append(result.wall_time)
-        check_index[0] += 1
-        shape["last_bound"] = bound
-        return ctx, result
-
-    def depth_probe(bound: int) -> tuple[bool, object]:
-        if bound >= shape["horizon"]:
-            base = shape["last_bound"] if shape["last_bound"] is not None else bound
-            record_resize("depth", "horizon", shape["horizon"], base + policy.step(base))
-            shape["horizon"] = base + policy.step(base)
-        if bit_length(bound) > shape["time_bits"]:
-            record_resize("depth", "time_bits", shape["time_bits"], bit_length(bound))
-            shape["time_bits"] = bit_length(bound)
-        ctx, result = run_check(
-            lambda c, b: [encode_base(c), encode_depth_bound(c, b)], bound, "depth"
-        )
-        if result.sat and bit_length(bound) < shape["time_bits"]:
-            record_resize("depth", "time_bits", shape["time_bits"], bit_length(bound))
-            shape["time_bits"] = bit_length(bound)
+        if phase == "depth":
+            last_depth = depth
+            if result.sat and bit_length(depth) < time_bits:
+                time_bits = resize("time_bits", time_bits, bit_length(depth))
         return result.sat, (ctx, result.values) if result.sat else None
 
-    try:
-        depth_outcome = run_bound_search(start, ldc, depth_probe)
-    except be.SolverError as exc:
-        raise SearchError(
-            f"depth phase failed: {exc}",
-            {"wall_time_per_check": wall_times, "resize_events": resize_events},
-        ) from exc
-
+    depth_outcome = run_bound_search(start, ldc, probe)
     best_depth = depth_outcome.optimum
     depth_ctx, depth_values = depth_outcome.payload
-    swaps_in_model = sum(
-        1
-        for e in range(len(graph.edges))
-        for t in range(depth_ctx.horizon)
-        if depth_values[depth_ctx.swap_name(e, t)] is True
-    )
-
+    swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
     predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
     swap_start = max(0, min(predicted_swaps, swaps_in_model))
-
-    def swap_probe(bound: int) -> tuple[bool, object]:
-        ctx, result = run_check(
-            lambda c, b: [
-                encode_base(c),
-                encode_depth_bound(c, best_depth),
-                encode_swap_bound(c, b),
-            ],
-            bound,
-            "swap",
-        )
-        return result.sat, (ctx, result.values) if result.sat else None
-
-    try:
-        swap_outcome = run_bound_search(swap_start, 0, swap_probe)
-    except be.SolverError as exc:
-        raise SearchError(
-            f"swap phase failed: {exc}",
-            {"wall_time_per_check": wall_times, "resize_events": resize_events},
-        ) from exc
+    swap_outcome = run_bound_search(
+        swap_start, 0, lambda bound: probe(best_depth, bound)
+    )
 
     final_ctx, final_values = swap_outcome.payload
     solution = be.decode_solution(

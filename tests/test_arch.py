@@ -73,13 +73,23 @@ def test_line_and_ring_shapes():
         ring_graph(2)
 
 
-def test_neighbors_and_edge_indexing():
-    g = qx2()
-    assert g.neighbors(2) == frozenset({0, 1, 3, 4})
-    touching = g.edges_touching(0)  # edge (0,1)
-    assert all(set(g.edges[k]) & {0, 1} for k in touching)
-    assert 0 not in touching
-    assert sorted(g.edges_at(3)) == [k for k, e in enumerate(g.edges) if 3 in e]
+@pytest.mark.parametrize("spec", ["qx2", "line:5", "ring:5", "grid:2x3"])
+def test_neighbors_and_edge_indexing(spec):
+    # precomputed lookups agree with scans of the edge list, in ascending
+    # index order (the encoder emits assertions in this order)
+    g = resolve_graph(spec)
+    if spec == "qx2":
+        assert g.neighbors(2) == frozenset({0, 1, 3, 4})
+    for p in range(g.num_qubits):
+        assert g.edges_at(p) == [k for k, e in enumerate(g.edges) if p in e]
+        assert g.neighbors(p) == {q for e in g.edges if p in e for q in e} - {p}
+        for q in range(-1, g.num_qubits + 1):
+            assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in g.edges)
+            assert g.has_edge(q, p) == g.has_edge(p, q)
+    for k, (a, b) in enumerate(g.edges):
+        assert g.edges_touching(k) == [
+            j for j, e in enumerate(g.edges) if j != k and {a, b} & set(e)
+        ]
 
 
 def test_disconnected_graph_warns_but_loads():

@@ -22,6 +22,7 @@ from qlayout.backend import (
     _VALUE_RE,
     check,
     decode_solution,
+    model_swaps,
     validate_solution,
     VIOLATION_KINDS,
 )
@@ -211,6 +212,16 @@ def test_decode_missing_variable_is_an_error():
     del values[ctx.time_name(0)]
     with pytest.raises(DecodeError):
         decode_solution(values, ctx)
+
+
+def test_model_swaps_reads_true_indicators_edge_major():
+    circuit = make_circuit(2, [("cx", (0, 1))])
+    ctx = build_context(circuit, line_graph(3), horizon=5, time_bits=3)
+    values = _model_for(ctx, pos0=(0, 1), times=(0,), true_swaps={(1, 2), (0, 4)})
+    assert model_swaps(values, ctx) == (((0, 1), 4), ((1, 2), 2))
+    del values[ctx.swap_name(1, 0)]
+    with pytest.raises(DecodeError, match="swp_e1_t0"):
+        model_swaps(values, ctx)
 
 
 def test_decode_empty_circuit_has_zero_depth():

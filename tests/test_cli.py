@@ -8,6 +8,8 @@ from qlayout.circuit import parse_qasm
 from qlayout.cli import main
 from qlayout.features import FEATURE_NAMES
 
+from .test_backend import _script_solver
+
 BELL = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
 GHZ4 = (
     'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
@@ -172,6 +174,25 @@ def test_map_solver_launch_failure_is_a_solver_error(bell_path, capsys):
                  "--solver", "/no/such/solver"])
     assert code == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_map_model_missing_values_is_a_solver_error(bell_path, tmp_path, capsys):
+    # "sat" without a model is the solver's failure, not bad input
+    cfg = _script_solver(
+        tmp_path, """cat > /dev/null; echo sat; echo '(error "model is not available")'"""
+    )
+    code = main(["map", bell_path, "--arch", "line:2",
+                 "--solver", " ".join(cfg.command)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "swp_e0_t0" in err
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--large-step", "--small-step"])
+def test_resize_policy_flags_are_gone(bell_path, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["map", bell_path, "--arch", "line:2", flag, "1"])
+    assert info.value.code == 1
 
 
 # --------------------------------------------------------------------------

@@ -117,6 +117,21 @@ def test_resize_policy_steps():
     custom = ResizePolicy(threshold=5, large_step=4, small_step=2)
     assert custom.step(4) == 2
     assert custom.step(5) == 4
+    # steps below the search's 2-unit stride could not fit the next bound
+    for steps in ({"small_step": 1}, {"large_step": 1}, {"small_step": 0},
+                  {"large_step": -3}):
+        with pytest.raises(ValueError, match="at least 2"):
+            ResizePolicy(**steps)
+
+
+def test_smallest_resize_steps_still_fit_every_bound(scripted):
+    # steps of 2 grow the grid to exactly each new ascent bound, which fits
+    fake = scripted(["unsat"] * 3 + [("sat", 0), "unsat", ("sat", 0)])
+    policy = ResizePolicy(large_step=2, small_step=2)
+    result = solve_optimal(_chain(3), line_graph(3), policy=policy)
+    assert [b for b, _ in result.depth_history] == [3, 5, 7, 9, 8]
+    assert result.optimal_depth == 9
+    assert [fake.shape(i)[0] for i in range(5)] == [5, 5, 7, 9, 9]
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +145,9 @@ _BOOL_DECL = re.compile(r"\(declare-const (\S+) Bool\)")
 class ScriptedSolver:
     """Returns a fixed sequence of verdicts; fabricates models from the script.
 
-    Each step is "unsat" or ("sat", k) where k swap indicators are set true
-    in the returned model (everything else zero/false).
+    Each step is "unsat", ("sat", k) where k swap indicators are set true
+    in the returned model (everything else zero/false), or an exception to
+    raise.
     """
 
     def __init__(self, steps):
@@ -157,6 +173,8 @@ class ScriptedSolver:
         if not self.steps:
             raise AssertionError("scripted solver ran out of steps")
         step = self.steps.pop(0)
+        if isinstance(step, Exception):
+            raise step
         if step == "unsat":
             return be.CheckResult(sat=False, values=None, wall_time=0.01)
         _, n_true = step
@@ -346,6 +364,17 @@ def test_solver_failure_surfaces_as_search_error(monkeypatch):
     with pytest.raises(SearchError) as info:
         solve_optimal(_chain(2), line_graph(3))
     assert "wall_time_per_check" in info.value.telemetry
+    assert "depth phase failed" in str(info.value)
+
+
+def test_swap_phase_failure_surfaces_as_search_error(scripted):
+    # depth: satisfiable at the floor with 2 swaps; swaps: 2 S, then a crash
+    scripted([("sat", 2), ("sat", 2), be.SolverExitError("boom")])
+    with pytest.raises(SearchError) as info:
+        solve_optimal(_chain(1), line_graph(3))
+    assert "swap phase failed" in str(info.value)
+    assert isinstance(info.value.__cause__, be.SolverExitError)
+    assert len(info.value.telemetry["wall_time_per_check"]) == 2
 
 
 def test_outcome_dataclass_shape():
