@@ -16,12 +16,19 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .arch import CouplingGraph
 from .circuit import Circuit, Gate, emit_qasm
-from .features import FEATURE_NAMES, FeatureVector, extract_features, format_float
+from .features import (
+    FEATURE_NAMES,
+    FeatureVector,
+    extract_features,
+    format_float,
+    ordered_sum,
+)
 
 log = logging.getLogger(__name__)
 
@@ -118,10 +125,10 @@ def _standardize(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | N
     """Z-score each column; returns None when every row is identical."""
     cols = list(zip(*rows))
     n = len(rows)
-    means = [sum(c) / n for c in cols]
+    means = [ordered_sum(c) / n for c in cols]
     stds = []
     for c, m in zip(cols, means):
-        var = sum((v - m) ** 2 for v in c) / n
+        var = ordered_sum((v - m) ** 2 for v in c) / n
         stds.append(math.sqrt(var))
     if all(s == 0.0 for s in stds):
         return None
@@ -136,8 +143,13 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
 
     In each round, every surviving sample whose label is not among the modal
     labels of its n nearest neighbors (Euclidean distance over z-scored
-    features) is removed; removals within a round are batched.  Datasets
-    whose features are all identical pass through unchanged.
+    features) is removed; removals within a round are batched.  Neighbors
+    at equal distance are taken in ascending sample index.  Datasets whose
+    features are all identical pass through unchanged.
+
+    Samples with equal z-scored rows share every distance, so each round
+    measures distances between the distinct surviving rows only: its cost
+    grows with the square of the number of distinct rows, not of samples.
     """
     if len(dataset.samples) <= k_max:
         raise ValueError(f"need more than k_max={k_max} samples to refine")
@@ -150,19 +162,31 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
     for n in range(1, k_max + 1):
         if len(alive) <= n:
             break
-        removed = []
+        groups: dict[tuple[float, ...], list[int]] = {}
         for i in alive:
-            dists = sorted(
-                (math.dist(scaled[i], scaled[j]), j) for j in alive if j != i
-            )
-            neighbor_labels = [labels[j] for _, j in dists[:n]]
-            counts: dict[int, int] = {}
-            for lab in neighbor_labels:
-                counts[lab] = counts.get(lab, 0) + 1
-            top = max(counts.values())
-            modal = {lab for lab, c in counts.items() if c == top}
-            if labels[i] not in modal:
-                removed.append(i)
+            groups.setdefault(scaled[i], []).append(i)
+        members = list(groups.values())
+        removed = []
+        for p, group in groups.items():
+            order = sorted((math.dist(p, q), x) for x, q in enumerate(groups))
+            # The nearest samples by (distance, index), through every tie at
+            # the last distance needed: n for each member besides itself.  No
+            # group can place more than its first n + 1 members among them.
+            near: list[tuple[float, int]] = []
+            for d, x in order:
+                if len(near) > n and d != near[-1][0]:
+                    break
+                near.extend((d, j) for j in members[x][: n + 1])
+            near.sort()
+            for i in group:
+                ranked = (j for _, j in near if j != i)
+                counts: dict[int, int] = {}
+                for j in islice(ranked, n):
+                    counts[labels[j]] = counts.get(labels[j], 0) + 1
+                top = max(counts.values())
+                modal = {lab for lab, c in counts.items() if c == top}
+                if labels[i] not in modal:
+                    removed.append(i)
         if removed:
             gone = set(removed)
             alive = [i for i in alive if i not in gone]

@@ -9,13 +9,14 @@ cannot vouch for themselves.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arch import CouplingGraph
 from .circuit import Circuit, Gate, build_dag
@@ -162,20 +163,41 @@ class MappingSolution:
         )
 
 
-def _replay_map(initial_map: tuple[int, ...], swaps, upto: int) -> list[int]:
-    """Logical->physical map in effect at time step ``upto``."""
+def replay(
+    initial_map: tuple[int, ...], swaps
+) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """Walk the logical->physical map forward through time.
+
+    Sorts the swaps by completion time once, then yields ``(t, map)`` for
+    each distinct completion time ``t`` in ascending order, followed by
+    ``(math.inf, final map)``.  Each map is a tuple in effect at every step
+    up to and including ``t`` and after the previous yield's step: a swap
+    completing at ``t`` moves its qubits from step ``t + 1`` on.
+    """
     current = list(initial_map)
-    occupant = {p: q for q, p in enumerate(current)}
-    for (a, b), t in sorted(swaps, key=lambda s: s[1]):
-        if t >= upto:
-            break
+    ordered = sorted(swaps, key=lambda s: s[1])
+    for x, ((a, b), t) in enumerate(ordered):
+        if x == 0 or t != ordered[x - 1][1]:
+            yield t, tuple(current)
+        occupant = {p: q for q, p in enumerate(current)}
         qa, qb = occupant.get(a), occupant.get(b)
         if qa is not None:
             current[qa] = b
         if qb is not None:
             current[qb] = a
-        occupant = {p: q for q, p in enumerate(current)}
-    return current
+    yield math.inf, tuple(current)
+
+
+def _maps_at(initial_map: tuple[int, ...], swaps, times) -> dict[int, tuple[int, ...]]:
+    """The map in effect at each of ``times``, from one replay."""
+    frames = replay(initial_map, swaps)
+    until, current = next(frames)
+    maps = {}
+    for t in sorted(set(times)):
+        while t > until:
+            until, current = next(frames)
+        maps[t] = current
+    return maps
 
 
 def _value(values: dict[str, int | bool], name: str) -> int | bool:
@@ -226,11 +248,11 @@ def decode_solution(
         events.append((t, 0, g))
     for edge, t in swaps:
         events.append((t, 1, edge))
+    maps = _maps_at(initial_map, swaps, gate_times)
     for t, kind, payload in sorted(events, key=lambda e: (e[0], e[1])):
         if kind == 0:
             g: Gate = payload
-            current = _replay_map(initial_map, swaps, t)
-            add(g.name, tuple(current[q] for q in g.qubits), g.params)
+            add(g.name, tuple(maps[t][q] for q in g.qubits), g.params)
         elif keep_swap_opcode:
             add("swap", payload)
         else:
@@ -346,9 +368,9 @@ def validate_solution(
 
     # Gate blocking and adjacency need the map at each gate's moment.
     if not problems or all(v.kind in ("order", "totals") for v in problems):
+        maps = _maps_at(solution.initial_map, swaps, solution.gate_times)
         for g, tg in zip(circuit.gates, solution.gate_times):
-            current = _replay_map(solution.initial_map, swaps, tg)
-            spots = [current[q] for q in g.qubits]
+            spots = [maps[tg][q] for q in g.qubits]
             for (a, b), ts in swaps:
                 if ts - swap_duration + 1 <= tg <= ts and ({a, b} & set(spots)):
                     fail(

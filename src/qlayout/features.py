@@ -47,6 +47,20 @@ class FeatureVector:
         return json.dumps(out, indent=2)
 
 
+def ordered_sum(values) -> float:
+    """Add floats strictly left to right, starting from 0.0.
+
+    The builtin ``sum`` compensates float rounding since CPython 3.12, so
+    its result depends on the interpreter.  Features, standardized rows
+    and trained trees must not, so their float reductions go through this
+    loop, which is what ``sum`` did up to 3.11.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def format_float(x: float) -> str:
     """Serialize a float with 9 significant digits."""
     return format(x, ".9g")
@@ -83,7 +97,7 @@ def entanglement_variance(circuit: Circuit) -> float:
     if not counts:
         return 0.0
     mean = sum(counts) / len(counts)
-    spread = sum((c - mean) ** 2 for c in counts)
+    spread = ordered_sum((c - mean) ** 2 for c in counts)
     return math.log(spread + 1.0) / circuit.num_qubits
 
 

@@ -11,6 +11,7 @@ import itertools
 import math
 
 from qlayout.arch import CouplingGraph
+from qlayout.augment import DEFAULT_KMAX, Dataset
 from qlayout.backend import SolverConfig, check
 from qlayout.circuit import Circuit
 from qlayout.encode import (
@@ -21,6 +22,20 @@ from qlayout.encode import (
     encode_depth_bound,
     encode_swap_bound,
 )
+
+
+def left_to_right_sum(values) -> float:
+    """Plain float accumulation, the builtin ``sum`` of CPython up to 3.11.
+
+    Since 3.12 the builtin compensates rounding; the package adds left to
+    right on every interpreter, so oracles that mirror its arithmetic
+    exactly use this.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
 
 # --------------------------------------------------------------------------
 # Circuit-structure oracles
@@ -106,10 +121,10 @@ def exhaustive_splits(rows, labels):
             s = (lo + hi) / 2.0
             left = [y for r, y in zip(rows, labels) if r[f] <= s]
             right = [y for r, y in zip(rows, labels) if r[f] > s]
-            ml = sum(left) / len(left)
-            mr = sum(right) / len(right)
-            ll = sum((y - ml) ** 2 for y in left) / len(left)
-            lr = sum((y - mr) ** 2 for y in right) / len(right)
+            ml = left_to_right_sum(left) / len(left)
+            mr = left_to_right_sum(right) / len(right)
+            ll = left_to_right_sum((y - ml) ** 2 for y in left) / len(left)
+            lr = left_to_right_sum((y - mr) ** 2 for y in right) / len(right)
             out.append(((len(left) * ll + len(right) * lr) / n, f, s))
     return out
 
@@ -169,6 +184,61 @@ def enn_reference(rows, labels, rounds: int) -> list[int]:
                 drop.add(i)
         alive = [i for i in alive if i not in drop]
     return alive
+
+
+def _standardize(rows):
+    """Z-scored columns, zero where a column is constant; None if all are."""
+    cols = list(zip(*rows))
+    n = len(rows)
+    means = [left_to_right_sum(c) / n for c in cols]
+    stds = [
+        math.sqrt(left_to_right_sum((v - m) ** 2 for v in c) / n)
+        for c, m in zip(cols, means)
+    ]
+    if all(s == 0.0 for s in stds):
+        return None
+    return [
+        tuple((v - m) / s if s > 0.0 else 0.0 for v, m, s in zip(row, means, stds))
+        for row in rows
+    ]
+
+
+def allknn_per_point(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
+    """The per-sample AllKNN that ``allknn_refine`` replaced, kept verbatim.
+
+    Every survivor sorts every other survivor by ``(distance, index)`` in
+    every round, over the same z-scored rows as the package computes.
+    """
+    if len(dataset.samples) <= k_max:
+        raise ValueError(f"need more than k_max={k_max} samples to refine")
+    scaled = _standardize(dataset.rows())
+    if scaled is None:
+        return Dataset(dataset.target, list(dataset.samples), dataset.graph)
+
+    labels = dataset.labels()
+    alive = list(range(len(dataset.samples)))
+    for n in range(1, k_max + 1):
+        if len(alive) <= n:
+            break
+        removed = []
+        for i in alive:
+            dists = sorted(
+                (math.dist(scaled[i], scaled[j]), j) for j in alive if j != i
+            )
+            neighbor_labels = [labels[j] for _, j in dists[:n]]
+            counts: dict[int, int] = {}
+            for lab in neighbor_labels:
+                counts[lab] = counts.get(lab, 0) + 1
+            top = max(counts.values())
+            modal = {lab for lab, c in counts.items() if c == top}
+            if labels[i] not in modal:
+                removed.append(i)
+        if removed:
+            gone = set(removed)
+            alive = [i for i in alive if i not in gone]
+    return Dataset(
+        dataset.target, [dataset.samples[i] for i in alive], dataset.graph
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Chunked augmentation, qubit reordering, AllKNN refinement, CSV round-trip."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from qlayout.augment import (
     ChunkPlan,
     Dataset,
     Sample,
+    _standardize,
     allknn_refine,
     gate_allocation,
     load_dataset,
@@ -18,7 +20,7 @@ from qlayout.circuit import build_dag, make_circuit
 from qlayout.features import FeatureVector, extract_features
 
 from .conftest import random_circuit
-from .oracles import enn_reference
+from .oracles import allknn_per_point, enn_reference, left_to_right_sum
 
 
 def _fv(a, b, c, d, e, f) -> FeatureVector:
@@ -195,6 +197,63 @@ def test_refine_idempotent_on_survivors():
     if len(once.samples) > 2:
         twice = allknn_refine(once, k_max=2)
         assert [s.source for s in twice.samples] == [s.source for s in once.samples]
+
+
+def _random_table(rng, kind, n):
+    if kind == "duplicates":
+        base = [
+            tuple(rng.randint(0, 3) for _ in range(6))
+            for _ in range(rng.randint(2, 6))
+        ]
+        rows = [rng.choice(base) for _ in range(n)]
+    elif kind == "lattice":
+        dims = rng.randint(1, 3)
+        rows = [
+            tuple(rng.randint(0, 2) if c < dims else 0 for c in range(6))
+            for _ in range(n)
+        ]
+    else:
+        rows = [tuple(rng.uniform(0, 10) for _ in range(6)) for _ in range(n)]
+    samples = [
+        Sample(_fv(*row), rng.randint(0, 2), f"s{i}") for i, row in enumerate(rows)
+    ]
+    return Dataset("depth", samples)
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "lattice", "distinct"])
+def test_refine_matches_the_per_point_search(kind):
+    # Duplicate rows share distances; lattice rows also put distinct rows at
+    # equal distances, so a tie can cut across several groups of equal rows.
+    rng = random.Random(f"allknn-{kind}")
+    for _ in range(40):
+        ds = _random_table(rng, kind, rng.randint(4, 60))
+        for kmax in (1, 2, 3):
+            got = [s.source for s in allknn_refine(ds, kmax).samples]
+            want = [s.source for s in allknn_per_point(ds, kmax).samples]
+            assert got == want
+
+
+def test_refine_takes_equidistant_neighbors_in_index_order():
+    # Sample 2 sits one unit from samples 0 and 4 on one side and from
+    # samples 1 and 3 on the other; its nearest neighbor is sample 0, the
+    # only label 7, whichever side sample 0 is on.  Samples 0 and 4 are
+    # equal rows with different labels, so both go too.
+    for left, right in ((0, 2), (2, 0)):
+        rows = [(left, 0), (right, 0), (1, 0), (right, 0), (left, 0)]
+        out = allknn_refine(_toy_dataset(rows, [7, 5, 5, 5, 5]), k_max=1)
+        assert [s.source for s in out.samples] == ["s1", "s3"]
+
+
+def test_standardize_adds_left_to_right():
+    # Compensated summation (the builtin sum since CPython 3.12) makes the
+    # first column's mean exactly 0.1 and its spread 0.
+    rows = [(0.1, float(i)) for i in range(10)]
+    col = [r[0] for r in rows]
+    assert left_to_right_sum(col) != math.fsum(col)
+    mean = left_to_right_sum(col) / 10
+    std = math.sqrt(left_to_right_sum((v - mean) ** 2 for v in col) / 10)
+    assert std > 0.0
+    assert [r[0] for r in _standardize(rows)] == [(0.1 - mean) / std] * 10
 
 
 # --------------------------------------------------------------------------

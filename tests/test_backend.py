@@ -18,11 +18,11 @@ from qlayout.backend import (
     SolverOutputError,
     SolverTimeoutError,
     _parse_literal,
-    _replay_map,
     _VALUE_RE,
     check,
     decode_solution,
     model_swaps,
+    replay,
     validate_solution,
     VIOLATION_KINDS,
 )
@@ -127,6 +127,13 @@ def test_check_raises_on_timeout(tmp_path):
 # --------------------------------------------------------------------------
 
 
+def _replay_map(initial_map, swaps, upto):
+    """The map in effect at step ``upto``, read off ``replay``."""
+    for until, current in replay(initial_map, swaps):
+        if upto <= until:
+            return list(current)
+
+
 def test_replay_map_applies_completed_swaps_only():
     start = (0, 1, 2)
     swaps = (((0, 1), 2),)
@@ -144,6 +151,17 @@ def test_replay_map_chains_swaps_in_time_order():
 def test_replay_map_moves_occupant_into_empty_spot():
     start = (0,)
     assert _replay_map(start, (((0, 1), 2),), upto=5) == [1]
+
+
+def test_replay_yields_one_map_per_distinct_swap_time():
+    # two swaps complete at t=4 and apply in listed order: (1,2) then (0,1)
+    swaps = (((1, 2), 4), ((0, 1), 2), ((0, 1), 4))
+    assert list(replay((0, 1, 2), swaps)) == [
+        (2, (0, 1, 2)),
+        (4, (1, 0, 2)),
+        (math.inf, (2, 1, 0)),
+    ]
+    assert list(replay((0, 1), ())) == [(math.inf, (0, 1))]
 
 
 def _model_for(ctx, *, pos0, times, true_swaps=()):

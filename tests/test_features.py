@@ -17,7 +17,7 @@ from qlayout.features import (
 )
 
 from .conftest import random_circuit
-from .oracles import feature_oracle
+from .oracles import feature_oracle, left_to_right_sum
 
 
 def test_feature_name_order_is_canonical():
@@ -86,6 +86,15 @@ def test_entanglement_variance_zero_cases():
     # uniform load: every qubit carries exactly one 2q gate
     c = make_circuit(4, [("cx", (0, 1)), ("cx", (2, 3))])
     assert entanglement_variance(c) == 0.0
+
+
+def test_entanglement_variance_adds_left_to_right():
+    # Loads (0, 1, 1, 1, 1): compensated summation (the builtin sum since
+    # CPython 3.12) gives a spread of exactly 0.8.
+    c = make_circuit(5, [("cx", (1, 2)), ("cx", (3, 4))])
+    deviations = [(n - 0.8) ** 2 for n in (0, 1, 1, 1, 1)]
+    assert left_to_right_sum(deviations) != math.fsum(deviations)
+    assert entanglement_variance(c) == math.log(left_to_right_sum(deviations) + 1.0) / 5
 
 
 def test_extract_matches_straight_line_oracle_on_bundled():

@@ -12,7 +12,7 @@ from qlayout.regressor import (
     fit,
 )
 
-from .oracles import exhaustive_splits, minimal_split
+from .oracles import exhaustive_splits, left_to_right_sum, minimal_split
 
 
 def _random_dataset(rng, n_rows, n_features=6, discrete=False):
@@ -106,6 +106,17 @@ def test_fit_respects_max_depth():
 def test_fit_stops_on_zero_spread():
     tree = fit([(1.0,), (2.0,), (3.0,)], [5.0, 5.0, 5.0], feature_names=("a",))
     assert tree.root.is_leaf
+
+
+def test_node_statistics_add_left_to_right():
+    # Compensated summation (the builtin sum since CPython 3.12) gives a
+    # mean of exactly 0.1 and a zero spread here.
+    labels = [0.1] * 10
+    assert left_to_right_sum(labels) != math.fsum(labels)
+    mean = left_to_right_sum(labels) / 10
+    root = fit([(float(i),) for i in range(10)], labels, max_depth=0).root
+    assert root.prediction == mean
+    assert root.node_mse == left_to_right_sum((v - mean) ** 2 for v in labels) / 10
 
 
 def test_fit_rejects_empty_and_mismatched_input():
