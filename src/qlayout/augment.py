@@ -266,8 +266,8 @@ def build_corpus(
     count, graph name, and search counts.  Returns the depth-target and
     swap-target datasets (optionally refined), which are also written as
     ``depth_dataset.csv`` / ``swaps_dataset.csv`` under ``out_dir``.
-    Labeling runs on ``jobs`` worker threads (each check is its own solver
-    subprocess, so threads parallelize cleanly).
+    Labeling runs on ``jobs`` worker threads (each solve runs its own solver
+    process, so threads parallelize cleanly).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

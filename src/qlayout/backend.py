@@ -1,10 +1,18 @@
 """External-solver orchestration, model decoding, and independent validation.
 
-A fresh solver subprocess runs per satisfiability check: the script goes to
-the solver's standard input, the ``sat``/``unsat`` verdict and model values
-come back on standard output.  Decoded solutions are replay-validated
-without consulting the solver or the script, so encoder and solver bugs
-cannot vouch for themselves.
+The solver is any SMT-LIB2 command that reads from standard input and
+writes its replies to standard output.  :class:`Session` keeps one solver
+process for a whole solve: the base of the current grid shape sits in an
+outer ``(push 1)`` scope, and each check adds its bound lines in an inner
+scope that is popped after the verdict and, on ``sat``, one batched
+``get-value``.  The solver must therefore answer each command as soon as it
+has read it.  :func:`check` runs one self-contained script in a fresh
+process and reads its replies at exit.  Both read replies with the same
+parser, and both treat an ``(error ...)`` reply before the verdict as a
+solver failure.
+
+Decoded solutions are replay-validated without consulting the solver or the
+script, so encoder and solver bugs cannot vouch for themselves.
 """
 
 from __future__ import annotations
@@ -12,15 +20,17 @@ from __future__ import annotations
 import math
 import os
 import re
+import selectors
 import shlex
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .arch import CouplingGraph
 from .circuit import Circuit, Gate, build_dag
-from .encode import DEFAULT_SWAP_DURATION, EncodingContext
+from .encode import DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, value_query
 
 DEFAULT_SOLVER_COMMAND = "z3 -in"
 SOLVER_ENV_VAR = "QLAYOUT_SOLVER"
@@ -36,11 +46,11 @@ class SolverTimeoutError(SolverError):
 
 
 class SolverExitError(SolverError):
-    """Solver exited nonzero without producing a verdict."""
+    """Solver exited, or could not start, without producing a verdict."""
 
 
 class SolverOutputError(SolverError):
-    """Solver output held no recognizable verdict or values."""
+    """Solver answered with an error, ``unknown``, or no recognizable verdict."""
 
 
 class DecodeError(ValueError):
@@ -66,9 +76,15 @@ class CheckResult:
     wall_time: float
 
 
+# One ``(name value)`` pair, alone or inside a batched get-value reply.
 _VALUE_RE = re.compile(
-    r"\(\s*\(\s*([A-Za-z0-9_]+)\s+(#b[01]+|#x[0-9a-fA-F]+|true|false)\s*\)\s*\)"
+    r"\(\s*([A-Za-z0-9_]+)\s+(#b[01]+|#x[0-9a-fA-F]+|true|false)\s*\)"
 )
+
+# Reply tokens: whitespace, a string literal, a quoted symbol, a
+# parenthesis, or an atom.  An unterminated string or symbol matches nothing.
+_REPLY_TOKEN = re.compile(r'\s+|"(?:[^"]|"")*"|\|[^|]*\||[()]|[^\s()"|]+')
+_ERROR_RE = re.compile(r"\(\s*error\b")
 
 
 def _parse_literal(text: str) -> int | bool:
@@ -81,8 +97,53 @@ def _parse_literal(text: str) -> int | bool:
     return int(text[2:], 16)
 
 
+def _values(text: str) -> dict[str, int | bool]:
+    return {name: _parse_literal(lit) for name, lit in _VALUE_RE.findall(text)}
+
+
+def _next_reply(text: str, pos: int) -> Optional[tuple[str, int]]:
+    """The first complete reply in ``text[pos:]`` and the index after it.
+
+    A reply is an atom followed by whitespace or a balanced parenthesized
+    expression; None means the text ends before one is complete.
+    """
+    depth, begin = 0, None
+    while True:
+        match = _REPLY_TOKEN.match(text, pos)
+        if match is None:
+            return None
+        token, end = match.group(), match.end()
+        if token[0].isspace():
+            pos = end
+            continue
+        if begin is None:
+            begin = pos
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        if depth <= 0 and (token == ")" or end < len(text)):
+            return text[begin:end], end
+        pos = end
+
+
+def _verdict(reply: str) -> Optional[bool]:
+    """True for ``sat``, False for ``unsat``, None for a reply to skip over.
+
+    ``unknown`` and an ``(error ...)`` reply raise: an error before the
+    verdict means the solver decided a different script than it was sent.
+    """
+    if reply in ("sat", "unsat"):
+        return reply == "sat"
+    if reply == "unknown":
+        raise SolverOutputError("solver returned 'unknown'")
+    if _ERROR_RE.match(reply):
+        raise SolverOutputError(f"solver error before the verdict: {reply[:500]}")
+    return None
+
+
 def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
-    """Run one satisfiability check in a fresh solver subprocess."""
+    """Run one self-contained script in a fresh solver subprocess."""
     config = config or SolverConfig.resolve()
     start = time.monotonic()
     try:
@@ -101,27 +162,204 @@ def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
     elapsed = time.monotonic() - start
 
     stdout = proc.stdout.decode(errors="replace")
-    verdict = None
-    for line in stdout.splitlines():
-        word = line.strip()
-        if word in ("sat", "unsat", "unknown"):
-            verdict = word
-            break
-    if verdict is None:
-        if proc.returncode != 0:
-            raise SolverExitError(
-                f"solver exited {proc.returncode}:"
-                f" {proc.stderr.decode(errors='replace')[:500]}"
+    text, pos = stdout + "\n", 0
+    while (found := _next_reply(text, pos)) is not None:
+        reply, pos = found
+        sat = _verdict(reply)
+        if sat is not None:
+            values = _values(text[pos:]) if sat else None
+            return CheckResult(sat=sat, values=values, wall_time=elapsed)
+    if proc.returncode != 0:
+        raise SolverExitError(
+            f"solver exited {proc.returncode}:"
+            f" {proc.stderr.decode(errors='replace')[:500]}"
+        )
+    raise SolverOutputError(f"no verdict in solver output: {stdout[:500]!r}")
+
+
+class Session:
+    """One solver process answering a sequence of checks.
+
+    Use as a context manager.  The process starts with the first check and
+    is closed and waited for on exit; on an exception it is killed first.
+    :meth:`load` makes its lines (declarations and base assertions) the
+    outer scope, replacing the previous one.  :meth:`check` adds bound lines
+    in an inner scope, asks for a verdict and, on ``sat``, for the named
+    values in one query, then pops the inner scope.  Text is sent with the
+    next check, so that check's wall time includes a pending load.  Every
+    check runs under ``config.timeout``; a check that overruns kills the
+    process.
+    """
+
+    def __init__(self, config: Optional[SolverConfig] = None):
+        self.config = config or SolverConfig.resolve()
+        self._proc: Optional[subprocess.Popen] = None
+        self._selector = selectors.DefaultSelector()
+        self._unsent: deque[memoryview] = deque()   # encoded text to write
+        self._writing = False      # the selector watches the solver's input
+        self._loaded = False
+        self._text = ""            # solver output; replies before _pos are taken
+        self._pos = 0
+        self._stderr = bytearray()
+        self._ended = False        # the solver closed its standard output
+        self._send(PREAMBLE)
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(kill=exc_type is not None)
+
+    def load(self, lines: Iterable[str]) -> None:
+        """Replace the outer scope with ``lines``; sent with the next check."""
+        if self._loaded:
+            self._send(["(pop 1)"])
+        self._send(["(push 1)", *lines])
+        self._loaded = True
+
+    def check(self, lines: Iterable[str], names: Iterable[str]) -> CheckResult:
+        """Check the outer scope plus ``lines``; values of ``names`` on sat."""
+        start = time.monotonic()
+        deadline = start + self.config.timeout
+        self._send(["(push 1)", *lines, "(check-sat)"])
+        while (sat := _verdict(self._reply(deadline))) is None:
+            pass
+        values = None
+        if sat:
+            self._send([value_query(names)])
+            values = _values(self._reply(deadline))
+        self._send(["(pop 1)"])
+        return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start)
+
+    def close(self, kill: bool = False) -> None:
+        """Close the solver's input and wait for it to exit, or kill it."""
+        proc, self._proc = self._proc, None
+        self._unsent.clear()
+        if proc is None:
+            self._selector.close()
+            return
+        deadline = time.monotonic() + self.config.timeout
+        try:
+            self._watch_input(proc, False)
+            proc.stdin.close()
+            if kill:
+                proc.kill()
+            else:
+                self._pump(proc, lambda: False, deadline)
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except (SolverTimeoutError, subprocess.TimeoutExpired, OSError):
+            pass
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+            self._selector.close()
+
+    # ---- process plumbing ------------------------------------------------
+
+    def _send(self, lines) -> None:
+        self._unsent.append(memoryview("\n".join([*lines, ""]).encode()))
+
+    def _reply(self, deadline: float) -> str:
+        """The next complete reply; sends pending text while waiting for it."""
+        proc = self._proc or self._start()
+        self._pump(proc, lambda: _next_reply(self._text, self._pos) is not None, deadline)
+        found = _next_reply(self._text, self._pos)
+        if found is None:
+            raise self._exit_error(proc, deadline)
+        reply, self._pos = found
+        return reply
+
+    def _start(self) -> subprocess.Popen:
+        command = self.config.command
+        try:
+            proc = subprocess.Popen(
+                list(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
             )
-        raise SolverOutputError(f"no verdict in solver output: {stdout[:500]!r}")
-    if verdict == "unknown":
-        raise SolverOutputError("solver returned 'unknown'")
-    if verdict == "unsat":
-        return CheckResult(sat=False, values=None, wall_time=elapsed)
-    values: dict[str, int | bool] = {
-        name: _parse_literal(lit) for name, lit in _VALUE_RE.findall(stdout)
-    }
-    return CheckResult(sat=True, values=values, wall_time=elapsed)
+        except OSError as exc:
+            raise SolverExitError(f"cannot launch solver {command}: {exc}") from None
+        for stream in (proc.stdin, proc.stdout, proc.stderr):
+            os.set_blocking(stream.fileno(), False)
+        for stream in (proc.stdout, proc.stderr):
+            self._selector.register(stream, selectors.EVENT_READ)
+        self._proc = proc
+        return proc
+
+    def _watch_input(self, proc: subprocess.Popen, on: bool) -> None:
+        if on != self._writing:
+            if on:
+                self._selector.register(proc.stdin, selectors.EVENT_WRITE)
+            else:
+                self._selector.unregister(proc.stdin)
+            self._writing = on
+
+    def _pump(self, proc: subprocess.Popen, done, deadline: float) -> None:
+        """Write pending input and read output, in chunks, until ``done()``
+        holds or the output ends.  Kills the process at ``deadline``."""
+        while not self._ended and not done():
+            self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                proc.kill()
+                raise SolverTimeoutError(
+                    f"solver exceeded {self.config.timeout}s:"
+                    f" {' '.join(self.config.command)}"
+                )
+            for key, _ in self._selector.select(remaining):
+                if key.fileobj is proc.stdin:
+                    self._write(key.fd)
+                else:
+                    self._read(key, proc.stdout)
+
+    def _write(self, fd: int) -> None:
+        data = self._unsent[0]
+        try:
+            sent = os.write(fd, data[: 1 << 16])
+        except BlockingIOError:
+            return
+        except BrokenPipeError:  # the solver stopped reading; its output tells why
+            self._unsent.clear()
+            return
+        if sent < len(data):
+            self._unsent[0] = data[sent:]
+        else:
+            self._unsent.popleft()
+
+    def _read(self, key: selectors.SelectorKey, stdout) -> None:
+        chunk = os.read(key.fd, 1 << 16)
+        if not chunk:
+            self._selector.unregister(key.fileobj)
+        if key.fileobj is not stdout:
+            if len(self._stderr) < 1 << 16:
+                self._stderr += chunk
+            return
+        # an empty chunk is the end of output; a newline ends a final atom
+        text = chunk.decode(errors="replace") if chunk else "\n"
+        self._text, self._pos = self._text[self._pos:] + text, 0
+        self._ended = not chunk
+
+    def _exit_error(self, proc: subprocess.Popen, deadline: float) -> SolverExitError:
+        """The error for output that ended without the expected reply."""
+        try:
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        fd = proc.stderr.fileno()
+        try:
+            while len(self._stderr) < 1 << 16 and (chunk := os.read(fd, 1 << 16)):
+                self._stderr += chunk
+        except BlockingIOError:   # a child of the solver holds stderr open
+            pass
+        stderr = self._stderr.decode(errors="replace")[:500]
+        return SolverExitError(
+            f"solver exited {proc.returncode} before answering: {stderr}"
+        )
 
 
 # --------------------------------------------------------------------------

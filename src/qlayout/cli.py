@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
-    p.add_argument("--solver", help="solver command reading scripts on stdin"
+    p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin"
                    " (default: $QLAYOUT_SOLVER or 'z3 -in')")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="wall-clock seconds per solver check")

@@ -257,15 +257,21 @@ def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
     return [f"(assert (bvule {terms[0]} {_bv(swap_bound, width)}))"]
 
 
+PREAMBLE = ("(set-option :produce-models true)", "(set-logic QF_BV)")
+
+
+def value_query(names) -> str:
+    """One batched ``get-value`` for every name in ``names``."""
+    return f"(get-value ({' '.join(names)}))"
+
+
 def emit_script(ctx: EncodingContext, fragments: list[list[str]]) -> str:
     """Assemble a complete solver script: declarations, constraint
-    fragments, the satisfiability query, and value queries for every
+    fragments, the satisfiability query, and one value query for every
     variable."""
-    lines = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
-    lines.extend(declarations(ctx))
+    lines = [*PREAMBLE, *declarations(ctx)]
     for fragment in fragments:
         lines.extend(fragment)
     lines.append("(check-sat)")
-    for name, _ in ctx.variables():
-        lines.append(f"(get-value ({name}))")
+    lines.append(value_query(name for name, _ in ctx.variables()))
     return "\n".join(lines) + "\n"

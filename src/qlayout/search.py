@@ -15,10 +15,12 @@ bound would not fit; gate-time widths widen before a bound that crosses a
 power of two and may narrow again after satisfiable checks.  Increments are
 at least 2, the search's stride, so a grown grid always fits the next bound.
 
-One probe serves both phases.  Each call emits a fresh, self-contained
-script to its own solver subprocess, records the check's wall time, and
-turns a solver failure into a :class:`SearchError` naming the phase; only
-depth-phase calls resize the grid.
+One probe serves both phases, and one solver session serves the whole
+solve.  The probe builds the context and base once per grid shape and loads
+them as the session's outer scope; each check adds only its bound lines,
+records its wall time, and turns a solver failure into a
+:class:`SearchError` naming the phase.  Only depth-phase calls resize the
+grid, so the swap phase reuses the optimum's loaded base throughout.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from typing import Callable, Optional
 from . import backend as be
 from .arch import CouplingGraph
 from .circuit import Circuit, gate_depths, longest_chain
-from .encode import (
+from .encode import (  # noqa: F401 - emit_script stays for qbench/spans.py
     DEFAULT_SWAP_DURATION,
     bit_length,
     build_context,
+    declarations,
     emit_script,
     encode_base,
     encode_depth_bound,
@@ -210,21 +213,25 @@ def solve_optimal(
                               "kind": kind, "old": old, "new": new})
         return new
 
+    ctx = None
+
     def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
         """One check at a depth bound; the swap phase adds a swap bound."""
-        nonlocal horizon, time_bits, last_depth
+        nonlocal horizon, time_bits, last_depth, ctx
         phase = "depth" if swap_bound is None else "swap"
         if phase == "depth":
             if depth >= horizon:
                 horizon = resize("horizon", horizon, last_depth + policy.step(last_depth))
             if bit_length(depth) > time_bits:
                 time_bits = resize("time_bits", time_bits, bit_length(depth))
-        ctx = build_context(circuit, graph, horizon, time_bits, swap_duration)
-        fragments = [encode_base(ctx), encode_depth_bound(ctx, depth)]
+        if ctx is None or (ctx.horizon, ctx.time_bits) != (horizon, time_bits):
+            ctx = build_context(circuit, graph, horizon, time_bits, swap_duration)
+            session.load(declarations(ctx) + encode_base(ctx))
+        bounds = encode_depth_bound(ctx, depth)
         if phase == "swap":
-            fragments.append(encode_swap_bound(ctx, swap_bound))
+            bounds += encode_swap_bound(ctx, swap_bound)
         try:
-            result = be.check(emit_script(ctx, fragments), solver)
+            result = session.check(bounds, (name for name, _ in ctx.variables()))
         except be.SolverError as exc:
             raise SearchError(
                 f"{phase} phase failed: {exc}",
@@ -237,15 +244,16 @@ def solve_optimal(
                 time_bits = resize("time_bits", time_bits, bit_length(depth))
         return result.sat, (ctx, result.values) if result.sat else None
 
-    depth_outcome = run_bound_search(start, ldc, probe)
-    best_depth = depth_outcome.optimum
-    depth_ctx, depth_values = depth_outcome.payload
-    swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
-    predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
-    swap_start = max(0, min(predicted_swaps, swaps_in_model))
-    swap_outcome = run_bound_search(
-        swap_start, 0, lambda bound: probe(best_depth, bound)
-    )
+    with be.Session(solver) as session:
+        depth_outcome = run_bound_search(start, ldc, probe)
+        best_depth = depth_outcome.optimum
+        depth_ctx, depth_values = depth_outcome.payload
+        swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
+        predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
+        swap_start = max(0, min(predicted_swaps, swaps_in_model))
+        swap_outcome = run_bound_search(
+            swap_start, 0, lambda bound: probe(best_depth, bound)
+        )
 
     final_ctx, final_values = swap_outcome.payload
     solution = be.decode_solution(

@@ -6,8 +6,9 @@ Solver fixtures tell a missing solver from a broken one:
   ``$QLAYOUT_SOLVER`` when that is set, else ``z3 -in``.  It skips the
   requesting test, with the reason, only when ``QLAYOUT_SOLVER`` is unset
   and ``z3`` is not on PATH.  It fails the test when the requested command
-  cannot be launched, when the found solver errors on the probe script, and
-  when the probe's answer is wrong.
+  cannot be launched, when the found solver errors on the probe script or
+  on a two-check push/pop session (a solver that answers only at end of
+  input fails there), and when either answer is wrong.
 * ``small_solver`` is the same solver, with the same failures, but where
   none is installed it falls back to ``tests/refsolver.py``, an exact but
   slow pure-Python solver.  Only tests on instances of a few qubits use it;
@@ -20,6 +21,7 @@ session-scoped cache keyed by (circuit, device, depth seed, swap seed).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import shutil
@@ -31,7 +33,7 @@ import pytest
 
 from qlayout.arch import CouplingGraph, grid_graph, line_graph, qx2, ring_graph
 from qlayout.augment import ChunkPlan, gate_allocation
-from qlayout.backend import SOLVER_ENV_VAR, SolverConfig, check
+from qlayout.backend import SOLVER_ENV_VAR, Session, SolverConfig, check
 from qlayout.circuit import Circuit, longest_chain, make_circuit
 from qlayout.corpus import load_bundled
 from qlayout.search import SolveResult, solve_optimal
@@ -55,18 +57,33 @@ REFERENCE_SOLVER = SolverConfig(
 )
 
 
+# A solver that answers only at end of input fails the session probe here,
+# within this budget, instead of timing out in every test that uses it.
+_SESSION_PROBE_TIMEOUT = 30.0
+
+
 def _probed(cfg: SolverConfig) -> SolverConfig:
-    """``cfg`` once it has answered the probe script; fails the test if not."""
+    """``cfg`` once it has answered the probe script and a two-check
+    push/pop session; fails the test if not."""
     try:
         result = check(_PROBE, cfg)
+        probe_cfg = dataclasses.replace(cfg, timeout=_SESSION_PROBE_TIMEOUT)
+        with Session(probe_cfg) as session:
+            session.load(["(declare-const x (_ BitVec 2))"])
+            scoped = [
+                session.check([f"(assert (= x {value}))"], ["x"])
+                for value in ("#b10", "#b01")
+            ]
     except Exception as exc:  # noqa: BLE001 - report any launch failure
         pytest.fail(
             f"SMT solver {' '.join(cfg.command)!r} is not usable: {exc}.\n"
-            "Install z3 (or set QLAYOUT_SOLVER to an SMT-LIB2 command "
-            "reading scripts on stdin) and rerun."
+            "Install z3 (or set QLAYOUT_SOLVER to an SMT-LIB2 command that "
+            "reads commands on stdin and answers each as it reads it) and rerun."
         )
     if not result.sat or result.values.get("x") != 2:
         pytest.fail(f"solver probe returned unexpected output: {result}")
+    if [r.values for r in scoped] != [{"x": 2}, {"x": 1}]:
+        pytest.fail(f"solver session probe returned unexpected output: {scoped}")
     return cfg
 
 
@@ -92,7 +109,7 @@ def solver_cfg(installed_solver) -> SolverConfig:
         pytest.skip(
             f"no SMT solver: {default!r} is not on PATH and {SOLVER_ENV_VAR} is"
             " unset; install z3, run tools/install-wasm-z3.sh, or set"
-            f" {SOLVER_ENV_VAR} to an SMT-LIB2 command reading scripts on stdin"
+            f" {SOLVER_ENV_VAR} to an SMT-LIB2 command reading commands on stdin"
         )
     return installed_solver
 

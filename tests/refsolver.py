@@ -4,13 +4,15 @@ Usage::
 
     python3 tests/refsolver.py < script.smt2
 
-It reads a script on standard input and answers like ``z3 -in``: ``sat`` or
-``unsat`` for each ``check-sat`` and one ``((name value))`` line for each
-``get-value``.  Satisfiability is decided exactly, not guessed: every
-assertion is bit-blasted into clauses (Tseitin encoding) and a CDCL SAT
-search either finds a model or refutes the clauses.  Before ``sat`` is
-printed, every assertion is evaluated on the model directly, so a ``sat``
-answer never rests on the bit-blaster alone.
+It reads commands on standard input and answers like ``z3 -in``: ``sat`` or
+``unsat`` for each ``check-sat`` and one ``((name value) ...)`` line for
+each ``get-value``.  Each command is answered as soon as it has been read,
+so it serves an interactive session (``qlayout.backend.Session``) as well
+as a piped script.  Satisfiability is decided exactly, not guessed: every
+assertion in scope is bit-blasted into clauses (Tseitin encoding) and a CDCL
+SAT search either finds a model or refutes the clauses.  Before ``sat`` is
+printed, every assertion in scope is evaluated on the model directly, so a
+``sat`` answer never rests on the bit-blaster alone.
 
 It exists so that the tests which need real solver semantics on instances
 of a few qubits also run where no SMT solver is installed.  It is orders of
@@ -18,18 +20,22 @@ magnitude slower than z3 and is not meant for the acceptance suite or for
 ``qlayout map`` on real circuits.
 
 Supported: the commands ``set-option``, ``set-logic``, ``set-info``,
-``declare-const``, ``assert``, ``check-sat``, ``get-value`` and ``exit``;
-the sorts ``Bool`` and ``(_ BitVec n)``; the operators ``not and or xor =>
-= distinct ite bvult bvule bvugt bvuge bvadd``; ``true``, ``false`` and
-``#b`` literals.  That covers every script ``qlayout.encode`` emits.
-Anything else is answered with ``(error "...")`` and the exit status is 1;
-after an error in any command but ``get-value``, every ``check-sat`` is
-answered with an error too, never with a verdict on a different script.
+``declare-const``, ``assert``, ``push``, ``pop``, ``check-sat``,
+``get-value`` and ``exit``; the sorts ``Bool`` and ``(_ BitVec n)``; the
+operators ``not and or xor => = distinct ite bvult bvule bvugt bvuge
+bvadd``; ``true``, ``false`` and ``#b`` literals.  That covers every script
+``qlayout.encode`` emits and every session ``qlayout.search`` drives.
+Declarations and assertions are scoped: ``pop`` drops those made since the
+matching ``push`` and re-blasts the ones that remain.  Anything else is
+answered with ``(error "...")`` and the exit status is 1; after an error in
+any command but ``get-value``, every ``check-sat`` is answered with an error
+too, never with a verdict on a different script.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import re
 import sys
 
@@ -42,25 +48,40 @@ class SmtError(Exception):
     """A command, operator, sort or symbol outside the supported fragment."""
 
 
+class Reader:
+    """Incremental S-expression reader: complete top-level commands as
+    their text arrives.  A list becomes a tuple, an atom a str."""
+
+    def __init__(self):
+        self.stack: list[list] = [[]]
+
+    def feed(self, text: str) -> list:
+        """Commands completed by ``text``; a token must not span two feeds."""
+        stack = self.stack
+        for match in _TOKEN.finditer(text):
+            tok = match.group(1)
+            if tok is None:
+                continue
+            if tok == "(":
+                stack.append([])
+            elif tok == ")":
+                if len(stack) == 1:
+                    raise SmtError("unbalanced ')'")
+                done = tuple(stack.pop())
+                stack[-1].append(done)
+            else:
+                stack[-1].append(tok)
+        commands, stack[0] = stack[0], []
+        return commands
+
+
 def parse(text: str) -> list:
     """S-expressions of ``text``; a list becomes a tuple, an atom a str."""
-    stack: list[list] = [[]]
-    for match in _TOKEN.finditer(text):
-        tok = match.group(1)
-        if tok is None:
-            continue
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if len(stack) == 1:
-                raise SmtError("unbalanced ')'")
-            done = tuple(stack.pop())
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+    reader = Reader()
+    commands = reader.feed(text)
+    if len(reader.stack) != 1:
         raise SmtError("unbalanced '('")
-    return stack[0]
+    return commands
 
 
 def parse_sort(sexp) -> int:
@@ -522,59 +543,134 @@ def _show(val) -> str:
     return "#b" + format(number, f"0{width}b")
 
 
+class Solver:
+    """The command interpreter; one instance serves a whole session."""
+
+    def __init__(self, out):
+        self.out = out
+        self.frames: list[list] = [[]]   # declarations and assertions per scope
+        self.blaster = Blaster()
+        self.asserted: list = []
+        self.model = None
+        self.failed = self.lost = False
+
+    def error(self, message, cmd=None) -> None:
+        # a check after any lost command but get-value would answer another script
+        self.failed = True
+        self.lost = self.lost or not (isinstance(cmd, tuple) and cmd[:1] == ("get-value",))
+        self.reply('(error "%s")' % str(message).replace('"', "'"))
+
+    def reply(self, text: str) -> None:
+        self.out.write(text + "\n")
+        self.out.flush()
+
+    def execute(self, cmd) -> bool:
+        """Run one command; False for ``exit``."""
+        if cmd == ("exit",):
+            return False
+        try:
+            self._execute(cmd)
+        except SmtError as exc:
+            self.error(exc, cmd)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            self.error(f"malformed command {cmd}: {exc}", cmd)
+        return True
+
+    def _execute(self, cmd) -> None:
+        if not isinstance(cmd, tuple) or not cmd or not isinstance(cmd[0], str):
+            raise SmtError(f"not a command: {cmd}")
+        name, args = cmd[0], cmd[1:]
+        if name in ("set-option", "set-logic", "set-info"):
+            return
+        if name in ("push", "pop") and len(args) <= 1:
+            n = int(args[0]) if args else 1
+            if name == "push":
+                self.frames.extend([] for _ in range(n))
+            elif not 0 <= n < len(self.frames):
+                raise SmtError(f"pop {n} exceeds push depth {len(self.frames) - 1}")
+            elif n:
+                del self.frames[-n:]
+                self._rebuild()
+            return
+        if name == "declare-const" and len(args) == 2:
+            entry = ("declare", args[0], parse_sort(args[1]))
+        elif name == "assert" and len(args) == 1:
+            entry = ("assert", args[0])
+        else:
+            self._query(name, args)
+            return
+        self._add(entry)
+        self.frames[-1].append(entry)
+
+    def _add(self, entry) -> None:
+        if entry[0] == "declare":
+            self.blaster.declare(entry[1], entry[2])
+        else:
+            self.blaster.assert_term(entry[1])
+            self.asserted.append(entry[1])
+            self.model = None
+
+    def _rebuild(self) -> None:
+        """Blast what remains in scope after a pop, from scratch."""
+        self.blaster, self.asserted, self.model = Blaster(), [], None
+        for frame in self.frames:
+            for entry in frame:
+                self._add(entry)
+
+    def _query(self, name, args) -> None:
+        if name == "check-sat" and not args:
+            if self.lost:
+                raise SmtError("an earlier command failed")
+            self.model = _check(self.blaster, self.asserted)
+            self.reply("sat" if self.model is not None else "unsat")
+        elif name == "get-value" and len(args) == 1 and isinstance(args[0], tuple):
+            if self.model is None:
+                raise SmtError("model is not available")
+            pairs = " ".join(
+                f"({term_text(t)} {_show(evaluate(t, self.model))})" for t in args[0]
+            )
+            self.reply(f"({pairs})")
+        else:
+            raise SmtError(f"unsupported command {name}")
+
+
 def run(script: str, out) -> int:
     """Answer every command of ``script`` on ``out``; 0, or 1 after an error."""
-    blaster = Blaster()
-    asserted: list = []
-    model = None
-    failed = lost = False
-
-    def error(message, cmd=None):
-        # a check after any lost command but get-value would answer another script
-        nonlocal failed, lost
-        failed = True
-        lost = lost or not (isinstance(cmd, tuple) and cmd[:1] == ("get-value",))
-        out.write('(error "%s")\n' % str(message).replace('"', "'"))
-
+    solver = Solver(out)
     try:
         commands = parse(script)
     except SmtError as exc:
-        error(exc)
+        solver.error(exc)
         return 1
     for cmd in commands:
+        if not solver.execute(cmd):
+            break
+    return 1 if solver.failed else 0
+
+
+def serve(infd: int, out) -> int:
+    """Answer commands from ``infd`` as each one arrives, until end of input
+    or ``exit``; 0, or 1 after an error."""
+    solver, reader, pending = Solver(out), Reader(), b""
+    while True:
+        chunk = os.read(infd, 1 << 16)
+        data = pending + chunk
+        # feed whole lines only, so that no token is cut in two
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        data, pending = data[:cut], data[cut:]
         try:
-            if not isinstance(cmd, tuple) or not cmd or not isinstance(cmd[0], str):
-                raise SmtError(f"not a command: {cmd}")
-            name, args = cmd[0], cmd[1:]
-            if name in ("set-option", "set-logic", "set-info"):
-                continue
-            if name == "exit":
-                break
-            if name == "declare-const" and len(args) == 2:
-                blaster.declare(args[0], parse_sort(args[1]))
-            elif name == "assert" and len(args) == 1:
-                blaster.assert_term(args[0])
-                asserted.append(args[0])
-                model = None
-            elif name == "check-sat" and not args:
-                if lost:
-                    raise SmtError("an earlier command failed")
-                model = _check(blaster, asserted)
-                out.write("sat\n" if model is not None else "unsat\n")
-            elif name == "get-value" and len(args) == 1 and isinstance(args[0], tuple):
-                if model is None:
-                    raise SmtError("model is not available")
-                pairs = " ".join(
-                    f"({term_text(t)} {_show(evaluate(t, model))})" for t in args[0]
-                )
-                out.write(f"({pairs})\n")
-            else:
-                raise SmtError(f"unsupported command {name}")
+            commands = reader.feed(data.decode("utf-8", errors="replace"))
         except SmtError as exc:
-            error(exc, cmd)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            error(f"malformed command {cmd}: {exc}", cmd)
-    return 1 if failed else 0
+            solver.error(exc)
+            reader = Reader()
+            commands = []
+        for cmd in commands:
+            if not solver.execute(cmd):
+                return 1 if solver.failed else 0
+        if not chunk:
+            if len(reader.stack) != 1:
+                solver.error("input ended inside a command")
+            return 1 if solver.failed else 0
 
 
 def _check(blaster: Blaster, asserted: list):
@@ -601,4 +697,4 @@ def term_text(sexp) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(run(sys.stdin.read(), sys.stdout))
+    sys.exit(serve(sys.stdin.fileno(), sys.stdout))

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import stat
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from qlayout.backend import (
     SolverExitError,
     SolverOutputError,
     SolverTimeoutError,
+    Session,
     _parse_literal,
     _VALUE_RE,
     check,
@@ -120,6 +123,163 @@ def test_check_raises_on_timeout(tmp_path):
     cfg = dataclasses.replace(_script_solver(tmp_path, "sleep 30"), timeout=0.3)
     with pytest.raises(SolverTimeoutError):
         check("(check-sat)\n", cfg)
+
+
+def test_check_fails_on_an_error_before_the_verdict(tmp_path):
+    # a solver that rejected one assertion decided a weaker script
+    cfg = _script_solver(
+        tmp_path, """cat > /dev/null; echo '(error "line 4: unknown constant y")'; echo sat"""
+    )
+    with pytest.raises(SolverOutputError, match="unknown constant y"):
+        check("(check-sat)\n", cfg)
+
+
+# --------------------------------------------------------------------------
+# Solver sessions
+# --------------------------------------------------------------------------
+
+# A line-driven fake solver: answers each check-sat with VERDICT and each
+# get-value with every named variable at #b1.  Every line it reads is also
+# appended to the file LOG.
+_ECHO_MODEL = " -e ".join([
+    "sed", "'s/^(get-value (//'", "'s/))$//'", "'s/[^ ][^ ]*/(& #b1)/g'", "'s/.*/(&)/'",
+])
+_LINE_SOLVER = """while read -r line; do
+  echo "$line" >> LOG
+  case "$line" in
+    "(check-sat)") echo VERDICT ;;
+    "(get-value ("*) echo "$line" | """ + _ECHO_MODEL + """ ;;
+  esac
+done"""
+
+
+def _line_solver(tmp_path, verdict="sat", timeout=30.0) -> SolverConfig:
+    body = _LINE_SOLVER.replace("LOG", str(tmp_path / "input.log"))
+    cfg = _script_solver(tmp_path, body.replace("VERDICT", verdict))
+    return dataclasses.replace(cfg, timeout=timeout)
+
+
+def _gone(pid: int) -> bool:
+    """True once the process has exited and been waited for."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_value_regex_reads_a_multiline_batched_reply():
+    out = "sat\n((pos_q0_t0 #b010)\n (swp_e1_t3 true)\n (time_g0 #x0a))\n"
+    found = dict(_VALUE_RE.findall(out))
+    assert found == {"pos_q0_t0": "#b010", "swp_e1_t3": "true", "time_g0": "#x0a"}
+
+
+def test_session_sends_each_base_once_and_scopes_each_check(tmp_path):
+    cfg = _line_solver(tmp_path)
+    with Session(cfg) as session:
+        session.load(["(declare-const x (_ BitVec 1))", "(assert (= x x))"])
+        first = session.check(["(assert (= x #b1))"], ["x"])
+        second = session.check(["(assert true)"], ["x"])
+        session.load(["(declare-const y (_ BitVec 2))"])
+        third = session.check([], ["x", "y"])
+    assert [r.values for r in (first, second, third)] == [{"x": 1}, {"x": 1}, {"x": 1, "y": 1}]
+    assert all(r.sat and r.wall_time > 0 for r in (first, second, third))
+    assert (tmp_path / "input.log").read_text().splitlines() == [
+        "(set-option :produce-models true)", "(set-logic QF_BV)",
+        "(push 1)", "(declare-const x (_ BitVec 1))", "(assert (= x x))",
+        "(push 1)", "(assert (= x #b1))", "(check-sat)", "(get-value (x))", "(pop 1)",
+        "(push 1)", "(assert true)", "(check-sat)", "(get-value (x))", "(pop 1)",
+        "(pop 1)", "(push 1)", "(declare-const y (_ BitVec 2))",
+        "(push 1)", "(check-sat)", "(get-value (x y))",
+    ]
+
+
+def test_session_unsat_asks_for_no_values(tmp_path):
+    with Session(_line_solver(tmp_path, "unsat")) as session:
+        result = session.check(["(assert false)"], ["x"])
+    assert (result.sat, result.values) == (False, None)
+    assert "(get-value (x))" not in (tmp_path / "input.log").read_text()
+
+
+def test_session_without_checks_launches_nothing(tmp_path):
+    cfg = _script_solver(tmp_path, f"touch {tmp_path / 'launched'}; cat > /dev/null")
+    with Session(cfg) as session:
+        session.load(["(declare-const x Bool)"])
+    assert not (tmp_path / "launched").exists()
+
+
+def test_session_fails_on_an_error_before_the_verdict(tmp_path):
+    cfg = _script_solver(tmp_path, """while read -r line; do
+  case "$line" in
+    "(assert y)") echo '(error "line 1: unknown constant y")' ;;
+    "(check-sat)") echo sat ;;
+  esac
+done""")
+    with pytest.raises(SolverOutputError, match="unknown constant y"):
+        with Session(cfg) as session:
+            session.check(["(assert y)"], [])
+
+
+def test_session_unknown_is_an_output_error(tmp_path):
+    with pytest.raises(SolverOutputError, match="unknown"):
+        with Session(_line_solver(tmp_path, "unknown")) as session:
+            session.check([], [])
+
+
+def test_session_output_end_without_a_verdict_is_an_exit_error(tmp_path):
+    cfg = _script_solver(tmp_path, "read -r line; echo 'solver crashed' >&2; exit 5")
+    with pytest.raises(SolverExitError, match="exited 5.*solver crashed"):
+        with Session(cfg) as session:
+            session.check([], [])
+
+
+def test_session_missing_command_is_an_exit_error():
+    with pytest.raises(SolverExitError, match="cannot launch"):
+        with Session(SolverConfig.resolve("/no/such/solver/binary")) as session:
+            session.check([], [])
+
+
+def test_session_timeout_kills_a_silent_solver(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}\nwhile read -r line; do :; done")
+    cfg = dataclasses.replace(cfg, timeout=0.5)
+    start = time.monotonic()
+    with Session(cfg) as session:
+        session.load(["(declare-const x Bool)"])
+        with pytest.raises(SolverTimeoutError):
+            session.check(["(assert x)"], ["x"])
+        # the overrun killed the process, so no later check can read a
+        # late answer to the earlier one
+        with pytest.raises(SolverExitError):
+            session.check(["(assert x)"], ["x"])
+    assert time.monotonic() - start < 0.5 + 5.0
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_session_reads_while_it_writes_a_large_base(tmp_path):
+    # the fake echoes every line back, so it blocks on a full output pipe
+    # unless the session reads while it writes the 2 MB base
+    cfg = _script_solver(tmp_path, "sed -u 's/^(check-sat)$/unsat/'")
+    base = [f"(assert (= x{i % 7} x{i % 7}))" + " " * 20 for i in range(50_000)]
+    with Session(dataclasses.replace(cfg, timeout=60.0)) as session:
+        session.load(base)
+        assert not session.check(["(assert false)"], []).sat
+        assert not session.check(["(assert false)"], []).sat
+
+
+def test_session_scopes_checks_on_the_solver(small_solver):
+    with Session(small_solver) as session:
+        session.load(["(declare-const x (_ BitVec 2))", "(assert (bvult x #b11))"])
+        fixed = session.check(["(assert (= x #b10))"], ["x"])
+        # the first check's assertion was popped; the base's still holds
+        moved = session.check(["(assert (= x #b01))"], ["x"])
+        capped = session.check(["(assert (= x #b11))"], ["x"])
+        session.load(["(declare-const x Bool)"])   # same name, new sort
+        redeclared = session.check(["(assert x)"], ["x"])
+    assert (fixed.sat, fixed.values) == (True, {"x": 2})
+    assert (moved.sat, moved.values) == (True, {"x": 1})
+    assert (capped.sat, capped.values) == (False, None)
+    assert (redeclared.sat, redeclared.values) == (True, {"x": True})
 
 
 # --------------------------------------------------------------------------

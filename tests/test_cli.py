@@ -179,9 +179,12 @@ def test_map_solver_launch_failure_is_a_solver_error(bell_path, capsys):
 
 def test_map_model_missing_values_is_a_solver_error(bell_path, tmp_path, capsys):
     # "sat" without a model is the solver's failure, not bad input
-    cfg = _script_solver(
-        tmp_path, """cat > /dev/null; echo sat; echo '(error "model is not available")'"""
-    )
+    cfg = _script_solver(tmp_path, """while read -r line; do
+  case "$line" in
+    "(check-sat)") echo sat ;;
+    "(get-value "*) echo '(error "model is not available")' ;;
+  esac
+done""")
     code = main(["map", bell_path, "--arch", "line:2",
                  "--solver", " ".join(cfg.command)])
     assert code == 3

@@ -240,8 +240,10 @@ def test_emit_script_layout():
     assert lines[1] == "(set-logic QF_BV)"
     check_at = lines.index("(check-sat)")
     assert all(ln.startswith("(get-value (") for ln in lines[check_at + 1 :])
-    n_vars = len(ctx.variables())
-    assert len(lines) - check_at - 1 == n_vars
+    # one batched query names every variable, in declaration order
+    assert len(lines) - check_at - 1 == 1
+    names = [name for name, _ in ctx.variables()]
+    assert lines[-1] == f"(get-value ({' '.join(names)}))"
     assert script.count("(") == script.count(")")
 
 

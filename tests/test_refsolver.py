@@ -1,13 +1,14 @@
 """The reference solver (``tests/refsolver.py``) against exhaustive
 enumeration, so the tests that run on it where z3 is absent can trust it."""
 
+import dataclasses
 import io
 import itertools
 import random
 
 import pytest
 
-from qlayout.backend import check
+from qlayout.backend import Session, check
 
 from . import refsolver
 from .conftest import REFERENCE_SOLVER
@@ -119,6 +120,82 @@ def test_verdicts_and_models_match_exhaustive_enumeration(seed):
             }
             assert all(_holds(t, model) for t in assertions), (assertions, model)
     assert verdicts == {"sat", "unsat"}
+
+
+def _declarations() -> list[str]:
+    return [f"(declare-const {n} {'Bool' if s == 0 else f'(_ BitVec {s})'})"
+            for n, s in SORTS.items()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scoped_checks_match_exhaustive_enumeration(seed):
+    # random push/pop/assert/check sequences: each check must see exactly
+    # the assertions of the scopes still open
+    rng = random.Random(seed)
+    everything = list(_assignments())
+    lines, scopes, checks = _declarations(), [[]], []
+    for _ in range(60):
+        step = rng.random()
+        if step < 0.2 or len(scopes) == 1:     # the outer scope stays empty
+            n = rng.randint(1, 2)
+            lines.append(f"(push {n})")
+            scopes += [[] for _ in range(n)]
+        elif step < 0.4 and len(scopes) > 1:
+            n = rng.randint(1, len(scopes) - 1)
+            lines.append(f"(pop {n})")
+            del scopes[-n:]
+        elif step < 0.75:
+            term = _term(rng, 0, 2)
+            lines.append(f"(assert {refsolver.term_text(term)})")
+            scopes[-1].append(term)
+        else:
+            in_scope = [t for scope in scopes for t in scope]
+            checks.append((any(all(_holds(t, m) for t in in_scope) for m in everything),
+                           in_scope))
+            lines += ["(check-sat)", f"(get-value ({' '.join(SORTS)}))"]
+    out = io.StringIO()
+    refsolver.run("\n".join(lines) + "\n", out)
+    replies = out.getvalue().splitlines()
+    assert len(replies) == 2 * len(checks)
+    for (sat, in_scope), verdict, values in zip(checks, replies[::2], replies[1::2]):
+        assert verdict == ("sat" if sat else "unsat"), in_scope
+        if sat:
+            pairs = dict(p.split() for p in values[2:-2].split(") ("))
+            model = {
+                n: pairs[n] == "true" if SORTS[n] == 0 else int(pairs[n][2:], 2)
+                for n in SORTS
+            }
+            assert all(_holds(t, model) for t in in_scope), (in_scope, model)
+        else:
+            assert values == '(error "model is not available")'
+    assert {verdict for verdict in replies[::2]} == {"sat", "unsat"}
+
+
+def test_pop_drops_scoped_declarations_and_rejects_underflow():
+    script = (
+        "(push 1)\n(declare-const w Bool)\n(assert w)\n(check-sat)\n(pop 1)\n"
+        "(declare-const w (_ BitVec 2))\n(assert (= w #b11))\n(check-sat)\n"
+        "(get-value (w))\n(pop 1)\n"
+    )
+    out = io.StringIO()
+    assert refsolver.run(script, out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == ["sat", "sat", "((w #b11))"]
+    assert lines[3].startswith('(error "pop 1 exceeds push depth 0')
+
+
+def test_answers_each_command_as_it_reads_it():
+    # a session gets each verdict before the solver's input ends
+    cfg = dataclasses.replace(REFERENCE_SOLVER, timeout=30.0)
+    with Session(cfg) as session:
+        session.load(_declarations())
+        first = session.check(["(assert (= x #b101))"], ["x"])
+        second = session.check(["(assert (= x (bvadd x #b001)))"], ["x"])
+        third = session.check(["(assert (and a (not a)))"], ["a"])
+        fourth = session.check(["(assert (= y #b11))", "(assert b)"], ["b", "y"])
+    assert first.values == {"x": 5}
+    assert (second.sat, third.sat) == (False, False)
+    assert fourth.values == {"b": True, "y": 3}
 
 
 def _brute_force_sat(num_vars, clauses) -> bool:

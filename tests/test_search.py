@@ -1,6 +1,7 @@
 """Bound search, resize policy, and the two-phase optimal solve."""
 
 import re
+import shlex
 
 import pytest
 
@@ -18,6 +19,7 @@ from qlayout.search import (
 
 from .conftest import _Const
 from .oracles import brute_force_optimum
+from .test_backend import _ECHO_MODEL, _gone, _script_solver
 
 # --------------------------------------------------------------------------
 # Frontier stepping on synthetic monotone probes
@@ -143,16 +145,30 @@ _BOOL_DECL = re.compile(r"\(declare-const (\S+) Bool\)")
 
 
 class ScriptedSolver:
-    """Returns a fixed sequence of verdicts; fabricates models from the script.
+    """Stands in for a solver session: returns a fixed sequence of verdicts
+    and fabricates models from the loaded declarations.
 
     Each step is "unsat", ("sat", k) where k swap indicators are set true
     in the returned model (everything else zero/false), or an exception to
-    raise.
+    raise.  ``scripts`` holds, per check, the loaded outer scope followed by
+    the check's own lines.
     """
 
     def __init__(self, steps):
         self.steps = list(steps)
         self.scripts: list[str] = []
+        self.loads = 0
+        self.loaded = ""
+
+    # be.Session(config) returns this fake, which is its own context manager
+    def __call__(self, config=None) -> "ScriptedSolver":
+        return self
+
+    def __enter__(self) -> "ScriptedSolver":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
     def shape(self, index: int) -> tuple[int, int]:
         """(horizon, time_bits) the script at ``index`` declared."""
@@ -168,7 +184,12 @@ class ScriptedSolver:
         }
         return len(steps), bits.pop()
 
-    def check(self, script: str, config=None) -> be.CheckResult:
+    def load(self, lines) -> None:
+        self.loads += 1
+        self.loaded = "\n".join(lines) + "\n"
+
+    def check(self, lines, names) -> be.CheckResult:
+        script = self.loaded + "\n".join(lines) + "\n"
         self.scripts.append(script)
         if not self.steps:
             raise AssertionError("scripted solver ran out of steps")
@@ -189,6 +210,7 @@ class ScriptedSolver:
             swap_names.append(m.group(1))
         for name in swap_names[:n_true]:
             values[name] = True
+        assert sorted(names) == sorted(values)     # one query for every variable
         return be.CheckResult(sat=True, values=values, wall_time=0.01)
 
 
@@ -196,7 +218,7 @@ class ScriptedSolver:
 def scripted(monkeypatch):
     def install(steps) -> ScriptedSolver:
         fake = ScriptedSolver(steps)
-        monkeypatch.setattr("qlayout.search.be.check", fake.check)
+        monkeypatch.setattr("qlayout.search.be.Session", fake)
         return fake
 
     return install
@@ -232,6 +254,8 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
          "old": 19, "new": 27},
     ]
     assert fake.shape(5) == (27, 5)
+    # one load per grid shape; the swap phase keeps the optimum's shape
+    assert fake.loads == 2
 
     tele = result.telemetry()
     assert tele["optimal_depth"] == 25
@@ -334,10 +358,11 @@ def test_predictors_receive_the_feature_vector(scripted):
 
 
 def test_circuit_without_interactions_skips_the_solver(monkeypatch):
-    def boom(script, config=None):
+    def boom(*args, **kwargs):
         raise AssertionError("solver must not run")
 
     monkeypatch.setattr("qlayout.search.be.check", boom)
+    monkeypatch.setattr("qlayout.search.be.Session", boom)
     circuit = make_circuit(3, [("h", (0,)), ("x", (1,)), ("h", (0,)), ("rz", (2,), ("0.5",))])
     result = solve_optimal(circuit, line_graph(4))
     assert isinstance(result, SolveResult)
@@ -356,11 +381,8 @@ def test_wide_circuit_is_rejected():
         solve_optimal(make_circuit(4, [("cx", (0, 1))]), line_graph(3))
 
 
-def test_solver_failure_surfaces_as_search_error(monkeypatch):
-    def explode(script, config=None):
-        raise be.SolverExitError("boom")
-
-    monkeypatch.setattr("qlayout.search.be.check", explode)
+def test_solver_failure_surfaces_as_search_error(scripted):
+    scripted([be.SolverExitError("boom")])
     with pytest.raises(SearchError) as info:
         solve_optimal(_chain(2), line_graph(3))
     assert "wall_time_per_check" in info.value.telemetry
@@ -375,6 +397,36 @@ def test_swap_phase_failure_surfaces_as_search_error(scripted):
     assert "swap phase failed" in str(info.value)
     assert isinstance(info.value.__cause__, be.SolverExitError)
     assert len(info.value.telemetry["wall_time_per_check"]) == 2
+
+
+def test_solver_death_in_the_swap_phase_is_a_search_error(tmp_path):
+    # a real session: satisfiable at the floor with no swap in the model,
+    # then the solver exits on the first swap-phase check
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"""echo $$ > {pid_file}
+checks=0
+while read -r line; do
+  case "$line" in
+    "(check-sat)") checks=$((checks + 1)); [ $checks -ge 2 ] && exit 7; echo sat ;;
+    "(get-value ("*) echo "$line" | {_ECHO_MODEL} ;;
+  esac
+done""")
+    with pytest.raises(SearchError, match="swap phase failed") as info:
+        solve_optimal(_chain(1), line_graph(3), solver=cfg)
+    assert isinstance(info.value.__cause__, be.SolverExitError)
+    assert "exited 7" in str(info.value)
+    assert len(info.value.telemetry["wall_time_per_check"]) == 1
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(
+        tmp_path, f"echo $$ > {pid_file}; exec {shlex.join(small_solver.command)}"
+    )
+    result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
+    assert _gone(int(pid_file.read_text()))
 
 
 def test_outcome_dataclass_shape():
