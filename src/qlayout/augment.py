@@ -20,7 +20,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from . import search
 from .arch import CouplingGraph
+from .backend import DecodeError, SolverError
 from .circuit import Circuit, Gate, emit_qasm
 from .features import (
     FEATURE_NAMES,
@@ -242,10 +244,7 @@ def load_dataset(path, target: str = "depth") -> Dataset:
 
 def label_sample(circuit: Circuit, graph: CouplingGraph, **solve_kwargs):
     """Optimal (depth, swaps) for one circuit, via the full solver search."""
-    from .search import solve_optimal  # local import: search pulls in backend
-
-    result = solve_optimal(circuit, graph, **solve_kwargs)
-    return result
+    return search.solve_optimal(circuit, graph, **solve_kwargs)
 
 
 def build_corpus(
@@ -291,7 +290,8 @@ def build_corpus(
         source_name, chunk_no, chunk = item
         try:
             return label_sample(chunk, graph, **solve_kwargs)
-        except Exception as exc:  # timeouts / solver errors: skip sample
+        except (SolverError, search.SearchError, DecodeError, search.InfeasibleError) as exc:
+            # any other exception is a bug in qlayout and propagates
             log.warning(
                 "%s chunk %d: labeling failed (%s); skipped",
                 source_name, chunk_no, exc,

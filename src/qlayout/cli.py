@@ -10,7 +10,8 @@ pass their own.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error
 (including a ``sat`` answer whose model leaves out a value), 4 validation
-failure.
+failure, 5 no layout exists (the circuit does not fit the device's
+connected components).
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ from .circuit import QasmError, emit_qasm, load_qasm
 from .encode import DEFAULT_SWAP_DURATION
 from .features import extract_features
 from .regressor import DEFAULT_MAX_DEPTH, RegressionTree, fit
-from .search import SearchError, solve_optimal
+from .search import InfeasibleError, SearchError, solve_optimal
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
+EXIT_INFEASIBLE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
     except (SolverError, SearchError, DecodeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_INPUT

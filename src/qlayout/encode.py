@@ -13,6 +13,18 @@ completing at t occupies its two physical qubits over the window
 [t-duration+1, t] and exchanges the mapping that takes effect at t+1.
 The time grid has extent ``horizon`` (exclusive), which always exceeds any
 depth bound asserted against it.
+
+Sub-terms that many assertions share are named once, as nullary
+``define-fun`` literals, so they add no variables and leave the set of
+models over the declared variables unchanged:
+
+* ``at_q{q}_t{t}_p{p}`` — ``(= pos_q{q}_t{t} p)``;
+* ``exec_g{i}_t{t}`` — ``(= time_g{i} t)``, for each representable step;
+* ``busy_p{p}_t{t}`` — some swap on an edge at p has a window covering t;
+* ``blk_q{q}_t{t}`` — logical qubit q sits on a busy physical qubit at t.
+
+Definitions live in the base, ahead of their first use, so they share its
+scope in a solver session.
 """
 
 from __future__ import annotations
@@ -36,6 +48,15 @@ def bit_length(value: int) -> int:
 
 def _bv(value: int, width: int) -> str:
     return "#b" + format(value, f"0{width}b")
+
+
+def _define(name: str, body: str) -> str:
+    return f"(define-fun {name} () Bool {body})"
+
+
+def _any(terms: list[str]) -> str:
+    """Disjunction of ``terms``; a single term stands for itself."""
+    return terms[0] if len(terms) == 1 else f"(or {' '.join(terms)})"
 
 
 @dataclass(frozen=True)
@@ -83,6 +104,18 @@ class EncodingContext:
     def time_name(self, g: int) -> str:
         return f"time_g{g}"
 
+    def at_name(self, q: int, t: int, p: int) -> str:
+        return f"at_q{q}_t{t}_p{p}"
+
+    def exec_name(self, g: int, t: int) -> str:
+        return f"exec_g{g}_t{t}"
+
+    def busy_name(self, p: int, t: int) -> str:
+        return f"busy_p{p}_t{t}"
+
+    def blocked_name(self, q: int, t: int) -> str:
+        return f"blk_q{q}_t{t}"
+
     def variables(self) -> list[tuple[str, str]]:
         """All (name, sort) pairs, in declaration order."""
         out = []
@@ -116,7 +149,9 @@ def encode_base(ctx: EncodingContext) -> list[str]:
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
-    blocking; mapping transformation after swap completion.
+    blocking; mapping transformation after swap completion.  Shared
+    sub-terms are defined once, before their first use, as nullary
+    ``define-fun`` literals (see the module docstring).
     """
     lines: list[str] = []
     nq = ctx.circuit.num_qubits
@@ -124,10 +159,13 @@ def encode_base(ctx: EncodingContext) -> list[str]:
     qb = ctx.qubit_bits
     edges = ctx.graph.edges
     dur = ctx.swap_duration
+    horizon = ctx.horizon
+    steps = ctx.representable_times
+    at = ctx.at_name
 
     # Mapping validity: positions inside the device, distinct per step.
     phys_limit = None if nphys == (1 << qb) else _bv(nphys, qb)
-    for t in range(ctx.horizon):
+    for t in range(horizon):
         if phys_limit is not None:
             for q in range(nq):
                 lines.append(f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))")
@@ -135,22 +173,29 @@ def encode_base(ctx: EncodingContext) -> list[str]:
             names = " ".join(ctx.pos_name(q, t) for q in range(nq))
             lines.append(f"(assert (distinct {names}))")
 
+    for q in range(nq):
+        for t in range(horizon):
+            pos = ctx.pos_name(q, t)
+            for p in range(nphys):
+                lines.append(_define(at(q, t, p), f"(= {pos} {_bv(p, qb)})"))
+    for g in ctx.circuit.gates:
+        for t in range(steps):
+            lines.append(_define(
+                ctx.exec_name(g.id, t),
+                f"(= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})",
+            ))
+
     # Two-qubit gates execute on device edges.
     for g in ctx.circuit.gates:
         if not g.is_two_qubit:
             continue
         q1, q2 = g.qubits
-        for t in range(ctx.representable_times):
-            placements = []
-            for a, b in edges:
-                pa, pb = _bv(a, qb), _bv(b, qb)
-                p1, p2 = ctx.pos_name(q1, t), ctx.pos_name(q2, t)
-                placements.append(f"(and (= {p1} {pa}) (= {p2} {pb}))")
-                placements.append(f"(and (= {p1} {pb}) (= {p2} {pa}))")
-            lines.append(
-                f"(assert (=> (= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})"
-                f" (or {' '.join(placements)})))"
+        for t in range(steps):
+            placements = " ".join(
+                f"(and {at(q1, t, a)} {at(q2, t, b)}) (and {at(q1, t, b)} {at(q2, t, a)})"
+                for a, b in edges
             )
+            lines.append(f"(assert (=> {ctx.exec_name(g.id, t)} (or {placements})))")
 
     # Dependent gates execute strictly in order.
     for i, j in ctx.dag_edges:
@@ -158,57 +203,57 @@ def encode_base(ctx: EncodingContext) -> list[str]:
 
     # Swaps need a full window: none may complete before duration-1.
     for e in range(len(edges)):
-        for t in range(min(dur - 1, ctx.horizon)):
+        for t in range(min(dur - 1, horizon)):
             lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
-    for t in range(dur - 1, ctx.horizon):
+    for t in range(dur - 1, horizon):
         for k in range(len(edges)):
-            me = ctx.swap_name(k, t)
-            for tt in range(t - dur + 1, t):
-                lines.append(f"(assert (not (and {me} {ctx.swap_name(k, tt)})))")
-            for kk in ctx.graph.edges_touching(k):
-                for tt in range(t - dur + 1, t + 1):
-                    lines.append(f"(assert (not (and {me} {ctx.swap_name(kk, tt)})))")
+            others = [ctx.swap_name(k, tt) for tt in range(t - dur + 1, t)]
+            others += [
+                ctx.swap_name(kk, tt)
+                for kk in ctx.graph.edges_touching(k)
+                for tt in range(t - dur + 1, t + 1)
+            ]
+            if others:
+                lines.append(
+                    f"(assert (=> {ctx.swap_name(k, t)} (not {_any(others)})))"
+                )
 
-    # Swap windows block gates on the swapped physical qubits.
-    for t in range(dur - 1, ctx.horizon):
-        for k, (a, b) in enumerate(edges):
-            pa, pb = _bv(a, qb), _bv(b, qb)
-            me = ctx.swap_name(k, t)
-            for g in ctx.circuit.gates:
-                for tt in range(t - dur + 1, min(t + 1, ctx.representable_times)):
-                    on_edge = " ".join(
-                        f"(= {ctx.pos_name(q, tt)} {p})"
-                        for q in g.qubits
-                        for p in (pa, pb)
-                    )
-                    lines.append(
-                        f"(assert (=> (and (= {ctx.time_name(g.id)}"
-                        f" {_bv(tt, ctx.time_bits)}) (or {on_edge})) (not {me})))"
-                    )
+    # Swap windows block gates on the swapped physical qubits: a gate may
+    # not execute at t while one of its qubits sits on a busy qubit.
+    busy = [p for p in range(nphys) if ctx.graph.edges_at(p)] if horizon >= dur else []
+    if busy:
+        for p in busy:
+            for t in range(steps):
+                window = range(max(t, dur - 1), min(t + dur - 1, horizon - 1) + 1)
+                lines.append(_define(ctx.busy_name(p, t), _any([
+                    ctx.swap_name(k, tt) for k in ctx.graph.edges_at(p) for tt in window
+                ])))
+        for q in range(nq):
+            for t in range(steps):
+                lines.append(_define(ctx.blocked_name(q, t), _any([
+                    f"(and {at(q, t, p)} {ctx.busy_name(p, t)})" for p in busy
+                ])))
+        for g in ctx.circuit.gates:
+            for t in range(steps):
+                blocked = _any([ctx.blocked_name(q, t) for q in g.qubits])
+                lines.append(f"(assert (not (and {ctx.exec_name(g.id, t)} {blocked})))")
 
     # Mapping evolves exactly through completed swaps.
-    for t in range(ctx.horizon - 1):
+    for t in range(horizon - 1):
         for q in range(nq):
-            now, nxt = ctx.pos_name(q, t), ctx.pos_name(q, t + 1)
             for p in range(nphys):
                 incident = [ctx.swap_name(k, t) for k in ctx.graph.edges_at(p)]
-                pv = _bv(p, qb)
                 if incident:
-                    stay = f"(and (not (or {' '.join(incident)})) (= {now} {pv}))"
+                    stay = f"(and (not {_any(incident)}) {at(q, t, p)})"
                 else:
-                    stay = f"(= {now} {pv})"
-                lines.append(f"(assert (=> {stay} (= {nxt} {pv})))")
+                    stay = at(q, t, p)
+                lines.append(f"(assert (=> {stay} {at(q, t + 1, p)}))")
             for k, (a, b) in enumerate(edges):
                 sw = ctx.swap_name(k, t)
-                pa, pb = _bv(a, qb), _bv(b, qb)
-                lines.append(
-                    f"(assert (=> (and {sw} (= {now} {pa})) (= {nxt} {pb})))"
-                )
-                lines.append(
-                    f"(assert (=> (and {sw} (= {now} {pb})) (= {nxt} {pa})))"
-                )
+                lines.append(f"(assert (=> (and {sw} {at(q, t, a)}) {at(q, t + 1, b)}))")
+                lines.append(f"(assert (=> (and {sw} {at(q, t, b)}) {at(q, t + 1, a)}))")
     return lines
 
 

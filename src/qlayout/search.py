@@ -25,7 +25,9 @@ grid, so the swap phase reuses the optimum's loaded base throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import backend as be
@@ -50,6 +52,58 @@ class SearchError(RuntimeError):
     def __init__(self, message: str, telemetry: Optional[dict] = None):
         super().__init__(message)
         self.telemetry = telemetry or {}
+
+
+class InfeasibleError(ValueError):
+    """No layout of the circuit on the device exists, at any depth."""
+
+
+def _component_sizes(n: int, pairs) -> list[int]:
+    """Sizes of the connected components of the graph on nodes 0..n-1 with
+    edges ``pairs``, largest first."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return sorted(Counter(find(x) for x in range(n)).values(), reverse=True)
+
+
+def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
+    """Raise :class:`InfeasibleError` unless some layout exists at some depth.
+
+    A swap moves qubits only along a device edge, so a logical qubit never
+    leaves the device component it starts in, and qubits linked by
+    two-qubit gates, directly or through others, must share one.  Within a
+    component, swaps bring any two qubits together.  So a layout exists
+    exactly when the circuit's interacting groups pack into the device's
+    components (with the circuit no wider than the device).
+    """
+    two_qubit = (g.qubits for g in circuit.gates if g.is_two_qubit)
+    groups = [n for n in _component_sizes(circuit.num_qubits, two_qubit) if n > 1]
+    rooms = tuple(_component_sizes(graph.num_qubits, graph.edges))
+
+    @lru_cache(maxsize=None)
+    def fits(i: int, rooms: tuple[int, ...]) -> bool:
+        if i == len(groups):
+            return True
+        return any(
+            fits(i + 1, tuple(sorted(rooms[:j] + (room - groups[i],) + rooms[j + 1:])))
+            for j, room in enumerate(rooms)
+            if room >= groups[i] and room not in rooms[:j]
+        )
+
+    if not fits(0, rooms):
+        raise InfeasibleError(
+            f"no layout on device {graph.name!r}: groups of interacting qubits"
+            f" of sizes {groups} do not fit its connected components of sizes"
+            f" {list(rooms)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,6 +245,7 @@ def solve_optimal(
         )
     if not any(g.is_two_qubit for g in circuit.gates):
         return _trivial_solution(circuit, graph)
+    check_feasible(circuit, graph)
 
     solver = solver or be.SolverConfig.resolve()
     ldc = longest_chain(circuit)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from qlayout.arch import CouplingGraph
 from qlayout.augment import DEFAULT_KMAX, Dataset
 from qlayout.backend import SolverConfig, check
 from qlayout.circuit import Circuit
 from qlayout.encode import (
+    EncodingContext,
     bit_length,
     build_context,
     emit_script,
@@ -242,8 +244,132 @@ def allknn_per_point(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
 
 
 # --------------------------------------------------------------------------
+# Encoding oracle
+# --------------------------------------------------------------------------
+
+
+def _bv(value: int, width: int) -> str:
+    return "#b" + format(value, f"0{width}b")
+
+
+def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
+    """The base encoding that ``encode_base`` replaced, kept verbatim.
+
+    Every assertion spells out its position and gate-time equalities, and
+    exclusivity and gate blocking are stated one conflicting pair at a
+    time.  ``encode_base`` must have exactly the same models over the
+    declared variables.
+
+    Families: mapping validity and injectivity; two-qubit adjacency at
+    execution time; dependency ordering; swap-window exclusivity and gate
+    blocking; mapping transformation after swap completion.
+    """
+    lines: list[str] = []
+    nq = ctx.circuit.num_qubits
+    nphys = ctx.graph.num_qubits
+    qb = ctx.qubit_bits
+    edges = ctx.graph.edges
+    dur = ctx.swap_duration
+
+    # Mapping validity: positions inside the device, distinct per step.
+    phys_limit = None if nphys == (1 << qb) else _bv(nphys, qb)
+    for t in range(ctx.horizon):
+        if phys_limit is not None:
+            for q in range(nq):
+                lines.append(f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))")
+        if nq > 1:
+            names = " ".join(ctx.pos_name(q, t) for q in range(nq))
+            lines.append(f"(assert (distinct {names}))")
+
+    # Two-qubit gates execute on device edges.
+    for g in ctx.circuit.gates:
+        if not g.is_two_qubit:
+            continue
+        q1, q2 = g.qubits
+        for t in range(ctx.representable_times):
+            placements = []
+            for a, b in edges:
+                pa, pb = _bv(a, qb), _bv(b, qb)
+                p1, p2 = ctx.pos_name(q1, t), ctx.pos_name(q2, t)
+                placements.append(f"(and (= {p1} {pa}) (= {p2} {pb}))")
+                placements.append(f"(and (= {p1} {pb}) (= {p2} {pa}))")
+            lines.append(
+                f"(assert (=> (= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})"
+                f" (or {' '.join(placements)})))"
+            )
+
+    # Dependent gates execute strictly in order.
+    for i, j in ctx.dag_edges:
+        lines.append(f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))")
+
+    # Swaps need a full window: none may complete before duration-1.
+    for e in range(len(edges)):
+        for t in range(min(dur - 1, ctx.horizon)):
+            lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
+
+    # Swap windows exclude overlapping swaps on the same or touching edges.
+    for t in range(dur - 1, ctx.horizon):
+        for k in range(len(edges)):
+            me = ctx.swap_name(k, t)
+            for tt in range(t - dur + 1, t):
+                lines.append(f"(assert (not (and {me} {ctx.swap_name(k, tt)})))")
+            for kk in ctx.graph.edges_touching(k):
+                for tt in range(t - dur + 1, t + 1):
+                    lines.append(f"(assert (not (and {me} {ctx.swap_name(kk, tt)})))")
+
+    # Swap windows block gates on the swapped physical qubits.
+    for t in range(dur - 1, ctx.horizon):
+        for k, (a, b) in enumerate(edges):
+            pa, pb = _bv(a, qb), _bv(b, qb)
+            me = ctx.swap_name(k, t)
+            for g in ctx.circuit.gates:
+                for tt in range(t - dur + 1, min(t + 1, ctx.representable_times)):
+                    on_edge = " ".join(
+                        f"(= {ctx.pos_name(q, tt)} {p})"
+                        for q in g.qubits
+                        for p in (pa, pb)
+                    )
+                    lines.append(
+                        f"(assert (=> (and (= {ctx.time_name(g.id)}"
+                        f" {_bv(tt, ctx.time_bits)}) (or {on_edge})) (not {me})))"
+                    )
+
+    # Mapping evolves exactly through completed swaps.
+    for t in range(ctx.horizon - 1):
+        for q in range(nq):
+            now, nxt = ctx.pos_name(q, t), ctx.pos_name(q, t + 1)
+            for p in range(nphys):
+                incident = [ctx.swap_name(k, t) for k in ctx.graph.edges_at(p)]
+                pv = _bv(p, qb)
+                if incident:
+                    stay = f"(and (not (or {' '.join(incident)})) (= {now} {pv}))"
+                else:
+                    stay = f"(= {now} {pv})"
+                lines.append(f"(assert (=> {stay} (= {nxt} {pv})))")
+            for k, (a, b) in enumerate(edges):
+                sw = ctx.swap_name(k, t)
+                pa, pb = _bv(a, qb), _bv(b, qb)
+                lines.append(
+                    f"(assert (=> (and {sw} (= {now} {pa})) (= {nxt} {pb})))"
+                )
+                lines.append(
+                    f"(assert (=> (and {sw} (= {now} {pb})) (= {nxt} {pa})))"
+                )
+    return lines
+
+
+# --------------------------------------------------------------------------
 # Scheduling oracles
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One valid schedule found by the exhaustive search."""
+
+    placements: tuple[tuple[int, ...], ...]  # physical qubit of each logical one, per step
+    gate_times: dict[int, int]               # gate id -> execution step
+    swaps: tuple[tuple[tuple[int, int], int], ...]  # (edge, completion step)
 
 
 def brute_force_optimum(
@@ -255,17 +381,35 @@ def brute_force_optimum(
 ) -> tuple[int, int]:
     """Exhaustive search for (optimal depth, optimal swaps at that depth).
 
-    Enumerates every injective initial placement and every schedule of gate
-    executions and swap completions over time steps, honoring dependency
-    order, adjacency at execution time, swap windows, and post-completion
-    map exchange.  Only usable on tiny instances; schedules using more
-    than ``swap_cap`` swaps are not considered.
+    Only usable on tiny instances; schedules using more than ``swap_cap``
+    swaps are not considered.
     """
     gates = circuit.gates
     if not any(len(g.qubits) == 2 for g in gates):
         from qlayout.circuit import longest_chain
 
         return longest_chain(circuit), 0
+    depth, schedule = brute_force_schedule(
+        circuit, graph, swap_duration, depth_cap, swap_cap
+    )
+    return depth, len(schedule.swaps)
+
+
+def brute_force_schedule(
+    circuit: Circuit,
+    graph: CouplingGraph,
+    swap_duration: int = 3,
+    depth_cap: int = 10,
+    swap_cap: int = 3,
+) -> tuple[int, Schedule]:
+    """Optimal depth and a schedule with the fewest swaps at that depth.
+
+    Enumerates every injective initial placement and every schedule of gate
+    executions and swap completions over time steps, honoring dependency
+    order, adjacency at execution time, swap windows, and post-completion
+    map exchange.
+    """
+    gates = circuit.gates
 
     preds: dict[int, set[int]] = {g.id: set() for g in gates}
     last: dict[int, int] = {}
@@ -295,12 +439,13 @@ def brute_force_optimum(
             best = max(best, d)
         return best
 
-    def search(bound: int, max_swaps: int) -> int | None:
-        """Swap count of the first schedule found within ``bound`` steps."""
+    def search(bound: int, max_swaps: int) -> Schedule | None:
+        """The first schedule found within ``bound`` steps."""
 
-        def rec(t, placement, done_times, gate_uses, swaps):
+        def rec(t, placement, done_times, gate_uses, swaps, history=()):
+            history += (placement,)
             if len(done_times) == len(gates):
-                return len(swaps)
+                return Schedule(history, done_times, swaps)
             if t >= bound or t + chain_lower_bound(done_times) > bound:
                 return None
 
@@ -366,6 +511,7 @@ def brute_force_optimum(
                                 new_done,
                                 new_uses,
                                 swaps + tuple(((a, b), t) for a, b in scombo),
+                                history,
                             )
                             if found is not None:
                                 return found
@@ -378,20 +524,20 @@ def brute_force_optimum(
         return None
 
     depth = None
-    count = None
+    best = None
     for bound in range(1, depth_cap + 1):
-        count = search(bound, swap_cap)
-        if count is not None:
+        best = search(bound, swap_cap)
+        if best is not None:
             depth = bound
             break
     if depth is None:
         raise RuntimeError(f"no schedule within {depth_cap} steps")
-    while count > 0:
-        better = search(depth, count - 1)
+    while best.swaps:
+        better = search(depth, len(best.swaps) - 1)
         if better is None:
             break
-        count = better
-    return depth, count
+        best = better
+    return depth, best
 
 
 def linear_scan_solve(

@@ -20,12 +20,15 @@ magnitude slower than z3 and is not meant for the acceptance suite or for
 ``qlayout map`` on real circuits.
 
 Supported: the commands ``set-option``, ``set-logic``, ``set-info``,
-``declare-const``, ``assert``, ``push``, ``pop``, ``check-sat``,
-``get-value`` and ``exit``; the sorts ``Bool`` and ``(_ BitVec n)``; the
-operators ``not and or xor => = distinct ite bvult bvule bvugt bvuge
-bvadd``; ``true``, ``false`` and ``#b`` literals.  That covers every script
-``qlayout.encode`` emits and every session ``qlayout.search`` drives.
-Declarations and assertions are scoped: ``pop`` drops those made since the
+``declare-const``, nullary ``define-fun``, ``assert``, ``push``, ``pop``,
+``check-sat``, ``get-value`` and ``exit``; the sorts ``Bool`` and
+``(_ BitVec n)``; the operators ``not and or xor => = distinct ite bvult
+bvule bvugt bvuge bvadd``; ``true``, ``false`` and ``#b`` literals.  That
+covers every script ``qlayout.encode`` emits and every session
+``qlayout.search`` drives.  A definition's body must have the stated sort;
+the name then stands for the body's literal or bits, and the model gets its
+value by evaluating the body, in definition order.  Declarations,
+definitions and assertions are scoped: ``pop`` drops those made since the
 matching ``push`` and re-blasts the ones that remain.  Anything else is
 answered with ``(error "...")`` and the exit status is 1; after an error in
 any command but ``get-value``, every ``check-sat`` is answered with an error
@@ -164,7 +167,8 @@ class Blaster:
         self.num_vars = 1
         self.clauses: list[list[int]] = [[TRUE]]
         self.symbols: dict[str, int | tuple[int, ...]] = {}
-        self.sorts: dict[str, int] = {}
+        self.sorts: dict[str, int] = {}           # declared symbols only
+        self.definitions: list[tuple[str, object]] = []  # in definition order
         self._gates: dict[tuple, int] = {}
         self._terms: dict = {}
 
@@ -173,13 +177,25 @@ class Blaster:
         return self.num_vars
 
     def declare(self, name: str, sort: int) -> None:
-        if name in self.symbols or literal(name) is not None:
-            raise SmtError(f"invalid declaration of {name}")
+        self._new_symbol(name)
         self.sorts[name] = sort
         if sort == 0:
             self.symbols[name] = self.fresh()
         else:
             self.symbols[name] = tuple(self.fresh() for _ in range(sort))
+
+    def define(self, name: str, sort: int, body) -> None:
+        """Bind ``name`` to the literal or bits of ``body``, of sort ``sort``."""
+        self._new_symbol(name)
+        value = self.term(body)
+        if (0 if isinstance(value, int) else len(value)) != sort:
+            raise SmtError(f"definition of {name} does not match its sort")
+        self.symbols[name] = value
+        self.definitions.append((name, body))
+
+    def _new_symbol(self, name: str) -> None:
+        if name in self.symbols or literal(name) is not None:
+            raise SmtError(f"invalid declaration of {name}")
 
     # -- gates ------------------------------------------------------------
 
@@ -594,6 +610,8 @@ class Solver:
             return
         if name == "declare-const" and len(args) == 2:
             entry = ("declare", args[0], parse_sort(args[1]))
+        elif name == "define-fun" and len(args) == 4 and args[1] == ():
+            entry = ("define", args[0], parse_sort(args[2]), args[3])
         elif name == "assert" and len(args) == 1:
             entry = ("assert", args[0])
         else:
@@ -605,6 +623,8 @@ class Solver:
     def _add(self, entry) -> None:
         if entry[0] == "declare":
             self.blaster.declare(entry[1], entry[2])
+        elif entry[0] == "define":
+            self.blaster.define(*entry[1:])
         else:
             self.blaster.assert_term(entry[1])
             self.asserted.append(entry[1])
@@ -684,6 +704,8 @@ def _check(blaster: Blaster, asserted: list):
             model[name] = assignment[bits]
         else:
             model[name] = sum(1 << i for i, v in enumerate(bits) if assignment[v]), sort
+    for name, body in blaster.definitions:
+        model[name] = evaluate(body, model)
     for sexp in asserted:
         if evaluate(sexp, model) is not True:
             raise SmtError(f"internal error: model violates {term_text(sexp)}")

@@ -1,16 +1,20 @@
 """Chunked augmentation, qubit reordering, AllKNN refinement, CSV round-trip."""
 
+import logging
 import math
 import random
 
 import pytest
 
+from qlayout import augment
+from qlayout.arch import line_graph
 from qlayout.augment import (
     ChunkPlan,
     Dataset,
     Sample,
     _standardize,
     allknn_refine,
+    build_corpus,
     gate_allocation,
     load_dataset,
     qubit_reorder,
@@ -18,6 +22,7 @@ from qlayout.augment import (
 )
 from qlayout.circuit import build_dag, make_circuit
 from qlayout.features import FeatureVector, extract_features
+from qlayout.search import SearchError
 
 from .conftest import random_circuit
 from .oracles import allknn_per_point, enn_reference, left_to_right_sum
@@ -285,3 +290,32 @@ def test_load_dataset_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+# --------------------------------------------------------------------------
+# build_corpus: which labeling failures skip a sample
+# --------------------------------------------------------------------------
+
+_PAIR = [("pair", make_circuit(2, [("cx", (0, 1))]))]
+
+
+def test_build_corpus_skips_a_sample_whose_search_fails(tmp_path, monkeypatch, caplog):
+    def failing(circuit, graph, **kwargs):
+        raise SearchError("depth phase failed: solver exited 1")
+
+    monkeypatch.setattr(augment, "label_sample", failing)
+    with caplog.at_level(logging.WARNING, logger="qlayout.augment"):
+        depth_ds, swap_ds = build_corpus(
+            _PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path, refine=False
+        )
+    assert depth_ds.samples == [] and swap_ds.samples == []
+    assert "pair chunk 0: labeling failed (depth phase failed" in caplog.text
+
+
+def test_build_corpus_lets_a_program_bug_propagate(tmp_path, monkeypatch):
+    def buggy(circuit, graph, **kwargs):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(augment, "label_sample", buggy)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path, refine=False)

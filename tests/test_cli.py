@@ -170,6 +170,16 @@ def test_map_rejects_too_small_device(tmp_path):
     assert main(["map", str(path), "--arch", "line:3"]) == 2
 
 
+def test_map_on_an_edgeless_device_is_infeasible(bell_path, tmp_path, capsys):
+    device = tmp_path / "edgeless.json"
+    device.write_text(json.dumps({"name": "edgeless", "num_qubits": 2, "edges": []}))
+    with pytest.warns(UserWarning, match="not connected"):
+        code = main(["map", bell_path, "--arch", str(device),
+                     "--solver", "/no/such/solver"])
+    assert code == 5
+    assert "infeasible" in capsys.readouterr().err
+
+
 def test_map_solver_launch_failure_is_a_solver_error(bell_path, capsys):
     code = main(["map", bell_path, "--arch", "line:2",
                  "--solver", "/no/such/solver"])

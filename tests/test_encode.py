@@ -1,5 +1,6 @@
 """Constraint encoding: variable shapes, script structure, solver semantics."""
 
+import io
 import random
 import re
 import shutil
@@ -21,7 +22,8 @@ from qlayout.encode import (
     encode_swap_bound,
 )
 
-from .oracles import brute_force_optimum
+from . import refsolver
+from .oracles import brute_force_optimum, brute_force_schedule, encode_base_pairwise
 
 # --------------------------------------------------------------------------
 # Shapes and structure (no solver)
@@ -93,9 +95,16 @@ def test_adjacency_implications_capped_by_time_bits():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), horizon=10, time_bits=2)
     base = encode_base(ctx)
-    adjacency = [ln for ln in base if "time_g0" in ln and "pos_q" in ln]
-    on_time = [ln for ln in adjacency if ln.startswith("(assert (=> (= time_g0")]
+    on_time = [ln for ln in base if ln.startswith("(assert (=> exec_g0_t")]
     assert len(on_time) == 4                       # t in 0..3 only (2 bits)
+    assert "(define-fun exec_g0_t3 () Bool (= time_g0 #b11))" in base
+    assert not any("exec_g0_t4" in ln for ln in base)
+    assert on_time[0] == (
+        "(assert (=> exec_g0_t0 (or (and at_q0_t0_p0 at_q1_t0_p1)"
+        " (and at_q0_t0_p1 at_q1_t0_p0) (and at_q0_t0_p1 at_q1_t0_p2)"
+        " (and at_q0_t0_p2 at_q1_t0_p1))))"
+    )
+    assert "(define-fun at_q1_t0_p2 () Bool (= pos_q1_t0 #b10))" in base
 
 
 def test_dag_order_constraints_present():
@@ -109,8 +118,20 @@ def test_dag_order_constraints_present():
 def test_single_qubit_only_circuit_has_no_adjacency_family():
     c = make_circuit(2, [("h", (0,)), ("x", (1,))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    base = "\n".join(encode_base(ctx))
-    assert "or (and (= pos" not in base
+    base = encode_base(ctx)
+    assert not any(ln.startswith("(assert (=> exec_") for ln in base)
+    assert not any(re.search(r"\(and at_q\S+ at_q", ln) for ln in base)  # no placements
+
+
+def test_blocking_is_one_assertion_per_gate_and_step():
+    c = make_circuit(3, [("cx", (0, 1)), ("h", (2,)), ("cx", (1, 2))])
+    for time_bits in (2, 3, 4):
+        ctx = build_context(c, qx2(), 9, time_bits)
+        base = encode_base(ctx)
+        blocking = [ln for ln in base if ln.startswith("(assert (not (and exec_")]
+        assert len(blocking) == 3 * ctx.representable_times
+        assert "(assert (not (and exec_g1_t3 blk_q2_t3)))" in blocking
+        assert "(assert (not (and exec_g2_t3 (or blk_q1_t3 blk_q2_t3))))" in blocking
 
 
 def test_early_swaps_forbidden_by_duration():
@@ -153,6 +174,101 @@ def test_swap_bound_special_cases():
     assert encode_swap_bound(ctx, 9) == []
     with pytest.raises(EncodingError):
         encode_swap_bound(ctx, -1)
+
+
+# --------------------------------------------------------------------------
+# The compact base has the models of the pairwise one
+# --------------------------------------------------------------------------
+
+
+def _holds(commands, values) -> bool:
+    """Truth of a parsed base under ``values``, definitions evaluated in order."""
+    model = dict(values)
+    for cmd in commands:
+        if cmd[0] == "define-fun":
+            model[cmd[1]] = refsolver.evaluate(cmd[4], model)
+        elif refsolver.evaluate(cmd[1], model) is not True:
+            return False
+    return True
+
+
+def _schedule_values(ctx, schedule) -> dict:
+    """The declared variables of ``ctx`` set from an oracle schedule."""
+    values = {}
+    last = len(schedule.placements) - 1
+    for q in range(ctx.circuit.num_qubits):
+        for t in range(ctx.horizon):
+            values[ctx.pos_name(q, t)] = (schedule.placements[min(t, last)][q], ctx.qubit_bits)
+    for k, edge in enumerate(ctx.graph.edges):
+        for t in range(ctx.horizon):
+            values[ctx.swap_name(k, t)] = (edge, t) in schedule.swaps
+    for g, t in schedule.gate_times.items():
+        values[ctx.time_name(g)] = (t, ctx.time_bits)
+    return values
+
+
+def _mutations(ctx, values):
+    """Every assignment that differs from ``values`` in one variable."""
+    for name, sort in ctx.variables():
+        if sort == "Bool":
+            yield {**values, name: not values[name]}
+            continue
+        value, width = values[name]
+        for other in range(1 << width):
+            if other != value:
+                yield {**values, name: (other, width)}
+
+
+MODEL_SET_CASES = [
+    ("line:3", make_circuit(3, [("h", (0,)), ("cx", (0, 1)), ("h", (1,)),
+                                ("cx", (1, 2)), ("cx", (0, 2))]), line_graph(3)),
+    ("grid:2x2", make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))]),
+     grid_graph(2, 2)),
+    ("qx2", make_circuit(4, [("cx", (0, 1)), ("cx", (2, 3)), ("cx", (0, 3)), ("h", (1,)),
+                             ("cx", (1, 2))]), qx2()),
+]
+
+
+@pytest.mark.parametrize("name,circuit,graph", MODEL_SET_CASES,
+                         ids=[c[0] for c in MODEL_SET_CASES])
+def test_compact_base_agrees_with_pairwise_base(name, circuit, graph):
+    depth, schedule = brute_force_schedule(circuit, graph)
+    assert schedule.swaps                          # the swap families take part
+    horizon = depth + 3
+    # full-width gate times, then the optimum's width, as the search narrows
+    # them after a satisfiable check (on line:3, 8 steps of a 10-step grid)
+    for time_bits in (bit_length(horizon), bit_length(depth)):
+        ctx = build_context(circuit, graph, horizon, time_bits)
+        new = refsolver.parse("\n".join(encode_base(ctx)))
+        old = refsolver.parse("\n".join(encode_base_pairwise(ctx)))
+        valid = _schedule_values(ctx, schedule)
+        assert _holds(new, valid) and _holds(old, valid)
+        verdicts = set()
+        for values in _mutations(ctx, valid):
+            verdict = _holds(new, values)
+            assert verdict == _holds(old, values), (name, time_bits, values)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name,circuit,graph", MODEL_SET_CASES[:2],
+                         ids=[c[0] for c in MODEL_SET_CASES[:2]])
+def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
+    # an exact proof on the reference solver: no assignment of the declared
+    # variables satisfies one base and not the other
+    depth, _ = brute_force_schedule(circuit, graph)
+    ctx = build_context(circuit, graph, depth + 1, bit_length(depth + 1))
+    new = encode_base(ctx)
+    definitions = [ln for ln in new if ln.startswith("(define-fun ")]
+    new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
+    old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))
+    script = "\n".join([
+        *declarations(ctx), *definitions,
+        f"(assert (not (= (and {old_body}) (and {new_body}))))", "(check-sat)",
+    ])
+    out = io.StringIO()
+    refsolver.run(script + "\n", out)
+    assert out.getvalue() == "unsat\n"
 
 
 # --------------------------------------------------------------------------

@@ -17,33 +17,37 @@ SORTS = {"a": 0, "b": 0, "x": 3, "y": 2, "z": 2}  # 0 = Bool, n = (_ BitVec n)
 COMPARISONS = ("bvult", "bvule", "bvugt", "bvuge")
 
 
-def _term(rng, sort, depth):
-    """A random term of ``sort`` over the constants in SORTS."""
+def _term(rng, sort, depth, sorts=SORTS):
+    """A random term of ``sort`` over the symbols in ``sorts``."""
     if depth == 0 or rng.random() < 0.25:
-        names = [n for n, s in SORTS.items() if s == sort]
+        names = [n for n, s in sorts.items() if s == sort]
         if names and rng.random() < 0.7:
             return rng.choice(names)
         if sort == 0:
             return rng.choice(["true", "false"])
         return "#b" + format(rng.randrange(1 << sort), f"0{sort}b")
     sub = depth - 1
+
+    def term(s):
+        return _term(rng, s, sub, sorts)
+
     if sort:
         if rng.random() < 0.5:
-            return ("bvadd", _term(rng, sort, sub), _term(rng, sort, sub))
-        return ("ite", _term(rng, 0, sub), _term(rng, sort, sub), _term(rng, sort, sub))
+            return ("bvadd", term(sort), term(sort))
+        return ("ite", term(0), term(sort), term(sort))
     op = rng.choice(["not", "and", "or", "xor", "=>", "=", "distinct", "ite", "cmp"])
     if op == "not":
-        return ("not", _term(rng, 0, sub))
+        return ("not", term(0))
     if op == "ite":
-        return ("ite", _term(rng, 0, sub), _term(rng, 0, sub), _term(rng, 0, sub))
+        return ("ite", term(0), term(0), term(0))
     if op == "cmp":
         width = rng.choice([2, 3])
-        return (rng.choice(COMPARISONS), _term(rng, width, sub), _term(rng, width, sub))
+        return (rng.choice(COMPARISONS), term(width), term(width))
     width = rng.choice([0, 2, 3]) if op in ("=", "distinct") else 0
-    return (op,) + tuple(_term(rng, width, sub) for _ in range(rng.randint(2, 3)))
+    return (op,) + tuple(term(width) for _ in range(rng.randint(2, 3)))
 
 
-def _holds(sexp, model) -> bool:
+def _holds(sexp, model, sorts=SORTS) -> bool:
     """Direct truth of a term, written apart from the solver's evaluator."""
     if isinstance(sexp, str):
         if sexp in ("true", "false"):
@@ -51,9 +55,9 @@ def _holds(sexp, model) -> bool:
         if sexp.startswith("#b"):
             return int(sexp[2:], 2)
         return model[sexp]
-    op, args = sexp[0], [_holds(a, model) for a in sexp[1:]]
+    op, args = sexp[0], [_holds(a, model, sorts) for a in sexp[1:]]
     if op == "bvadd":
-        width = _width(sexp[1])
+        width = _width(sexp[1], sorts)
         return (args[0] + args[1]) % (1 << width)
     table = {
         "not": lambda: not args[0],
@@ -79,10 +83,10 @@ def _implies(args) -> bool:
     return out
 
 
-def _width(sexp) -> int:
+def _width(sexp, sorts=SORTS) -> int:
     if isinstance(sexp, str):
-        return len(sexp) - 2 if sexp.startswith("#b") else SORTS[sexp]
-    return _width(sexp[-1])  # bvadd and ite: the last argument has the sort
+        return len(sexp) - 2 if sexp.startswith("#b") else sorts[sexp]
+    return _width(sexp[-1], sorts)  # bvadd and ite: the last argument has the sort
 
 
 def _assignments():
@@ -91,9 +95,24 @@ def _assignments():
         yield dict(zip(SORTS, values))
 
 
+def _sort_text(sort: int) -> str:
+    return "Bool" if sort == 0 else f"(_ BitVec {sort})"
+
+
+def _declarations() -> list[str]:
+    return [f"(declare-const {n} {_sort_text(s)})" for n, s in SORTS.items()]
+
+
+def _parse_values(line: str, sorts=SORTS) -> dict:
+    """The values of a ``get-value`` reply that names every symbol in ``sorts``."""
+    pairs = dict(p.split() for p in line[2:-2].split(") ("))
+    return {
+        n: pairs[n] == "true" if s == 0 else int(pairs[n][2:], 2) for n, s in sorts.items()
+    }
+
+
 def _answer(assertions) -> list[str]:
-    lines = [f"(declare-const {n} {'Bool' if s == 0 else f'(_ BitVec {s})'})"
-             for n, s in SORTS.items()]
+    lines = _declarations()
     lines += [f"(assert {refsolver.term_text(t)})" for t in assertions]
     lines += ["(check-sat)", f"(get-value ({' '.join(SORTS)}))"]
     out = io.StringIO()
@@ -113,18 +132,9 @@ def test_verdicts_and_models_match_exhaustive_enumeration(seed):
         assert lines[0] == ("sat" if sat else "unsat"), assertions
         verdicts.add(lines[0])
         if sat:
-            pairs = dict(p.split() for p in lines[1][2:-2].split(") ("))
-            model = {
-                n: pairs[n] == "true" if SORTS[n] == 0 else int(pairs[n][2:], 2)
-                for n in SORTS
-            }
+            model = _parse_values(lines[1])
             assert all(_holds(t, model) for t in assertions), (assertions, model)
     assert verdicts == {"sat", "unsat"}
-
-
-def _declarations() -> list[str]:
-    return [f"(declare-const {n} {'Bool' if s == 0 else f'(_ BitVec {s})'})"
-            for n, s in SORTS.items()]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -160,11 +170,7 @@ def test_scoped_checks_match_exhaustive_enumeration(seed):
     for (sat, in_scope), verdict, values in zip(checks, replies[::2], replies[1::2]):
         assert verdict == ("sat" if sat else "unsat"), in_scope
         if sat:
-            pairs = dict(p.split() for p in values[2:-2].split(") ("))
-            model = {
-                n: pairs[n] == "true" if SORTS[n] == 0 else int(pairs[n][2:], 2)
-                for n in SORTS
-            }
+            model = _parse_values(values)
             assert all(_holds(t, model) for t in in_scope), (in_scope, model)
         else:
             assert values == '(error "model is not available")'
@@ -196,6 +202,70 @@ def test_answers_each_command_as_it_reads_it():
     assert first.values == {"x": 5}
     assert (second.sat, third.sat) == (False, False)
     assert fourth.values == {"b": True, "y": 3}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_definitions_match_exhaustive_enumeration(seed):
+    # each definition is a random term over the constants and the earlier
+    # definitions; assertions and get-value use them like constants
+    rng = random.Random(seed)
+    everything = list(_assignments())
+    verdicts = set()
+    for _ in range(20):
+        sorts, definitions = dict(SORTS), []
+        for i in range(rng.randint(1, 3)):
+            sort = rng.choice([0, 0, 2, 3])
+            definitions.append((f"d{i}", sort, _term(rng, sort, 2, sorts)))
+            sorts[f"d{i}"] = sort
+        assertions = [_term(rng, 0, 3, sorts) for _ in range(rng.randint(1, 3))]
+
+        def extended(model):
+            model = dict(model)
+            for name, _, body in definitions:
+                model[name] = _holds(body, model, sorts)
+            return model
+
+        sat = any(all(_holds(t, extended(m), sorts) for t in assertions) for m in everything)
+        lines = _declarations() + [
+            f"(define-fun {name} () {_sort_text(sort)} {refsolver.term_text(body)})"
+            for name, sort, body in definitions
+        ]
+        lines += [f"(assert {refsolver.term_text(t)})" for t in assertions]
+        lines += ["(check-sat)", f"(get-value ({' '.join(sorts)}))"]
+        out = io.StringIO()
+        assert refsolver.run("\n".join(lines) + "\n", out) == (0 if sat else 1)
+        replies = out.getvalue().splitlines()
+        assert replies[0] == ("sat" if sat else "unsat"), (definitions, assertions)
+        verdicts.add(replies[0])
+        if sat:
+            values = _parse_values(replies[1], sorts)
+            model = extended({n: values[n] for n in SORTS})
+            assert values == model
+            assert all(_holds(t, model, sorts) for t in assertions)
+    assert verdicts == {"sat", "unsat"}
+
+
+def test_definitions_are_scoped_and_sort_checked():
+    script = (
+        "(declare-const x (_ BitVec 2))\n"
+        "(push 1)\n(define-fun d () Bool (= x #b10))\n(assert d)\n"
+        "(check-sat)\n(get-value (x d))\n(pop 1)\n"
+        "(define-fun d () (_ BitVec 2) (bvadd x #b01))\n(assert (= d #b00))\n"
+        "(check-sat)\n(get-value (d x))\n"
+        "(define-fun d () Bool true)\n"
+        "(define-fun e () Bool x)\n"
+        "(define-fun f ((y Bool)) Bool y)\n"
+        "(check-sat)\n"
+    )
+    out = io.StringIO()
+    assert refsolver.run(script, out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[:4] == ["sat", "((x #b10) (d true))", "sat", "((d #b00) (x #b11))"]
+    assert lines[4].startswith('(error "invalid declaration of d')
+    assert lines[5].startswith('(error "definition of e does not match its sort')
+    assert lines[6].startswith('(error "unsupported command define-fun')
+    assert lines[7].startswith('(error "an earlier command failed')
+    assert len(lines) == 8
 
 
 def _brute_force_sat(num_vars, clauses) -> bool:

@@ -6,13 +6,15 @@ import shlex
 import pytest
 
 from qlayout import backend as be
-from qlayout.arch import line_graph
+from qlayout.arch import CouplingGraph, line_graph
 from qlayout.circuit import make_circuit
 from qlayout.search import (
     BoundSearchOutcome,
+    InfeasibleError,
     ResizePolicy,
     SearchError,
     SolveResult,
+    check_feasible,
     run_bound_search,
     solve_optimal,
 )
@@ -379,6 +381,43 @@ def test_circuit_without_interactions_skips_the_solver(monkeypatch):
 def test_wide_circuit_is_rejected():
     with pytest.raises(ValueError, match="qubits"):
         solve_optimal(make_circuit(4, [("cx", (0, 1))]), line_graph(3))
+
+
+def test_edgeless_device_is_infeasible_before_any_check(tmp_path):
+    # an unsat-only solver would let the depth ascent probe forever; this one
+    # gives up after 20 checks, so a regression fails instead of hanging
+    launched = tmp_path / "launched"
+    cfg = _script_solver(tmp_path, f"""touch {launched}; n=0
+while read -r line; do
+  if [ "$line" = "(check-sat)" ]; then
+    n=$((n + 1)); [ $n -gt 20 ] && exit 1; echo unsat
+  fi
+done""")
+    with pytest.warns(UserWarning, match="not connected"):
+        edgeless = CouplingGraph("edgeless", 2, ())
+    with pytest.raises(InfeasibleError, match="edgeless"):
+        solve_optimal(make_circuit(2, [("cx", (0, 1))]), edgeless, solver=cfg)
+    assert not launched.exists()
+
+
+@pytest.mark.parametrize("edges,gates,feasible", [
+    # components of sizes 4 and 2; interacting groups of sizes 3 and 3
+    (((0, 1), (1, 2), (2, 3), (4, 5)), [(0, 1), (1, 2), (3, 4), (4, 5)], False),
+    # the same device; groups of sizes 2, 2 and 2
+    (((0, 1), (1, 2), (2, 3), (4, 5)), [(0, 1), (2, 3), (4, 5)], True),
+    # a 5-qubit group on a device whose largest component has 4 qubits
+    (((0, 1), (1, 2), (2, 3)), [(0, 1), (1, 2), (2, 3), (3, 4)], False),
+])
+def test_feasibility_packs_interacting_groups_into_device_components(edges, gates, feasible):
+    with pytest.warns(UserWarning, match="not connected"):
+        graph = CouplingGraph("split", 6, edges)
+    width = max(q for pair in gates for q in pair) + 1
+    circuit = make_circuit(width, [("cx", pair) for pair in gates])
+    if feasible:
+        check_feasible(circuit, graph)
+    else:
+        with pytest.raises(InfeasibleError):
+            check_feasible(circuit, graph)
 
 
 def test_solver_failure_surfaces_as_search_error(scripted):
