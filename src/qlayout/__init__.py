@@ -66,6 +66,7 @@ from .features import FEATURE_NAMES, FeatureVector, extract_features
 from .regressor import RegressionTree, best_split, fit
 from .search import (
     BoundSearchOutcome,
+    CheckRecord,
     InfeasibleError,
     ResizePolicy,
     SearchError,
@@ -91,7 +92,7 @@ __all__ = [
     "encode_base", "encode_depth_bound", "encode_swap_bound",
     "FEATURE_NAMES", "FeatureVector", "extract_features",
     "RegressionTree", "best_split", "fit",
-    "BoundSearchOutcome", "InfeasibleError", "ResizePolicy", "SearchError",
-    "SolveResult", "run_bound_search", "solve_optimal",
+    "BoundSearchOutcome", "CheckRecord", "InfeasibleError", "ResizePolicy",
+    "SearchError", "SolveResult", "run_bound_search", "solve_optimal",
     "__version__",
 ]

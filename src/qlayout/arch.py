@@ -10,7 +10,24 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+
+
+def component_sizes(n: int, pairs) -> list[int]:
+    """Sizes of the connected components of the graph on nodes 0..n-1 with
+    edges ``pairs``, largest first."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return sorted(Counter(find(x) for x in range(n)).values(), reverse=True)
 
 
 class GraphError(ValueError):
@@ -53,20 +70,8 @@ class CouplingGraph:
         object.__setattr__(
             self, "_incident", {p: tuple(ks) for p, ks in incident.items()}
         )
-        if self.num_qubits > 1 and not self._is_connected():
+        if len(component_sizes(self.num_qubits, self.edges)) > 1:
             warnings.warn(f"coupling graph {self.name!r} is not connected", stacklevel=2)
-
-    def _is_connected(self) -> bool:
-        if self.num_qubits == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for n in self.neighbors(stack.pop()):
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == self.num_qubits
 
     def neighbors(self, p: int) -> frozenset[int]:
         return frozenset(q for k in self._incident[p] for q in self.edges[k] if q != p)

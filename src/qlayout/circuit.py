@@ -127,9 +127,6 @@ _CREG_RE = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _ARG_RE = re.compile(rf"^({_ID})(?:\s*\[\s*(\d+)\s*\])?$")
 _GATE_RE = re.compile(rf"^({_ID})\s*(?:\(([^)]*)\))?\s*(.*)$", re.DOTALL)
 
-_IGNORED_STATEMENTS = ("barrier", "measure", "include")
-
-
 def _strip_comments(text: str) -> str:
     return re.sub(r"//[^\n]*", lambda m: " " * len(m.group(0)), text)
 

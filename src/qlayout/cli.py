@@ -103,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-refine", action="store_true",
                    help="skip nearest-neighbor refinement")
     p.add_argument("--timeout-per-sample", type=float, default=300.0,
-                   help="solver budget per labeled sample, seconds")
+                   help="solver timeout per check, seconds; a sample runs several")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel labeling workers")
     p.add_argument("--solver")

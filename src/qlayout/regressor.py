@@ -40,10 +40,6 @@ class SplitCandidate:
     feature_index: int
     threshold: float
     loss: float          # size-weighted mean of the two side losses
-    left_count: int
-    right_count: int
-    left_loss: float
-    right_loss: float
 
 
 @dataclass
@@ -92,10 +88,6 @@ class TreeNode:
                 feature_index=int(doc["feature"]),
                 threshold=float(doc["threshold"]),
                 loss=math.nan,
-                left_count=0,
-                right_count=0,
-                left_loss=math.nan,
-                right_loss=math.nan,
             )
             node.left = TreeNode.from_dict(doc["left"])
             node.right = TreeNode.from_dict(doc["right"])
@@ -119,19 +111,9 @@ def best_split(
         threshold = (lo + hi) / 2.0
         left = [y for row, y in zip(rows, labels) if row[feature] <= threshold]
         right = [y for row, y in zip(rows, labels) if row[feature] > threshold]
-        left_loss = _mse(left)
-        right_loss = _mse(right)
-        loss = (len(left) * left_loss + len(right) * right_loss) / n
+        loss = (len(left) * _mse(left) + len(right) * _mse(right)) / n
         if best is None or loss < best.loss:
-            best = SplitCandidate(
-                feature_index=feature,
-                threshold=threshold,
-                loss=loss,
-                left_count=len(left),
-                right_count=len(right),
-                left_loss=left_loss,
-                right_loss=right_loss,
-            )
+            best = SplitCandidate(feature_index=feature, threshold=threshold, loss=loss)
     return best
 
 

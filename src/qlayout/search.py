@@ -8,30 +8,34 @@ bounds.  Phase two fixes the optimal depth and runs the same stepping on
 the swap-count bound, starting at ``min(predicted swaps, swaps in the last
 satisfiable model)`` with floor zero.
 
-Variable shapes grow on demand: the time-grid extent starts one increment
-above the first bound and grows by a large or small increment (chosen by
-comparing the just-checked bound against a threshold) whenever the next
-bound would not fit; gate-time widths widen before a bound that crosses a
-power of two and may narrow again after satisfiable checks.  Increments are
-at least 2, the search's stride, so a grown grid always fits the next bound.
+Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
+shape, wall time); that list is the search's only state besides the loaded
+base, and every count, history and resize event is derived from it.  The
+grid shape of a check is :func:`grid_shape` of the previous record: the
+time-grid extent starts one increment above the first bound and regrows
+(by a large or small increment, chosen by comparing the previous depth
+bound against a threshold) whenever the next bound would not fit;
+gate-time widths widen before a bound that crosses a power of two and
+narrow again after satisfiable depth checks.  Increments are at least 2,
+the search's stride, so a regrown grid always fits the next bound.
 
 One probe serves both phases, and one solver session serves the whole
-solve.  The probe builds the context and base once per grid shape and loads
-them as the session's outer scope; each check adds only its bound lines,
-records its wall time, and turns a solver failure into a
-:class:`SearchError` naming the phase.  Only depth-phase calls resize the
-grid, so the swap phase reuses the optimum's loaded base throughout.
+solve.  The probe loads the context and base once per grid shape as the
+session's outer scope; each check adds only its bound lines, and a solver
+failure becomes a :class:`SearchError` naming the phase.  An ascent that
+a solver refutes at or above a bound known to be satisfiable also raises
+:class:`SearchError`, so a wrong solver cannot keep the search running.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
 from . import backend as be
-from .arch import CouplingGraph
+from .arch import CouplingGraph, component_sizes
 from .circuit import Circuit, gate_depths, longest_chain
 from .encode import (  # noqa: F401 - emit_script stays for qbench/spans.py
     DEFAULT_SWAP_DURATION,
@@ -47,7 +51,7 @@ from .features import extract_features
 
 
 class SearchError(RuntimeError):
-    """Search aborted by a solver failure; carries partial telemetry."""
+    """Search aborted by a failing or wrong solver; carries partial telemetry."""
 
     def __init__(self, message: str, telemetry: Optional[dict] = None):
         super().__init__(message)
@@ -56,22 +60,6 @@ class SearchError(RuntimeError):
 
 class InfeasibleError(ValueError):
     """No layout of the circuit on the device exists, at any depth."""
-
-
-def _component_sizes(n: int, pairs) -> list[int]:
-    """Sizes of the connected components of the graph on nodes 0..n-1 with
-    edges ``pairs``, largest first."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for a, b in pairs:
-        root[find(a)] = find(b)
-    return sorted(Counter(find(x) for x in range(n)).values(), reverse=True)
 
 
 def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
@@ -85,8 +73,8 @@ def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
     components (with the circuit no wider than the device).
     """
     two_qubit = (g.qubits for g in circuit.gates if g.is_two_qubit)
-    groups = [n for n in _component_sizes(circuit.num_qubits, two_qubit) if n > 1]
-    rooms = tuple(_component_sizes(graph.num_qubits, graph.edges))
+    groups = [n for n in component_sizes(circuit.num_qubits, two_qubit) if n > 1]
+    rooms = tuple(component_sizes(graph.num_qubits, graph.edges))
 
     @lru_cache(maxsize=None)
     def fits(i: int, rooms: tuple[int, ...]) -> bool:
@@ -122,81 +110,137 @@ class ResizePolicy:
         return self.large_step if bound >= self.threshold else self.small_step
 
 
+@dataclass(frozen=True)
+class CheckRecord:
+    """One solver check: the bound it probed, its verdict and grid shape."""
+
+    phase: str          # "depth", or "swap" (then ``bound`` is a swap count)
+    bound: int
+    sat: bool
+    horizon: int
+    time_bits: int
+    wall_time: float
+
+
+def grid_shape(
+    last: Optional[CheckRecord], depth: Optional[int], policy: ResizePolicy
+) -> tuple[int, int]:
+    """(horizon, time_bits) of the check after ``last``: ``depth`` is its
+    depth bound, or None in the swap phase, which keeps the grid.
+
+    The first grid ends one policy step above the first bound.  After a
+    satisfiable depth check the gate-time width narrows to its bound's.  A
+    depth bound past the grid regrows it one step above the previous depth
+    bound, and one needing more bits widens it.
+    """
+    if last is None:
+        horizon = depth + policy.step(depth)
+        return horizon, bit_length(horizon)
+    horizon, time_bits = last.horizon, last.time_bits
+    if last.phase == "depth" and last.sat:
+        time_bits = min(time_bits, bit_length(last.bound))
+    if depth is None:
+        return horizon, time_bits
+    if depth >= horizon:
+        horizon = last.bound + policy.step(last.bound)
+    return horizon, max(time_bits, bit_length(depth))
+
+
+def _history(checks: list[CheckRecord], phase: str) -> list[tuple[int, bool]]:
+    return [(c.bound, c.sat) for c in checks if c.phase == phase]
+
+
+def _resize_events(checks: list[CheckRecord]) -> list[dict]:
+    """Grid-shape changes between consecutive checks, at the index of the
+    first check on the new shape; depth-phase checks cause all of them."""
+    return [
+        {"phase": "depth", "check_index": i, "kind": kind, "old": old, "new": new}
+        for i, (prev, cur) in enumerate(zip(checks, checks[1:]), start=1)
+        for kind, old, new in (("horizon", prev.horizon, cur.horizon),
+                               ("time_bits", prev.time_bits, cur.time_bits))
+        if old != new
+    ]
+
+
+def _telemetry(checks: list[CheckRecord]) -> dict:
+    return {
+        "depth_checks": len(_history(checks, "depth")),
+        "swap_checks": len(_history(checks, "swap")),
+        "resize_events": _resize_events(checks),
+        "wall_time_per_check": [c.wall_time for c in checks],
+        "checks": [asdict(c) for c in checks],
+    }
+
+
 @dataclass
 class BoundSearchOutcome:
     optimum: int
-    history: list[tuple[int, bool]]   # (bound, satisfiable) in check order
     payload: object                   # probe payload of the optimum's model
 
 
 Probe = Callable[[int], tuple[bool, object]]
 
 
-def run_bound_search(start: int, floor: int, probe: Probe) -> BoundSearchOutcome:
+def run_bound_search(
+    start: int, floor: int, probe: Probe, ceiling: float = math.inf
+) -> BoundSearchOutcome:
     """Find the minimal bound whose probe is satisfiable.
 
     Requires a monotone frontier (satisfiable at b implies satisfiable at
-    b+1) and a satisfiable region reachable above ``start``.  The returned
-    payload always comes from a satisfiable check at the optimum itself.
+    b+1) and a satisfiable region reachable above ``start``.  ``ceiling`` is
+    a bound known to be satisfiable: an ascent refuted at or above it raises
+    :class:`SearchError`.  The returned payload always comes from a
+    satisfiable check at the optimum itself.
     """
-    history: list[tuple[int, bool]] = []
-
-    def check(bound: int) -> tuple[bool, object]:
-        sat, payload = probe(bound)
-        history.append((bound, sat))
-        return sat, payload
-
     current = max(start, floor)
-    sat, payload = check(current)
+    sat, best = probe(current)
     if sat:
-        best = payload
         while current > floor:
             lower = max(current - 2, floor)
-            sat2, payload2 = check(lower)
+            sat2, payload2 = probe(lower)
             if sat2:
                 best, current = payload2, lower
                 continue
             if current - lower == 1:       # nothing between the two bounds
-                return BoundSearchOutcome(current, history, best)
-            sat3, payload3 = check(lower + 1)
+                return BoundSearchOutcome(current, best)
+            sat3, payload3 = probe(lower + 1)
             if sat3:
-                return BoundSearchOutcome(lower + 1, history, payload3)
-            return BoundSearchOutcome(current, history, best)
-        return BoundSearchOutcome(current, history, best)
+                return BoundSearchOutcome(lower + 1, payload3)
+            return BoundSearchOutcome(current, best)
+        return BoundSearchOutcome(current, best)
 
-    while True:
+    while current < ceiling:
         upper = current + 2
-        sat2, payload2 = check(upper)
+        sat2, payload2 = probe(upper)
         if not sat2:
             current = upper
             continue
-        sat3, payload3 = check(upper - 1)
+        sat3, payload3 = probe(upper - 1)
         if sat3:
-            return BoundSearchOutcome(upper - 1, history, payload3)
-        return BoundSearchOutcome(upper, history, payload2)
+            return BoundSearchOutcome(upper - 1, payload3)
+        return BoundSearchOutcome(upper, payload2)
+    raise SearchError(
+        f"solver refuted bound {current}, but bound {ceiling} is known satisfiable"
+    )
 
 
 @dataclass
 class SolveResult:
     optimal_depth: int
     optimal_swaps: int
-    depth_checks: int
-    swap_checks: int
-    resize_events: list[dict] = field(default_factory=list)
-    wall_time_per_check: list[float] = field(default_factory=list)
-    depth_history: list[tuple[int, bool]] = field(default_factory=list)
-    swap_history: list[tuple[int, bool]] = field(default_factory=list)
+    checks: list[CheckRecord] = field(default_factory=list)
     solution: Optional[be.MappingSolution] = None
 
+    depth_history = property(lambda self: _history(self.checks, "depth"))
+    swap_history = property(lambda self: _history(self.checks, "swap"))
+    depth_checks = property(lambda self: len(self.depth_history))
+    swap_checks = property(lambda self: len(self.swap_history))
+    wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
+    resize_events = property(lambda self: _resize_events(self.checks))
+
     def telemetry(self) -> dict:
-        return {
-            "optimal_depth": self.optimal_depth,
-            "optimal_swaps": self.optimal_swaps,
-            "depth_checks": self.depth_checks,
-            "swap_checks": self.swap_checks,
-            "resize_events": self.resize_events,
-            "wall_time_per_check": self.wall_time_per_check,
-        }
+        return {"optimal_depth": self.optimal_depth,
+                "optimal_swaps": self.optimal_swaps, **_telemetry(self.checks)}
 
 
 def _trivial_solution(circuit: Circuit, graph: CouplingGraph) -> SolveResult:
@@ -212,13 +256,7 @@ def _trivial_solution(circuit: Circuit, graph: CouplingGraph) -> SolveResult:
         swap_count=0,
         mapped_circuit=mapped,
     )
-    return SolveResult(
-        optimal_depth=depth,
-        optimal_swaps=0,
-        depth_checks=0,
-        swap_checks=0,
-        solution=solution,
-    )
+    return SolveResult(optimal_depth=depth, optimal_swaps=0, solution=solution)
 
 
 def solve_optimal(
@@ -256,31 +294,17 @@ def solve_optimal(
     predicted_depth = depth_model.predict(features) if depth_model else 0
     start = max(predicted_depth, ldc)
 
-    # Grid shape of the next check; only depth-phase checks change it.
-    horizon = start + policy.step(start)
-    time_bits = bit_length(horizon)
-    last_depth = start
-    resize_events: list[dict] = []
-    wall_times: list[float] = []
-
-    def resize(kind: str, old: int, new: int) -> int:
-        resize_events.append({"phase": "depth", "check_index": len(wall_times),
-                              "kind": kind, "old": old, "new": new})
-        return new
-
+    checks: list[CheckRecord] = []
     ctx = None
 
     def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
         """One check at a depth bound; the swap phase adds a swap bound."""
-        nonlocal horizon, time_bits, last_depth, ctx
-        phase = "depth" if swap_bound is None else "swap"
-        if phase == "depth":
-            if depth >= horizon:
-                horizon = resize("horizon", horizon, last_depth + policy.step(last_depth))
-            if bit_length(depth) > time_bits:
-                time_bits = resize("time_bits", time_bits, bit_length(depth))
-        if ctx is None or (ctx.horizon, ctx.time_bits) != (horizon, time_bits):
-            ctx = build_context(circuit, graph, horizon, time_bits, swap_duration)
+        nonlocal ctx
+        phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
+        shape = grid_shape(checks[-1] if checks else None,
+                           depth if phase == "depth" else None, policy)
+        if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
+            ctx = build_context(circuit, graph, *shape, swap_duration)
             session.load(declarations(ctx) + encode_base(ctx))
         bounds = encode_depth_bound(ctx, depth)
         if phase == "swap":
@@ -288,40 +312,30 @@ def solve_optimal(
         try:
             result = session.check(bounds, (name for name, _ in ctx.variables()))
         except be.SolverError as exc:
-            raise SearchError(
-                f"{phase} phase failed: {exc}",
-                {"wall_time_per_check": wall_times, "resize_events": resize_events},
-            ) from exc
-        wall_times.append(result.wall_time)
-        if phase == "depth":
-            last_depth = depth
-            if result.sat and bit_length(depth) < time_bits:
-                time_bits = resize("time_bits", time_bits, bit_length(depth))
+            raise SearchError(f"{phase} phase failed: {exc}") from exc
+        checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time))
         return result.sat, (ctx, result.values) if result.sat else None
 
-    with be.Session(solver) as session:
-        depth_outcome = run_bound_search(start, ldc, probe)
-        best_depth = depth_outcome.optimum
-        depth_ctx, depth_values = depth_outcome.payload
-        swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
-        predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
-        swap_start = max(0, min(predicted_swaps, swaps_in_model))
-        swap_outcome = run_bound_search(
-            swap_start, 0, lambda bound: probe(best_depth, bound)
-        )
+    # A sequential schedule runs one gate at a time, each after fewer than
+    # num_qubits swaps, so this depth is satisfiable on a feasible instance.
+    depth_ceiling = len(circuit.gates) * (1 + swap_duration * graph.num_qubits)
+    try:
+        with be.Session(solver) as session:
+            depth_outcome = run_bound_search(start, ldc, probe, depth_ceiling)
+            best_depth = depth_outcome.optimum
+            depth_ctx, depth_values = depth_outcome.payload
+            swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
+            predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
+            swap_start = max(0, min(predicted_swaps, swaps_in_model))
+            swap_outcome = run_bound_search(
+                swap_start, 0, lambda bound: probe(best_depth, bound), swaps_in_model
+            )
+    except SearchError as exc:
+        exc.telemetry = _telemetry(checks)
+        raise
 
     final_ctx, final_values = swap_outcome.payload
     solution = be.decode_solution(
         final_values, final_ctx, keep_swap_opcode=keep_swap_opcode
     )
-    return SolveResult(
-        optimal_depth=best_depth,
-        optimal_swaps=swap_outcome.optimum,
-        depth_checks=len(depth_outcome.history),
-        swap_checks=len(swap_outcome.history),
-        resize_events=resize_events,
-        wall_time_per_check=wall_times,
-        depth_history=depth_outcome.history,
-        swap_history=swap_outcome.history,
-        solution=solution,
-    )
+    return SolveResult(best_depth, swap_outcome.optimum, checks, solution)

@@ -105,13 +105,12 @@ def test_frontier_walk_on_a_scripted_threshold():
     probed = []
 
     def probe(bound: int):
-        probed.append(bound)
         sat = bound >= 25
+        probed.append((bound, sat))
         return sat, ("model", bound) if sat else None
 
     outcome = run_bound_search(23, 1, probe)
-    assert probed == [23, 25, 24]
-    assert outcome.history == [(23, False), (25, True), (24, False)]
+    assert probed == [(23, False), (25, True), (24, False)]
     assert outcome.optimum == 25
     assert outcome.payload == ("model", 25)
 

@@ -1,12 +1,14 @@
 """Coupling-graph models: construction rules, topologies, loading."""
 
 import json
+import warnings
 
 import pytest
 
 from qlayout.arch import (
     CouplingGraph,
     GraphError,
+    component_sizes,
     grid_graph,
     line_graph,
     load_graph,
@@ -95,6 +97,19 @@ def test_neighbors_and_edge_indexing(spec):
 def test_disconnected_graph_warns_but_loads():
     with pytest.warns(UserWarning):
         CouplingGraph("split", 4, ((0, 1), (2, 3)))
+
+
+def test_connected_graphs_load_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for graph in (qx2(), line_graph(5), grid_graph(2, 3), CouplingGraph("one", 1, ())):
+            assert component_sizes(graph.num_qubits, graph.edges) == [graph.num_qubits]
+
+
+def test_component_sizes_are_largest_first():
+    assert component_sizes(6, [(0, 1), (4, 5), (1, 2)]) == [3, 2, 1]
+    assert component_sizes(3, []) == [1, 1, 1]
+    assert component_sizes(0, []) == []
 
 
 def test_load_graph_round_trip(tmp_path):

@@ -202,6 +202,22 @@ done""")
     assert "solver error" in err and "swp_e0_t0" in err
 
 
+def test_map_stops_a_solver_that_refutes_every_bound(bell_path, tmp_path, capsys):
+    # 2 gates on line:2 fit a sequential schedule of 2 * (1 + 3 * 2) = 14
+    # steps; this solver gives up after 20 checks, so an uncapped ascent
+    # fails on its exit instead of hanging
+    cfg = _script_solver(tmp_path, """n=0
+while read -r line; do
+  if [ "$line" = "(check-sat)" ]; then
+    n=$((n + 1)); [ $n -gt 20 ] && exit 1; echo unsat
+  fi
+done""")
+    code = main(["map", bell_path, "--arch", "line:2",
+                 "--solver", " ".join(cfg.command)])
+    assert code == 3
+    assert "refuted bound 14, but bound 14 is known satisfiable" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--threshold", "--large-step", "--small-step"])
 def test_resize_policy_flags_are_gone(bell_path, flag):
     with pytest.raises(SystemExit) as info:
@@ -235,6 +251,7 @@ def test_map_validate_round_trip(bell_path, tmp_path, small_solver, capsys):
     assert doc["validation"]["ok"] is True
     assert doc["solution"]["final_depth"] == 2
     assert len(doc["wall_time_per_check"]) == doc["depth_checks"] + doc["swap_checks"]
+    assert len(doc["checks"]) == doc["depth_checks"] + doc["swap_checks"]
 
     assert main(["validate", bell_path, "--arch", "line:2",
                  "--solution", str(tele)]) == 0

@@ -37,7 +37,7 @@ def test_split_separates_two_clusters_exactly():
     cand = best_split(rows, labels, 0)
     assert cand.threshold == 6.0          # midpoint of 2 and 10
     assert cand.loss == 0.0
-    assert (cand.left_count, cand.right_count) == (2, 2)
+    assert sum(row[0] <= cand.threshold for row in rows) == 2
 
 
 def test_split_constant_feature_returns_none():

@@ -1,5 +1,6 @@
 """Bound search, resize policy, and the two-phase optimal solve."""
 
+import dataclasses
 import re
 import shlex
 
@@ -10,11 +11,13 @@ from qlayout.arch import CouplingGraph, line_graph
 from qlayout.circuit import make_circuit
 from qlayout.search import (
     BoundSearchOutcome,
+    CheckRecord,
     InfeasibleError,
     ResizePolicy,
     SearchError,
     SolveResult,
     check_feasible,
+    grid_shape,
     run_bound_search,
     solve_optimal,
 )
@@ -28,87 +31,114 @@ from .test_backend import _ECHO_MODEL, _gone, _script_solver
 # --------------------------------------------------------------------------
 
 
-def _threshold_probe(first_sat: int):
-    def probe(bound: int):
-        sat = bound >= first_sat
-        return sat, f"model@{bound}" if sat else None
+class _ThresholdProbe:
+    """Satisfiable from ``first_sat`` up; records (bound, sat) per check."""
 
-    return probe
+    def __init__(self, first_sat: int):
+        self.first_sat = first_sat
+        self.history: list[tuple[int, bool]] = []
+
+    def __call__(self, bound: int):
+        assert len(self.history) < 50, "runaway search"
+        sat = bound >= self.first_sat
+        self.history.append((bound, sat))
+        return sat, f"model@{bound}" if sat else None
 
 
 def test_ascent_steps_by_two_then_refines_down():
-    out = run_bound_search(23, 1, _threshold_probe(25))
+    probe = _ThresholdProbe(25)
+    out = run_bound_search(23, 1, probe)
     assert out.optimum == 25
-    assert out.history == [(23, False), (25, True), (24, False)]
+    assert probe.history == [(23, False), (25, True), (24, False)]
     assert out.payload == "model@25"
 
 
 def test_ascent_refinement_can_win():
-    out = run_bound_search(28, 1, _threshold_probe(29))
+    probe = _ThresholdProbe(29)
+    out = run_bound_search(28, 1, probe)
     assert out.optimum == 29
-    assert out.history == [(28, False), (30, True), (29, True)]
+    assert probe.history == [(28, False), (30, True), (29, True)]
     assert out.payload == "model@29"
 
 
 def test_long_ascent():
-    out = run_bound_search(23, 1, _threshold_probe(31))
+    probe = _ThresholdProbe(31)
+    out = run_bound_search(23, 1, probe)
     assert out.optimum == 31
-    assert [b for b, _ in out.history] == [23, 25, 27, 29, 31, 30]
+    assert [b for b, _ in probe.history] == [23, 25, 27, 29, 31, 30]
     assert out.payload == "model@31"
 
 
 def test_descent_steps_by_two_then_closes_the_gap():
-    out = run_bound_search(30, 1, _threshold_probe(20))
+    probe = _ThresholdProbe(20)
+    out = run_bound_search(30, 1, probe)
     assert out.optimum == 20
-    assert [b for b, _ in out.history] == [30, 28, 26, 24, 22, 20, 18, 19]
-    assert out.history[-3:] == [(20, True), (18, False), (19, False)]
+    assert [b for b, _ in probe.history] == [30, 28, 26, 24, 22, 20, 18, 19]
+    assert probe.history[-3:] == [(20, True), (18, False), (19, False)]
     assert out.payload == "model@20"
 
 
 def test_descent_gap_closed_by_middle_sat():
-    out = run_bound_search(21, 1, _threshold_probe(20))
+    probe = _ThresholdProbe(20)
+    out = run_bound_search(21, 1, probe)
     assert out.optimum == 20
-    assert out.history == [(21, True), (19, False), (20, True)]
+    assert probe.history == [(21, True), (19, False), (20, True)]
     assert out.payload == "model@20"
 
 
 def test_descent_single_step_gap_at_floor_clamp():
-    out = run_bound_search(27, 24, _threshold_probe(25))
+    probe = _ThresholdProbe(25)
+    out = run_bound_search(27, 24, probe)
     assert out.optimum == 25
-    assert out.history == [(27, True), (25, True), (24, False)]
+    assert probe.history == [(27, True), (25, True), (24, False)]
     assert out.payload == "model@25"
 
 
 def test_start_at_floor_sat_means_one_check():
-    out = run_bound_search(5, 5, _threshold_probe(1))
+    probe = _ThresholdProbe(1)
+    out = run_bound_search(5, 5, probe)
     assert out.optimum == 5
-    assert out.history == [(5, True)]
+    assert probe.history == [(5, True)]
 
 
 def test_start_below_floor_is_clamped():
-    out = run_bound_search(2, 5, _threshold_probe(1))
-    assert out.history[0] == (5, True)
+    probe = _ThresholdProbe(1)
+    out = run_bound_search(2, 5, probe)
+    assert probe.history[0] == (5, True)
     assert out.optimum == 5
 
 
 def test_descent_stops_at_floor():
-    out = run_bound_search(9, 5, _threshold_probe(1))
+    probe = _ThresholdProbe(1)
+    out = run_bound_search(9, 5, probe)
     assert out.optimum == 5
-    assert [b for b, _ in out.history] == [9, 7, 5]
+    assert [b for b, _ in probe.history] == [9, 7, 5]
 
 
 @pytest.mark.parametrize("start,first_sat,floor", [
     (10, 14, 0), (10, 4, 0), (7, 7, 0), (0, 3, 0), (12, 9, 8), (40, 33, 30),
 ])
 def test_payload_always_comes_from_the_optimum(start, first_sat, floor):
-    out = run_bound_search(start, floor, _threshold_probe(first_sat))
+    probe = _ThresholdProbe(first_sat)
+    out = run_bound_search(start, floor, probe)
     assert out.optimum == max(first_sat, floor)
     assert out.payload == f"model@{out.optimum}"
-    assert (out.optimum, True) in out.history
-    bounds = [b for b, _ in out.history]
+    assert (out.optimum, True) in probe.history
+    bounds = [b for b, _ in probe.history]
     assert len(bounds) == len(set(bounds))      # no bound probed twice
     if out.optimum > floor:
-        assert (out.optimum - 1, False) in out.history
+        assert (out.optimum - 1, False) in probe.history
+
+
+def test_ascent_refuted_at_a_known_satisfiable_bound_raises():
+    probe = _ThresholdProbe(float("inf"))       # a solver that never says sat
+    with pytest.raises(SearchError, match="30 is known satisfiable"):
+        run_bound_search(23, 1, probe, ceiling=30)
+    assert [b for b, _ in probe.history] == [23, 25, 27, 29, 31]
+    # a correct solver settles at or below the ceiling, on the same sequence
+    probe = _ThresholdProbe(31)
+    assert run_bound_search(23, 1, probe, ceiling=31).optimum == 31
+    assert [b for b, _ in probe.history] == [23, 25, 27, 29, 31, 30]
 
 
 def test_resize_policy_steps():
@@ -136,6 +166,48 @@ def test_smallest_resize_steps_still_fit_every_bound(scripted):
     assert [b for b, _ in result.depth_history] == [3, 5, 7, 9, 8]
     assert result.optimal_depth == 9
     assert [fake.shape(i)[0] for i in range(5)] == [5, 5, 7, 9, 9]
+
+
+def _record(phase: str, bound: int, sat: bool, horizon: int, time_bits: int):
+    return CheckRecord(phase, bound, sat, horizon, time_bits, wall_time=0.01)
+
+
+def test_first_grid_shape_is_one_step_above_the_first_bound():
+    policy = ResizePolicy()
+    assert grid_shape(None, 9, policy) == (19, 5)
+    assert grid_shape(None, 49, policy) == (59, 6)     # below threshold: +10
+    assert grid_shape(None, 50, policy) == (65, 7)     # at threshold: +15
+
+
+def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
+    policy = ResizePolicy()
+    assert grid_shape(_record("depth", 60, True, 75, 7), 58, policy) == (75, 6)
+    assert grid_shape(_record("depth", 60, False, 75, 7), 62, policy) == (75, 7)
+    # a swap record's bound is a swap count, so it never narrows the width
+    assert grid_shape(_record("swap", 1, True, 75, 7), None, policy) == (75, 7)
+
+
+def test_grid_shape_regrows_the_horizon_from_the_previous_depth_bound():
+    policy = ResizePolicy()
+    assert grid_shape(_record("depth", 17, False, 19, 5), 18, policy) == (19, 5)
+    assert grid_shape(_record("depth", 17, False, 19, 5), 19, policy) == (27, 5)
+    assert grid_shape(_record("depth", 55, False, 57, 6), 57, policy) == (70, 6)
+
+
+def test_grid_shape_widens_for_a_bound_that_needs_more_bits():
+    policy = ResizePolicy()
+    assert grid_shape(_record("depth", 15, False, 21, 4), 17, policy) == (21, 5)
+    assert grid_shape(_record("depth", 13, False, 21, 4), 15, policy) == (21, 4)
+
+
+def test_swap_phase_checks_keep_the_grid_shape():
+    policy = ResizePolicy(large_step=2, small_step=2)
+    for sat in (True, False):
+        assert grid_shape(_record("swap", 1, sat, 27, 5), None, policy) == (27, 5)
+    # the optimum may sit on the grid's last step: no regrowth for swaps
+    assert grid_shape(_record("depth", 66, False, 67, 7), None, policy) == (67, 7)
+    # but the swap phase inherits a narrowing after a satisfiable depth check
+    assert grid_shape(_record("depth", 15, True, 30, 5), None, policy) == (30, 4)
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +336,11 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     assert tele["depth_checks"] + tele["swap_checks"] == len(
         tele["wall_time_per_check"]
     )
+    assert tele["checks"][5] == {"phase": "depth", "bound": 19, "sat": False,
+                                 "horizon": 27, "time_bits": 5, "wall_time": 0.01}
+    assert [(c["phase"], c["bound"]) for c in tele["checks"][-3:]] == [
+        ("swap", 3), ("swap", 1), ("swap", 0),
+    ]
 
 
 def test_initial_extent_uses_small_step_below_threshold(scripted):
@@ -359,6 +436,27 @@ def test_predictors_receive_the_feature_vector(scripted):
     assert spy_d.seen[0] == spy_s.seen[0]
 
 
+def test_depth_ascent_stops_when_the_solver_refutes_every_bound(scripted):
+    # 2 gates on line:2: a sequential schedule fits 2 * (1 + 3 * 2) = 14 steps
+    fake = scripted(["unsat"] * 40)
+    with pytest.raises(SearchError, match="14 is known satisfiable") as info:
+        solve_optimal(_chain(2), line_graph(2))
+    assert [c["bound"] for c in info.value.telemetry["checks"]] == [
+        2, 4, 6, 8, 10, 12, 14,
+    ]
+    assert len(fake.scripts) == 7
+
+
+def test_swap_ascent_stops_when_the_solver_refutes_every_bound(scripted):
+    # the depth model holds 2 swaps, so the swap bound 2 is satisfiable
+    fake = scripted([("sat", 2)] + ["unsat"] * 40)
+    with pytest.raises(SearchError, match="2 is known satisfiable") as info:
+        solve_optimal(_chain(1), line_graph(3), swap_model=_Const(0))
+    assert info.value.telemetry["depth_checks"] == 1
+    assert [c["bound"] for c in info.value.telemetry["checks"][1:]] == [0, 2]
+    assert len(fake.scripts) == 3
+
+
 def test_circuit_without_interactions_skips_the_solver(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("solver must not run")
@@ -436,6 +534,7 @@ def test_swap_phase_failure_surfaces_as_search_error(scripted):
     assert "swap phase failed" in str(info.value)
     assert isinstance(info.value.__cause__, be.SolverExitError)
     assert len(info.value.telemetry["wall_time_per_check"]) == 2
+    assert [c["phase"] for c in info.value.telemetry["checks"]] == ["depth", "swap"]
 
 
 def test_solver_death_in_the_swap_phase_is_a_search_error(tmp_path):
@@ -469,8 +568,11 @@ def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
 
 
 def test_outcome_dataclass_shape():
-    out = BoundSearchOutcome(3, [(3, True)], "p")
+    out = BoundSearchOutcome(3, "p")
     assert (out.optimum, out.payload) == (3, "p")
+    assert [f.name for f in dataclasses.fields(SolveResult)] == [
+        "optimal_depth", "optimal_swaps", "checks", "solution",
+    ]
 
 
 # --------------------------------------------------------------------------
