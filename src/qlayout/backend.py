@@ -42,7 +42,7 @@ class SolverError(RuntimeError):
 
 
 class SolverTimeoutError(SolverError):
-    """Solver exceeded the wall-clock budget."""
+    """Solver process outlived ``SolverConfig.timeout``, its wall-clock budget."""
 
 
 class SolverExitError(SolverError):
@@ -59,6 +59,9 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solver command and the wall-clock seconds one solver process may
+    live: all of :func:`check`, or all checks of one :class:`Session`."""
+
     command: tuple[str, ...] = tuple(DEFAULT_SOLVER_COMMAND.split())
     timeout: float = DEFAULT_TIMEOUT
 
@@ -186,13 +189,15 @@ class Session:
     outer scope, replacing the previous one.  :meth:`check` adds bound lines
     in an inner scope, asks for a verdict and, on ``sat``, for the named
     values in one query, then pops the inner scope.  Text is sent with the
-    next check, so that check's wall time includes a pending load.  Every
-    check runs under ``config.timeout``; a check that overruns kills the
-    process.
+    next check, so that check's wall time includes a pending load.  As for
+    :func:`check`, ``config.timeout`` bounds the whole process: the budget
+    starts when the session is created, and once it is spent the process
+    is killed and every later check raises :class:`SolverTimeoutError`.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig.resolve()
+        self._deadline = time.monotonic() + self.config.timeout
         self._proc: Optional[subprocess.Popen] = None
         self._selector = selectors.DefaultSelector()
         self._unsent: deque[memoryview] = deque()   # encoded text to write
@@ -220,14 +225,13 @@ class Session:
     def check(self, lines: Iterable[str], names: Iterable[str]) -> CheckResult:
         """Check the outer scope plus ``lines``; values of ``names`` on sat."""
         start = time.monotonic()
-        deadline = start + self.config.timeout
         self._send(["(push 1)", *lines, "(check-sat)"])
-        while (sat := _verdict(self._reply(deadline))) is None:
+        while (sat := _verdict(self._reply())) is None:
             pass
         values = None
         if sat:
             self._send([value_query(names)])
-            values = _values(self._reply(deadline))
+            values = _values(self._reply())
         self._send(["(pop 1)"])
         return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start)
 
@@ -238,15 +242,14 @@ class Session:
         if proc is None:
             self._selector.close()
             return
-        deadline = time.monotonic() + self.config.timeout
         try:
             self._watch_input(proc, False)
             proc.stdin.close()
             if kill:
                 proc.kill()
             else:
-                self._pump(proc, lambda: False, deadline)
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                self._pump(proc, lambda: False)
+                proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
         except (SolverTimeoutError, subprocess.TimeoutExpired, OSError):
             pass
         finally:
@@ -262,13 +265,13 @@ class Session:
     def _send(self, lines) -> None:
         self._unsent.append(memoryview("\n".join([*lines, ""]).encode()))
 
-    def _reply(self, deadline: float) -> str:
+    def _reply(self) -> str:
         """The next complete reply; sends pending text while waiting for it."""
         proc = self._proc or self._start()
-        self._pump(proc, lambda: _next_reply(self._text, self._pos) is not None, deadline)
+        self._pump(proc, lambda: _next_reply(self._text, self._pos) is not None)
         found = _next_reply(self._text, self._pos)
         if found is None:
-            raise self._exit_error(proc, deadline)
+            raise self._exit_error(proc)
         reply, self._pos = found
         return reply
 
@@ -298,23 +301,23 @@ class Session:
                 self._selector.unregister(proc.stdin)
             self._writing = on
 
-    def _pump(self, proc: subprocess.Popen, done, deadline: float) -> None:
+    def _pump(self, proc: subprocess.Popen, done) -> None:
         """Write pending input and read output, in chunks, until ``done()``
-        holds or the output ends.  Kills the process at ``deadline``."""
-        while not self._ended and not done():
+        holds or the output ends.  Once the budget is spent it kills the
+        process instead, even with a reply waiting."""
+        while (remaining := self._deadline - time.monotonic()) > 0:
+            if self._ended or done():
+                return
             self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                proc.kill()
-                raise SolverTimeoutError(
-                    f"solver exceeded {self.config.timeout}s:"
-                    f" {' '.join(self.config.command)}"
-                )
             for key, _ in self._selector.select(remaining):
                 if key.fileobj is proc.stdin:
                     self._write(key.fd)
                 else:
                     self._read(key, proc.stdout)
+        proc.kill()
+        raise SolverTimeoutError(
+            f"solver exceeded {self.config.timeout}s: {' '.join(self.config.command)}"
+        )
 
     def _write(self, fd: int) -> None:
         data = self._unsent[0]
@@ -343,10 +346,10 @@ class Session:
         self._text, self._pos = self._text[self._pos:] + text, 0
         self._ended = not chunk
 
-    def _exit_error(self, proc: subprocess.Popen, deadline: float) -> SolverExitError:
+    def _exit_error(self, proc: subprocess.Popen) -> SolverExitError:
         """The error for output that ended without the expected reply."""
         try:
-            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

@@ -145,12 +145,14 @@ def parse_qasm(text: str) -> Circuit:
     gates: list[Gate] = []
     saw_header = False
 
-    pos = 0
+    pos, line, line_start = 0, 1, 0
     for match in _STMT_SPLIT.finditer(clean):
         raw = clean[pos : match.start()]
+        if "\n" in raw:
+            line += raw.count("\n")
+            line_start = pos + raw.rindex("\n") + 1
         pos = match.end()
-        line = clean.count("\n", 0, match.start()) + 1
-        col = match.start() - (clean.rfind("\n", 0, match.start()) + 1)
+        col = match.start() - line_start
         stmt = raw.strip()
         if not stmt:
             continue
@@ -199,8 +201,6 @@ def parse_qasm(text: str) -> Circuit:
             )
 
         resolved: list[int | None] = []  # None marks a whole-register operand
-        reg_sizes: list[int] = []
-        reg_names: list[str] = []
         for a in args:
             am = _ARG_RE.match(a)
             if not am:
@@ -209,22 +209,18 @@ def parse_qasm(text: str) -> Circuit:
             if rname not in regs:
                 raise QasmError(f"undeclared register {rname!r}", line, col)
             base, size = regs[rname]
-            reg_names.append(rname)
             if idx is None:
                 resolved.append(None)
-                reg_sizes.append(size)
             else:
                 if int(idx) >= size:
                     raise QasmError(
                         f"index {idx} out of range for register {rname!r}", line, col
                     )
                 resolved.append(base + int(idx))
-                reg_sizes.append(1)
 
         if None in resolved:
             if len(args) == 1:
-                base, size = regs[reg_names[0]]
-                for k in range(size):  # broadcast over the register
+                for k in range(size):  # broadcast over the only operand's register
                     gates.append(Gate(len(gates), name, (base + k,), params))
                 continue
             raise QasmError(

@@ -9,9 +9,9 @@ with the default :class:`~qlayout.search.ResizePolicy`; library callers
 pass their own.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error
-(including a ``sat`` answer whose model leaves out a value), 4 validation
-failure, 5 no layout exists (the circuit does not fit the device's
-connected components).
+(including a spent ``--timeout`` budget and a ``sat`` answer whose model
+leaves out a value), 4 validation failure, 5 no layout exists (the circuit
+does not fit the device's connected components).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .augment import (
     load_dataset,
 )
 from .backend import (
+    DEFAULT_TIMEOUT,
     DecodeError,
     MappingSolution,
     SolverConfig,
@@ -63,8 +64,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin"
                    " (default: $QLAYOUT_SOLVER or 'z3 -in')")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="wall-clock seconds per solver check")
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                   help="wall-clock seconds per solve, all of its checks together")
     p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION,
                    help="time steps one swap occupies (default 3)")
 
@@ -102,8 +103,8 @@ def build_parser() -> _Parser:
                    help="nearest-neighbor refinement rounds (default 3)")
     p.add_argument("--no-refine", action="store_true",
                    help="skip nearest-neighbor refinement")
-    p.add_argument("--timeout-per-sample", type=float, default=300.0,
-                   help="solver timeout per check, seconds; a sample runs several")
+    p.add_argument("--timeout-per-sample", type=float, default=DEFAULT_TIMEOUT,
+                   help="wall-clock seconds per sample, all of its checks together")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel labeling workers")
     p.add_argument("--solver")
@@ -140,8 +141,7 @@ def build_parser() -> _Parser:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig.resolve(getattr(args, "solver", None),
-                                timeout=getattr(args, "timeout", 300.0))
+    return SolverConfig.resolve(args.solver, timeout=args.timeout)
 
 
 def _load_model(path: str | None):

@@ -312,7 +312,8 @@ def solve_optimal(
         try:
             result = session.check(bounds, (name for name, _ in ctx.variables()))
         except be.SolverError as exc:
-            raise SearchError(f"{phase} phase failed: {exc}") from exc
+            raise SearchError(f"{phase} phase failed at bound {bound} (horizon"
+                              f" {shape[0]}, {shape[1]} time bits): {exc}") from exc
         checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time))
         return result.sat, (ctx, result.values) if result.sat else None
 

@@ -248,11 +248,27 @@ def test_session_timeout_kills_a_silent_solver(tmp_path):
         session.load(["(declare-const x Bool)"])
         with pytest.raises(SolverTimeoutError):
             session.check(["(assert x)"], ["x"])
-        # the overrun killed the process, so no later check can read a
-        # late answer to the earlier one
-        with pytest.raises(SolverExitError):
+        # the overrun spent the session's budget and killed the process, so
+        # no later check can read a late answer to the earlier one
+        with pytest.raises(SolverTimeoutError):
             session.check(["(assert x)"], ["x"])
     assert time.monotonic() - start < 0.5 + 5.0
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_session_timeout_bounds_all_checks_together(tmp_path):
+    # each check takes 0.4 s: well inside the budget alone, not twice
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"""echo $$ > {pid_file}
+while read -r line; do
+  [ "$line" = "(check-sat)" ] && sleep 0.4 && echo unsat
+done""")
+    start = time.monotonic()
+    with Session(dataclasses.replace(cfg, timeout=0.6)) as session:
+        assert not session.check(["(assert false)"], []).sat
+        with pytest.raises(SolverTimeoutError):
+            session.check(["(assert false)"], [])
+    assert time.monotonic() - start < 0.6 + 5.0
     assert _gone(int(pid_file.read_text()))
 
 

@@ -108,6 +108,12 @@ def test_parse_undeclared_register_has_position():
         parse_qasm(HEADER + "qreg q[2];\ncx q[0],r[0];\n")
     assert err.value.line == 4
     assert "undeclared" in str(err.value)
+    # 6000 lines of multi-line statements, shared lines and comments first
+    filler = "cx q[0],\n  q[1];  h q[0]; // c;\n// only a comment\n" * 2000
+    with pytest.raises(QasmError) as err:
+        parse_qasm(HEADER + "qreg q[2];\n" + filler + "  h q[1]; cx q[0],r[0];\n")
+    assert (err.value.line, err.value.column) == (6004, 22)
+    assert "undeclared" in str(err.value)
 
 
 def test_parse_three_operand_gate_rejected():

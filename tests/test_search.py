@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shlex
+import time
 
 import pytest
 
@@ -551,10 +552,25 @@ while read -r line; do
 done""")
     with pytest.raises(SearchError, match="swap phase failed") as info:
         solve_optimal(_chain(1), line_graph(3), solver=cfg)
+    assert "swap phase failed at bound 0 (horizon 11, 1 time bits): " in str(info.value)
     assert isinstance(info.value.__cause__, be.SolverExitError)
     assert "exited 7" in str(info.value)
     assert len(info.value.telemetry["wall_time_per_check"]) == 1
     assert _gone(int(pid_file.read_text()))
+
+
+def test_solver_timeout_bounds_the_whole_solve(tmp_path):
+    # every check is refuted 0.3 s late: the ascent would run 15 checks,
+    # but one second covers about three of them
+    cfg = _script_solver(tmp_path, """while read -r line; do
+  [ "$line" = "(check-sat)" ] && sleep 0.3 && echo unsat
+done""")
+    circuit = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
+    start = time.monotonic()
+    with pytest.raises(SearchError, match="depth phase failed at bound") as info:
+        solve_optimal(circuit, line_graph(3), solver=dataclasses.replace(cfg, timeout=1.0))
+    assert time.monotonic() - start < 3.0
+    assert isinstance(info.value.__cause__, be.SolverTimeoutError)
 
 
 def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
