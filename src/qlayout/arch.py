@@ -137,7 +137,7 @@ def load_graph(path) -> CouplingGraph:
         name = str(doc.get("name", str(path)))
         num_qubits = int(doc["num_qubits"])
         edges = tuple((int(a), int(b)) for a, b in doc["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # or not an object
         raise GraphError(f"{path}: bad graph schema ({exc})") from None
     return CouplingGraph(name, num_qubits, edges)
 

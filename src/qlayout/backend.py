@@ -1,15 +1,15 @@
 """External-solver orchestration, model decoding, and independent validation.
 
 The solver is any SMT-LIB2 command that reads from standard input and
-writes its replies to standard output.  :class:`Session` keeps one solver
-process for a whole solve: the base of the current grid shape sits in an
-outer ``(push 1)`` scope, and each check adds its bound lines in an inner
-scope that is popped after the verdict and, on ``sat``, one batched
-``get-value``.  The solver must therefore answer each command as soon as it
-has read it.  :func:`check` runs one self-contained script in a fresh
-process and reads its replies at exit.  Both read replies with the same
-parser, and both treat an ``(error ...)`` reply before the verdict as a
-solver failure.
+writes its replies to standard output.  :class:`Session` runs every
+solver process: it keeps one for a whole solve, with the base of
+the current grid shape in an outer ``(push 1)`` scope and each check's
+bound lines in an inner scope, popped after the verdict and, on ``sat``,
+one batched ``get-value``; so the solver must answer each command as soon
+as it has read it.  :func:`check` is a one-check session: it sends one
+self-contained script and closes the solver's input, so it also serves a
+solver that answers only at end of input.  Both treat an ``(error ...)``
+reply before the verdict as a solver failure.
 
 Decoded solutions are replay-validated without consulting the solver or the
 script, so encoder and solver bugs cannot vouch for themselves.
@@ -46,11 +46,11 @@ class SolverTimeoutError(SolverError):
 
 
 class SolverExitError(SolverError):
-    """Solver exited, or could not start, without producing a verdict."""
+    """Solver could not start, or exited nonzero before the expected reply."""
 
 
 class SolverOutputError(SolverError):
-    """Solver answered with an error, ``unknown``, or no recognizable verdict."""
+    """Solver answered ``unknown`` or an error, or exited 0 before the reply."""
 
 
 class DecodeError(ValueError):
@@ -60,7 +60,7 @@ class DecodeError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """A solver command and the wall-clock seconds one solver process may
-    live: all of :func:`check`, or all checks of one :class:`Session`."""
+    live: one :func:`check`, or all checks of one :class:`Session`."""
 
     command: tuple[str, ...] = tuple(DEFAULT_SOLVER_COMMAND.split())
     timeout: float = DEFAULT_TIMEOUT
@@ -146,38 +146,17 @@ def _verdict(reply: str) -> Optional[bool]:
 
 
 def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
-    """Run one self-contained script in a fresh solver subprocess."""
-    config = config or SolverConfig.resolve()
+    """Run one self-contained script in a fresh solver process: a one-check
+    :class:`Session` that closes the solver's input after the script and, on
+    ``sat``, reads the values from all output after the verdict."""
     start = time.monotonic()
-    try:
-        proc = subprocess.run(
-            list(config.command),
-            input=script.encode(),
-            capture_output=True,
-            timeout=config.timeout,
-        )
-    except subprocess.TimeoutExpired:
-        raise SolverTimeoutError(
-            f"solver exceeded {config.timeout}s: {' '.join(config.command)}"
-        ) from None
-    except OSError as exc:
-        raise SolverExitError(f"cannot launch solver {config.command}: {exc}") from None
-    elapsed = time.monotonic() - start
-
-    stdout = proc.stdout.decode(errors="replace")
-    text, pos = stdout + "\n", 0
-    while (found := _next_reply(text, pos)) is not None:
-        reply, pos = found
-        sat = _verdict(reply)
-        if sat is not None:
-            values = _values(text[pos:]) if sat else None
-            return CheckResult(sat=sat, values=values, wall_time=elapsed)
-    if proc.returncode != 0:
-        raise SolverExitError(
-            f"solver exited {proc.returncode}:"
-            f" {proc.stderr.decode(errors='replace')[:500]}"
-        )
-    raise SolverOutputError(f"no verdict in solver output: {stdout[:500]!r}")
+    with Session(config) as session:
+        session._unsent += [memoryview(script.encode()), None]  # then end of input
+        while (sat := _verdict(session._reply())) is None:
+            pass
+        session._pump(session._proc, lambda: False)   # to the end of output
+        values = _values(session._text[session._pos:]) if sat else None
+    return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start)
 
 
 class Session:
@@ -186,13 +165,14 @@ class Session:
     Use as a context manager.  The process starts with the first check and
     is closed and waited for on exit; on an exception it is killed first.
     :meth:`load` makes its lines (declarations and base assertions) the
-    outer scope, replacing the previous one.  :meth:`check` adds bound lines
-    in an inner scope, asks for a verdict and, on ``sat``, for the named
-    values in one query, then pops the inner scope.  Text is sent with the
-    next check, so that check's wall time includes a pending load.  As for
-    :func:`check`, ``config.timeout`` bounds the whole process: the budget
-    starts when the session is created, and once it is spent the process
-    is killed and every later check raises :class:`SolverTimeoutError`.
+    outer scope, replacing the previous one; the first load also sends
+    ``encode.PREAMBLE``.  :meth:`check` adds bound lines in an inner scope,
+    asks for a verdict and, on ``sat``, for the named values in one query,
+    then pops the inner scope.  Text is sent with the next check, so that
+    check's wall time includes a pending load.  ``config.timeout`` bounds
+    the whole process: the budget starts when the session is created, and
+    once it is spent the process is killed and every later check raises
+    :class:`SolverTimeoutError`.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):
@@ -200,14 +180,13 @@ class Session:
         self._deadline = time.monotonic() + self.config.timeout
         self._proc: Optional[subprocess.Popen] = None
         self._selector = selectors.DefaultSelector()
-        self._unsent: deque[memoryview] = deque()   # encoded text to write
+        self._unsent: deque[Optional[memoryview]] = deque()  # encoded text; None ends the input
         self._writing = False      # the selector watches the solver's input
         self._loaded = False
         self._text = ""            # solver output; replies before _pos are taken
         self._pos = 0
         self._stderr = bytearray()
         self._ended = False        # the solver closed its standard output
-        self._send(PREAMBLE)
 
     def __enter__(self) -> "Session":
         return self
@@ -217,8 +196,7 @@ class Session:
 
     def load(self, lines: Iterable[str]) -> None:
         """Replace the outer scope with ``lines``; sent with the next check."""
-        if self._loaded:
-            self._send(["(pop 1)"])
+        self._send(["(pop 1)"] if self._loaded else PREAMBLE)
         self._send(["(push 1)", *lines])
         self._loaded = True
 
@@ -311,7 +289,7 @@ class Session:
             self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
             for key, _ in self._selector.select(remaining):
                 if key.fileobj is proc.stdin:
-                    self._write(key.fd)
+                    self._write(proc)
                 else:
                     self._read(key, proc.stdout)
         proc.kill()
@@ -319,10 +297,15 @@ class Session:
             f"solver exceeded {self.config.timeout}s: {' '.join(self.config.command)}"
         )
 
-    def _write(self, fd: int) -> None:
+    def _write(self, proc: subprocess.Popen) -> None:
         data = self._unsent[0]
+        if data is None:
+            self._watch_input(proc, False)
+            proc.stdin.close()
+            self._unsent.popleft()
+            return
         try:
-            sent = os.write(fd, data[: 1 << 16])
+            sent = os.write(proc.stdin.fileno(), data[: 1 << 16])
         except BlockingIOError:
             return
         except BrokenPipeError:  # the solver stopped reading; its output tells why
@@ -346,8 +329,8 @@ class Session:
         self._text, self._pos = self._text[self._pos:] + text, 0
         self._ended = not chunk
 
-    def _exit_error(self, proc: subprocess.Popen) -> SolverExitError:
-        """The error for output that ended without the expected reply."""
+    def _exit_error(self, proc: subprocess.Popen) -> SolverError:
+        """Output ended before the reply: a bad answer after exit 0, else a failure."""
         try:
             proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
@@ -360,9 +343,8 @@ class Session:
         except BlockingIOError:   # a child of the solver holds stderr open
             pass
         stderr = self._stderr.decode(errors="replace")[:500]
-        return SolverExitError(
-            f"solver exited {proc.returncode} before answering: {stderr}"
-        )
+        error = SolverOutputError if proc.returncode == 0 else SolverExitError
+        return error(f"solver exited {proc.returncode} before answering: {stderr}")
 
 
 # --------------------------------------------------------------------------
@@ -392,14 +374,22 @@ class MappingSolution:
 
     @staticmethod
     def from_dict(doc: dict, mapped_circuit: Circuit | None = None) -> "MappingSolution":
+        """Inverse of :meth:`to_dict`; a ValueError names a malformed field."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"solution is a JSON {type(doc).__name__}, not an object")
+
+        def field(name: str, parse):
+            try:
+                return parse(doc[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad solution field {name!r}: {exc!r}") from None
+
         return MappingSolution(
-            initial_map=tuple(int(x) for x in doc["initial_map"]),
-            gate_times=tuple(int(x) for x in doc["gate_times"]),
-            swaps=tuple(
-                ((int(e[0]), int(e[1])), int(t)) for e, t in doc["swaps"]
-            ),
-            final_depth=int(doc["final_depth"]),
-            swap_count=int(doc["swap_count"]),
+            initial_map=field("initial_map", lambda xs: tuple(map(int, xs))),
+            gate_times=field("gate_times", lambda xs: tuple(map(int, xs))),
+            swaps=field("swaps", lambda s: tuple(((int(a), int(b)), int(t)) for (a, b), t in s)),
+            final_depth=field("final_depth", int),
+            swap_count=field("swap_count", int),
             mapped_circuit=mapped_circuit or Circuit(num_qubits=1, gates=()),
         )
 

@@ -249,7 +249,9 @@ def _cmd_validate(args) -> int:
     circuit = load_qasm(args.circuit)
     graph = resolve_graph(args.arch)
     doc = json.loads(Path(args.solution).read_text())
-    solution = MappingSolution.from_dict(doc.get("solution", doc))
+    if isinstance(doc, dict):
+        doc = doc.get("solution", doc)
+    solution = MappingSolution.from_dict(doc)
     report = validate_solution(circuit, graph, solution, args.swap_duration)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -327,10 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (QasmError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (QasmError, GraphError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, SearchError, DecodeError) as exc:

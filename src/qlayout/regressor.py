@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector, ordered_sum
 
@@ -94,6 +94,14 @@ class TreeNode:
         return node
 
 
+def _splits(node: TreeNode) -> Iterator[TreeNode]:
+    """The internal nodes under ``node``, parents before children."""
+    if not node.is_leaf:
+        yield node
+        yield from _splits(node.left)
+        yield from _splits(node.right)
+
+
 def best_split(
     rows: Sequence[Sequence[float]], labels: Sequence[float], feature: int
 ) -> Optional[SplitCandidate]:
@@ -164,10 +172,7 @@ class RegressionTree:
     def feature_importance(self) -> list[float]:
         """Per-feature total spread reduction, normalized to sum to one."""
         raw = [0.0] * len(self.feature_names)
-
-        def visit(node: TreeNode):
-            if node.is_leaf:
-                return
+        for node in _splits(self.root):
             n = node.sample_count
             reduction = (
                 node.node_mse
@@ -175,10 +180,6 @@ class RegressionTree:
                 - (node.right.sample_count / n) * node.right.node_mse
             )
             raw[node.split.feature_index] += reduction
-            visit(node.left)
-            visit(node.right)
-
-        visit(self.root)
         total = ordered_sum(raw)
         if total <= 0.0:
             return [0.0] * len(self.feature_names)
@@ -197,13 +198,22 @@ class RegressionTree:
 
     @staticmethod
     def from_json(text: str) -> "RegressionTree":
+        """Inverse of :meth:`to_json`; a malformed model raises ValueError."""
         doc = json.loads(text)
-        return RegressionTree(
-            root=TreeNode.from_dict(doc["root"]),
-            target=doc["target"],
-            max_depth=int(doc["max_depth"]),
-            feature_names=tuple(doc["feature_names"]),
-        )
+        try:
+            tree = RegressionTree(
+                root=TreeNode.from_dict(doc["root"]),
+                target=doc["target"],
+                max_depth=int(doc["max_depth"]),
+                feature_names=tuple(doc["feature_names"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad model: {exc!r}") from None
+        for node in _splits(tree.root):
+            if not 0 <= node.split.feature_index < len(tree.feature_names):
+                raise ValueError(f"model splits on feature {node.split.feature_index}"
+                                 f" of {len(tree.feature_names)}")
+        return tree
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -135,6 +135,16 @@ def test_load_graph_rejects_bad_json(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "pair", 5, None])
+def test_load_graph_rejects_a_top_level_that_is_not_an_object(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match="bad graph schema"):
+        load_graph(path)
+    with pytest.raises(GraphError):
+        resolve_graph(str(path))
+
+
 def test_resolve_graph_named_forms(tmp_path):
     assert resolve_graph("qx2").num_qubits == 5
     assert resolve_graph("line:4").edges == ((0, 1), (1, 2), (2, 3))

@@ -125,6 +125,27 @@ def test_check_raises_on_timeout(tmp_path):
         check("(check-sat)\n", cfg)
 
 
+def test_check_sends_a_large_script_then_ends_the_input(tmp_path):
+    # the fake answers only at end of input, so check must write all 2 MB
+    # and then close the solver's input
+    cfg = _script_solver(tmp_path, "cat > /dev/null; echo unsat")
+    lines = [f"(assert (= x{i % 7} x{i % 7}))" + " " * 20 for i in range(60_000)]
+    script = "\n".join([*lines, ""])
+    assert len(script) >= 2_000_000
+    result = check(script + "(check-sat)\n", dataclasses.replace(cfg, timeout=60.0))
+    assert (result.sat, result.values) == (False, None)
+
+
+def test_check_timeout_kills_and_reaps_the_solver(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}\ncat > /dev/null\nexec sleep 30")
+    start = time.monotonic()
+    with pytest.raises(SolverTimeoutError):
+        check("(check-sat)\n", dataclasses.replace(cfg, timeout=0.5))
+    assert time.monotonic() - start < 0.5 + 5.0
+    assert _gone(int(pid_file.read_text()))
+
+
 def test_check_fails_on_an_error_before_the_verdict(tmp_path):
     # a solver that rejected one assertion decided a weaker script
     cfg = _script_solver(
@@ -229,6 +250,13 @@ def test_session_unknown_is_an_output_error(tmp_path):
 def test_session_output_end_without_a_verdict_is_an_exit_error(tmp_path):
     cfg = _script_solver(tmp_path, "read -r line; echo 'solver crashed' >&2; exit 5")
     with pytest.raises(SolverExitError, match="exited 5.*solver crashed"):
+        with Session(cfg) as session:
+            session.check([], [])
+
+
+def test_session_output_end_after_a_clean_exit_is_an_output_error(tmp_path):
+    cfg = _script_solver(tmp_path, "read -r line; echo 'no model here' >&2; exit 0")
+    with pytest.raises(SolverOutputError, match="exited 0.*no model here"):
         with Session(cfg) as session:
             session.check([], [])
 

@@ -10,6 +10,7 @@ from qlayout.cli import main
 from qlayout.features import FEATURE_NAMES
 
 from .test_backend import _script_solver
+from .test_regressor import _one_split_model
 
 BELL = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
 GHZ4 = (
@@ -216,6 +217,44 @@ done""")
                  "--solver", " ".join(cfg.command)])
     assert code == 3
     assert "refuted bound 14, but bound 14 is known satisfiable" in capsys.readouterr().err
+
+
+_SOLUTION = {"initial_map": [0, 1], "gate_times": [0, 1], "swaps": [],
+             "final_depth": 2, "swap_count": 0}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1, 2], "JSON list"),
+    ({"solution": [1, 2]}, "JSON list"),
+    ({**_SOLUTION, "swaps": [[[0], 3]]}, "'swaps'"),
+    ({**_SOLUTION, "swaps": [[0, 3]]}, "'swaps'"),
+    ({**_SOLUTION, "swaps": 5}, "'swaps'"),
+    ({**_SOLUTION, "gate_times": ["x"]}, "'gate_times'"),
+    ({"solution": {k: v for k, v in _SOLUTION.items() if k != "final_depth"}}, "'final_depth'"),
+], ids=["list", "wrapped-list", "short-swap", "flat-swap", "swaps-int", "bad-time",
+        "no-depth"])
+def test_validate_rejects_a_malformed_solution(bell_path, tmp_path, capsys, doc, field):
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", bell_path, "--arch", "line:2", "--solution", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad input" in err and field in err
+
+
+def test_graph_file_that_is_not_an_object_is_an_input_error(bell_path, tmp_path, capsys):
+    device = tmp_path / "device.json"
+    device.write_text("[1, 2]")
+    assert main(["map", bell_path, "--arch", str(device)]) == 2
+    assert "bad graph schema" in capsys.readouterr().err
+
+
+def test_predict_with_a_split_outside_the_features_is_an_input_error(bell_path, tmp_path,
+                                                                    capsys):
+    model = tmp_path / "model.json"
+    model.write_text(_one_split_model(7))
+    assert main(["predict", bell_path, "--depth-model", str(model)]) == 2
+    assert "bad input" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--threshold", "--large-step", "--small-step"])

@@ -1,5 +1,6 @@
 """Regression tree: split selection, growth rules, prediction, importances."""
 
+import json
 import math
 import random
 
@@ -252,6 +253,28 @@ def test_json_round_trip_preserves_predictions():
     for _ in range(25):
         probe = tuple(rng.uniform(0, 10) for _ in range(6))
         assert clone.predict(probe) == tree.predict(probe)
+
+
+def _one_split_model(feature: int) -> str:
+    leaf = {"kind": "leaf", "count": 1, "mse": 0.0, "prediction": 1.0}
+    return json.dumps({
+        "target": "depth", "max_depth": 1, "feature_names": ["a", "b"],
+        "root": {"kind": "split", "count": 2, "mse": 0.0, "prediction": 1.0,
+                 "feature": feature, "threshold": 0.5, "left": leaf, "right": leaf},
+    })
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '{"target": "depth"}', '{"root": []}'])
+def test_from_json_rejects_a_malformed_model(text):
+    with pytest.raises(ValueError, match="bad model"):
+        RegressionTree.from_json(text)
+
+
+@pytest.mark.parametrize("feature", [2, 7, -1])
+def test_from_json_rejects_a_split_outside_the_feature_list(feature):
+    with pytest.raises(ValueError, match=f"feature {feature} of 2"):
+        RegressionTree.from_json(_one_split_model(feature))
+    assert RegressionTree.from_json(_one_split_model(1)).predict((0.0, 1.0)) == 1
 
 
 def test_save_load_and_default_depth(tmp_path):
