@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -123,8 +123,11 @@ def gate_allocation(circuit: Circuit, plan: ChunkPlan) -> list[Circuit]:
 # --------------------------------------------------------------------------
 
 
-def _standardize(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | None:
-    """Z-score each column; returns None when every row is identical."""
+def _standardize(rows: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]] | None:
+    """Z-score each column; returns None when every row is identical.
+
+    Equal rows share one scaled tuple.
+    """
     cols = list(zip(*rows))
     n = len(rows)
     means = [ordered_sum(c) / n for c in cols]
@@ -134,10 +137,22 @@ def _standardize(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]] | N
         stds.append(math.sqrt(var))
     if all(s == 0.0 for s in stds):
         return None
-    return [
-        tuple((v - m) / s if s > 0.0 else 0.0 for v, m, s in zip(row, means, stds))
-        for row in rows
-    ]
+    scaled: dict[tuple, tuple[float, ...]] = {}
+    for row in rows:
+        if row not in scaled:
+            scaled[row] = tuple(
+                (v - m) / s if s > 0.0 else 0.0 for v, m, s in zip(row, means, stds)
+            )
+    return [scaled[row] for row in rows]
+
+
+def _modal(labels: Sequence[int], neighbors: Iterable[int]) -> set[int]:
+    """The most frequent labels among ``neighbors``."""
+    counts: dict[int, int] = {}
+    for j in neighbors:
+        counts[labels[j]] = counts.get(labels[j], 0) + 1
+    top = max(counts.values())
+    return {lab for lab, c in counts.items() if c == top}
 
 
 def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
@@ -150,8 +165,11 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
     features are all identical pass through unchanged.
 
     Samples with equal z-scored rows share every distance, so each round
-    measures distances between the distinct surviving rows only: its cost
-    grows with the square of the number of distinct rows, not of samples.
+    measures distances between the distinct surviving rows only, one row's
+    distances at a time: time grows with the square of the number of
+    distinct rows, memory with the number.  The first n + 1 samples nearest
+    to a row decide all of its samples: one that is among the first n has
+    the other n as neighbors, and every other sample the first n.
     """
     if len(dataset.samples) <= k_max:
         raise ValueError(f"need more than k_max={k_max} samples to refine")
@@ -167,26 +185,29 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
         groups: dict[tuple[float, ...], list[int]] = {}
         for i in alive:
             groups.setdefault(scaled[i], []).append(i)
+        rows = list(groups)
         members = list(groups.values())
         removed = []
         for p, group in groups.items():
-            order = sorted((math.dist(p, q), x) for x, q in enumerate(groups))
+            dists = list(map(math.dist, repeat(p), rows))
             # The nearest samples by (distance, index), through every tie at
             # the last distance needed: n for each member besides itself.  No
             # group can place more than its first n + 1 members among them.
             near: list[tuple[float, int]] = []
-            for d, x in order:
+            for x in sorted(range(len(rows)), key=dists.__getitem__):
+                d = dists[x]
                 if len(near) > n and d != near[-1][0]:
                     break
                 near.extend((d, j) for j in members[x][: n + 1])
             near.sort()
+            head = [j for _, j in near[: n + 1]]
+            first = head[:n]
+            others = _modal(labels, first)
             for i in group:
-                ranked = (j for _, j in near if j != i)
-                counts: dict[int, int] = {}
-                for j in islice(ranked, n):
-                    counts[labels[j]] = counts.get(labels[j], 0) + 1
-                top = max(counts.values())
-                modal = {lab for lab, c in counts.items() if c == top}
+                if i in first:
+                    modal = _modal(labels, (j for j in head if j != i))
+                else:
+                    modal = others
                 if labels[i] not in modal:
                     removed.append(i)
         if removed:
@@ -202,6 +223,7 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
 # --------------------------------------------------------------------------
 
 _CSV_HEADER = list(FEATURE_NAMES) + ["label", "source"]
+_FLOAT_FEATURES = ("operation_density", "entanglement_variance")
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -218,22 +240,43 @@ def save_dataset(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
+def _bad_field(row: list[str]) -> Optional[str]:
+    """What makes ``row`` not a sample: its length or its first bad number."""
+    if len(row) != len(_CSV_HEADER):
+        return f"{len(row)} fields, expected {len(_CSV_HEADER)}"
+    for column, text in zip(_CSV_HEADER[:-1], row):
+        convert = float if column in _FLOAT_FEATURES else int
+        try:
+            if math.isfinite(convert(text)):
+                continue
+        except (ValueError, OverflowError):
+            pass
+        return f"column {column}: {text!r} is not a finite number"
+
+
 def load_dataset(path, target: str = "depth") -> Dataset:
+    """Read a dataset CSV; a row that is not a sample raises ValueError."""
     samples = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != _CSV_HEADER:
+        reader = csv.reader(fh)
+        if next(reader, None) != _CSV_HEADER:
             raise ValueError(f"{path}: expected columns {_CSV_HEADER}")
         for row in reader:
-            fv = FeatureVector(
-                circuit_depth=int(row["circuit_depth"]),
-                circuit_width=int(row["circuit_width"]),
-                max_qubit_depth=int(row["max_qubit_depth"]),
-                operation_density=float(row["operation_density"]),
-                two_qubit_gate_count=int(row["two_qubit_gate_count"]),
-                entanglement_variance=float(row["entanglement_variance"]),
-            )
-            samples.append(Sample(fv, int(row["label"]), row["source"]))
+            if not row:  # a blank line
+                continue
+            try:
+                depth, width, qubit_depth, density, pairs, variance, label, source = row
+                fv = FeatureVector(int(depth), int(width), int(qubit_depth),
+                                   float(density), int(pairs), float(variance))
+                label = int(label)
+                finite = math.isfinite(fv.operation_density) and math.isfinite(
+                    fv.entanglement_variance
+                )
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{path}: line {reader.line_num}, {_bad_field(row)}")
+            samples.append(Sample(fv, label, source))
     return Dataset(target=target, samples=samples)
 
 

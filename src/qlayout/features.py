@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .circuit import Circuit, longest_chain
 
@@ -34,7 +34,15 @@ class FeatureVector:
     entanglement_variance: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        """The six features in ``FEATURE_NAMES`` order."""
+        return (
+            self.circuit_depth,
+            self.circuit_width,
+            self.max_qubit_depth,
+            self.operation_density,
+            self.two_qubit_gate_count,
+            self.entanglement_variance,
+        )
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FEATURE_NAMES}

@@ -3,9 +3,16 @@
 A from-scratch CART: splits minimize the size-weighted mean of the two
 sides' within-side squared deviation, thresholds sit at midpoints between
 consecutive distinct feature values, and growth stops at a depth cap, at
-nodes smaller than two samples, or at zero spread.  Trees serialize to a
-plain JSON document and report per-feature importances as normalized
-spread reductions.
+nodes smaller than two samples, or at zero spread (all labels equal).
+Trees serialize to a plain JSON document and report per-feature
+importances as normalized spread reductions.
+
+Split search screens, then confirms.  Each node adds up the labels as
+exact integers per distinct feature value, which ranks every threshold of
+every feature by its exact squared deviation in O(n log n) per feature.
+Only thresholds within a proven rounding band of the best one get the O(n)
+float loss, usually one per node, so the chosen split and its loss are
+those of evaluating the float loss of every threshold, which is quadratic.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ def _mean(values: Sequence[float]) -> float:
 def _mse(values: Sequence[float]) -> float:
     """Mean squared deviation from the mean."""
     m = _mean(values)
-    # ordered_sum's left-to-right loop, inlined: this runs for every
-    # candidate threshold, and a generator would slow fitting by about 15%.
+    # ordered_sum's left-to-right loop, inlined: this runs for every node
+    # and every confirmed split, and a generator slows fitting by 10-30%.
     total = 0.0
     for v in values:
         total += (v - m) ** 2
@@ -102,52 +109,140 @@ def _splits(node: TreeNode) -> Iterator[TreeNode]:
         yield from _splits(node.right)
 
 
+def _exact(labels: Sequence[float]) -> list[int]:
+    """The labels as integers over one power-of-two denominator, or all 0.
+
+    Every finite float is a / 2**e exactly (``float.as_integer_ratio``), so
+    scaling all of them by the largest 2**e gives integers whose sums and
+    squares carry no rounding.  Outside the range in which ``_best_split``
+    derives its band (a label that is not finite, a denominator above
+    2**300, where a squared deviation could underflow, or sums of squares
+    too large for a float) every label maps to 0: all candidates then
+    screen alike and each gets its float loss.
+    """
+    if not all(map(math.isfinite, labels)):
+        return [0] * len(labels)
+    ratios = [float(y).as_integer_ratio() for y in labels]
+    shift = max(d.bit_length() for _, d in ratios)
+    exact = [a << (shift - d.bit_length()) for a, d in ratios]
+    if shift > 301 or 2 * max(map(abs, exact)).bit_length() + len(exact).bit_length() > 900:
+        return [0] * len(exact)
+    return exact
+
+
+def _screen(rows, exact: Sequence[int], feature: int) -> list[tuple[float, float]]:
+    """(threshold, scaled sum of squared deviations) for each candidate.
+
+    One pass adds up count, sum and sum of squares of the exact labels for
+    each distinct value; walking the sorted values then gives each side's
+    exact SSE as (k*Q - S*S) / k, rounded only by the final divisions.  The
+    result is the split's SSE times the square of ``_exact``'s scale.
+    """
+    sums: dict = {}
+    for row, a in zip(rows, exact):
+        v = row[feature]
+        acc = sums.get(v)
+        if acc is None:
+            sums[v] = [1, a, a * a]
+        else:
+            acc[0] += 1
+            acc[1] += a
+            acc[2] += a * a
+    values = sorted(sums)
+    n, s_all, q_all = map(sum, zip(*sums.values()))
+    k = s = q = 0
+    below = 0
+    out = []
+    for lo, hi in zip(values, values[1:]):
+        threshold = (lo + hi) / 2.0
+        while below < len(values) and values[below] <= threshold:
+            c, sv, qv = sums[values[below]]
+            k, s, q = k + c, s + sv, q + qv
+            below += 1
+        kr = n - k
+        if k and kr:  # a midpoint that overflows to inf leaves one side empty
+            sr = s_all - s
+            out.append((threshold, (k * q - s * s) / k + (kr * (q_all - q) - sr * sr) / kr))
+    return out
+
+
+def _split_loss(rows, labels, feature: int, threshold: float) -> float:
+    left = [y for row, y in zip(rows, labels) if row[feature] <= threshold]
+    right = [y for row, y in zip(rows, labels) if row[feature] > threshold]
+    return (len(left) * _mse(left) + len(right) * _mse(right)) / len(rows)
+
+
+def _best_split(rows, labels, exact, features) -> Optional[SplitCandidate]:
+    """The split ``_split_loss`` ranks first, confirming only near-minimal ones.
+
+    Candidates go in (feature, threshold) order, and a later one wins only
+    with a strictly lower float loss, as when every one is evaluated.
+
+    The screened value s of a candidate is D^2 E (1 + t), |t| <= 2u, for
+    its exact SSE E, the label scale D of ``_exact`` and u = 2^-53: two
+    correctly rounded divisions and one addition.  Its float loss L obeys
+    E (1 - g) <= n L <= (E + A)(1 + g) with g = gamma_(n+6).
+    Relative part: each squared deviation is rounded 3 times, the
+    left-to-right sum of k nonnegative terms adds k - 1 roundings, and the
+    division by k, the weighting by k, the sum of the sides and the division
+    by n one each.  Absolute part: a side whose mean is off by d has squared
+    deviations summing to its exact SSE plus k d^2, and |d| <= gamma_k M <=
+    2 (n + 2) u M for the largest label magnitude M, so 0 <= A <=
+    n (2 (n + 2) u M)^2.  So a candidate whose L can be no higher than that
+    of the screened minimum s* has s <= (s* + D^2 A)(1 + 2g + 4u + O(u^2));
+    the factor 1 + (n + 16) 2^-50 exceeds that with room for the rounding of
+    the band itself.  ``_exact`` keeps the labels in a range where no step
+    underflows or overflows.  Candidates outside the band can neither be
+    the minimum nor tie it.
+    """
+    screened = [(f, t, e) for f in features for t, e in _screen(rows, exact, f)]
+    if not screened:
+        return None
+    n = len(rows)
+    scale = 2.0 * (n + 2) * 2.0 ** -53 * max(map(abs, exact))
+    band = (min(e for _, _, e in screened) + n * scale * scale) * (1.0 + (n + 16) * 2.0 ** -50)
+    best: Optional[SplitCandidate] = None
+    for f, threshold, e in screened:
+        if e <= band:
+            loss = _split_loss(rows, labels, f, threshold)
+            if best is None or loss < best.loss:
+                best = SplitCandidate(feature_index=f, threshold=threshold, loss=loss)
+    return best
+
+
 def best_split(
     rows: Sequence[Sequence[float]], labels: Sequence[float], feature: int
 ) -> Optional[SplitCandidate]:
     """Minimal-loss threshold for one feature, or None if it is constant.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; a row goes left when its value is <= the threshold.
+    values; a row goes left when its value is <= the threshold.  The loss
+    is the size-weighted mean of the sides' ``_mse``, and the first
+    threshold with the lowest loss wins.  An exact integer screen costs
+    O(n log n); only thresholds within a proven rounding band of the
+    screened minimum get the O(n) float loss, usually one or a few.
     """
-    values = sorted({row[feature] for row in rows})
-    if len(values) < 2:
-        return None
-    n = len(rows)
-    best: Optional[SplitCandidate] = None
-    for lo, hi in zip(values, values[1:]):
-        threshold = (lo + hi) / 2.0
-        left = [y for row, y in zip(rows, labels) if row[feature] <= threshold]
-        right = [y for row, y in zip(rows, labels) if row[feature] > threshold]
-        loss = (len(left) * _mse(left) + len(right) * _mse(right)) / n
-        if best is None or loss < best.loss:
-            best = SplitCandidate(feature_index=feature, threshold=threshold, loss=loss)
-    return best
+    return _best_split(rows, labels, _exact(labels), (feature,))
 
 
-def _grow(rows, labels, depth: int, max_depth: int) -> TreeNode:
+def _grow(rows, labels, exact, depth: int, max_depth: int) -> TreeNode:
     node = TreeNode(
         sample_count=len(labels), node_mse=_mse(labels), prediction=_mean(labels)
     )
-    if depth >= max_depth or len(labels) < 2 or node.node_mse <= 0.0:
+    if depth >= max_depth or len(labels) < 2 or min(labels) == max(labels):
         return node
-    chosen: Optional[SplitCandidate] = None
-    for f in range(len(rows[0])):  # ties: lowest loss, feature index, threshold
-        cand = best_split(rows, labels, f)
-        if cand is not None and (chosen is None or cand.loss < chosen.loss):
-            chosen = cand
+    # ties: lowest loss, feature index, threshold
+    chosen = _best_split(rows, labels, exact, range(len(rows[0])))
     if chosen is None:
         return node
     f, s = chosen.feature_index, chosen.threshold
     left_idx = [i for i, row in enumerate(rows) if row[f] <= s]
     right_idx = [i for i, row in enumerate(rows) if row[f] > s]
     node.split = chosen
-    node.left = _grow(
-        [rows[i] for i in left_idx], [labels[i] for i in left_idx], depth + 1, max_depth
-    )
-    node.right = _grow(
-        [rows[i] for i in right_idx], [labels[i] for i in right_idx], depth + 1, max_depth
-    )
+    node.left = _grow([rows[i] for i in left_idx], [labels[i] for i in left_idx],
+                      [exact[i] for i in left_idx], depth + 1, max_depth)
+    node.right = _grow([rows[i] for i in right_idx], [labels[i] for i in right_idx],
+                       [exact[i] for i in right_idx], depth + 1, max_depth)
     return node
 
 
@@ -232,12 +327,21 @@ def fit(
     max_depth: int = DEFAULT_MAX_DEPTH,
     feature_names: tuple[str, ...] = FEATURE_NAMES,
 ) -> RegressionTree:
-    """Grow a tree on feature rows and numeric labels."""
+    """Grow a tree on feature rows and numeric labels, all finite floats."""
     if not rows:
         raise ValueError("cannot fit a regression tree on an empty dataset")
     if len(rows) != len(labels):
         raise ValueError("rows and labels must have equal length")
-    root = _grow([tuple(r) for r in rows], list(labels), 0, max_depth)
+    rows = [tuple(r) for r in rows]
+    labels = list(labels)
+    for i, (row, label) in enumerate(zip(rows, labels)):
+        try:
+            finite = all(map(math.isfinite, row)) and math.isfinite(label)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"sample {i} is not finite: {row} -> {label}")
+    root = _grow(rows, labels, _exact(labels), 0, max_depth)
     return RegressionTree(
         root=root, target=target, max_depth=max_depth, feature_names=feature_names
     )

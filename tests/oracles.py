@@ -24,6 +24,7 @@ from qlayout.encode import (
     encode_depth_bound,
     encode_swap_bound,
 )
+from qlayout.regressor import DEFAULT_MAX_DEPTH, RegressionTree, SplitCandidate, TreeNode
 
 
 def left_to_right_sum(values) -> float:
@@ -143,6 +144,76 @@ def minimal_split(rows, labels, tol=0.0):
     best = min(g for g, _, _ in cands)
     near = [(f, s) for g, f, s in cands if g <= best + tol]
     return min(near)
+
+
+def _mean(values):
+    return left_to_right_sum(values) / len(values)
+
+
+def _mse(values):
+    """Mean squared deviation from the mean."""
+    m = _mean(values)
+    total = 0.0
+    for v in values:
+        total += (v - m) ** 2
+    return total / len(values)
+
+
+def best_split_per_threshold(rows, labels, feature):
+    """The split search that ``regressor.best_split`` replaced, kept verbatim.
+
+    Every candidate threshold rebuilds both sides and evaluates ``_mse`` on
+    them, so the search is quadratic in the rows.
+    """
+    values = sorted({row[feature] for row in rows})
+    if len(values) < 2:
+        return None
+    n = len(rows)
+    best = None
+    for lo, hi in zip(values, values[1:]):
+        threshold = (lo + hi) / 2.0
+        left = [y for row, y in zip(rows, labels) if row[feature] <= threshold]
+        right = [y for row, y in zip(rows, labels) if row[feature] > threshold]
+        loss = (len(left) * _mse(left) + len(right) * _mse(right)) / n
+        if best is None or loss < best.loss:
+            best = SplitCandidate(feature_index=feature, threshold=threshold, loss=loss)
+    return best
+
+
+def _grow_per_threshold(rows, labels, depth, max_depth):
+    node = TreeNode(
+        sample_count=len(labels), node_mse=_mse(labels), prediction=_mean(labels)
+    )
+    if depth >= max_depth or len(labels) < 2 or len(set(labels)) == 1:
+        return node
+    chosen = None
+    for f in range(len(rows[0])):  # ties: lowest loss, feature index, threshold
+        cand = best_split_per_threshold(rows, labels, f)
+        if cand is not None and (chosen is None or cand.loss < chosen.loss):
+            chosen = cand
+    if chosen is None:
+        return node
+    f, s = chosen.feature_index, chosen.threshold
+    left_idx = [i for i, row in enumerate(rows) if row[f] <= s]
+    right_idx = [i for i, row in enumerate(rows) if row[f] > s]
+    node.split = chosen
+    node.left = _grow_per_threshold(
+        [rows[i] for i in left_idx], [labels[i] for i in left_idx], depth + 1, max_depth
+    )
+    node.right = _grow_per_threshold(
+        [rows[i] for i in right_idx], [labels[i] for i in right_idx], depth + 1, max_depth
+    )
+    return node
+
+
+def fit_per_threshold(rows, labels, max_depth=DEFAULT_MAX_DEPTH):
+    """``regressor.fit`` on the per-threshold split search.
+
+    The growth rule is the package's: a node whose labels are all equal is
+    a leaf, whatever rounding leaves in its float spread.
+    """
+    root = _grow_per_threshold([tuple(r) for r in rows], list(labels), 0, max_depth)
+    return RegressionTree(root=root, target="depth", max_depth=max_depth)
 
 
 # --------------------------------------------------------------------------

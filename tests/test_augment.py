@@ -9,6 +9,7 @@ import pytest
 from qlayout import augment
 from qlayout.arch import line_graph
 from qlayout.augment import (
+    _CSV_HEADER,
     ChunkPlan,
     Dataset,
     Sample,
@@ -249,6 +250,21 @@ def test_refine_takes_equidistant_neighbors_in_index_order():
         assert [s.source for s in out.samples] == ["s1", "s3"]
 
 
+def test_refine_regroups_after_a_group_loses_its_first_member():
+    # Round 1 (n = 1): samples 0, 1, 4 share a row, and so do 2, 3, 5.
+    # Sample 0's nearest is sample 1 (label 1) and sample 1's is sample 0
+    # (label 2), so both go, as does sample 5; sample 4 is now the first
+    # and only member of its row.  Round 2 (n = 2): sample 4's neighbours
+    # are samples 2 and 3 (label 1), so it goes too.
+    rows = [(1, 0), (1, 0), (0, 0), (0, 0), (1, 0), (0, 0)]
+    ds = _toy_dataset(rows, [2, 1, 1, 1, 2, 2])
+    assert [s.source for s in allknn_refine(ds, 1).samples] == ["s2", "s3", "s4"]
+    for kmax in (2, 3):
+        got = [s.source for s in allknn_refine(ds, kmax).samples]
+        assert got == [s.source for s in allknn_per_point(ds, kmax).samples]
+        assert got == ["s2", "s3"]
+
+
 def test_standardize_adds_left_to_right():
     # Compensated summation (the builtin sum since CPython 3.12) makes the
     # first column's mean exactly 0.1 and its spread 0.
@@ -283,6 +299,40 @@ def test_dataset_csv_round_trip(tmp_path):
     assert s.source == "seed:sample_0000"
     assert s.features.as_tuple()[:3] == extract_features(c).as_tuple()[:3]
     assert abs(s.features.operation_density - extract_features(c).operation_density) < 1e-8
+
+
+@pytest.mark.parametrize("column, value", [
+    ("operation_density", "nan"),
+    ("operation_density", "inf"),
+    ("entanglement_variance", "-inf"),
+    ("circuit_depth", "2.5"),
+    ("label", ""),
+])
+def test_load_dataset_rejects_a_missing_or_non_finite_number(tmp_path, column, value):
+    good = dict(zip(_CSV_HEADER, ["3", "2", "3", "0.5", "1", "0.3", "4", "s0"]))
+    bad = {**good, column: value}
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(",".join(r) for r in (
+        _CSV_HEADER, good.values(), bad.values(), good.values())) + "\n")
+    with pytest.raises(ValueError, match=f"line 3, column {column}: '{value}'"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("3,2,3,0.5,1,0.3,4", "7 fields, expected 8"),
+    ("3,2,3,0.5,1,0.3,4,s1,extra", "9 fields, expected 8"),
+])
+def test_load_dataset_rejects_a_row_of_the_wrong_length(tmp_path, line, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(_CSV_HEADER) + "\n3,2,3,0.5,1,0.3,4,s0\n\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"line 4, {problem}"):
+        load_dataset(path)
+
+
+def test_load_dataset_skips_blank_lines(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(",".join(_CSV_HEADER) + "\n\n3,2,3,0.5,1,0.3,4,s0\n\n")
+    assert [s.source for s in load_dataset(path).samples] == ["s0"]
 
 
 def test_load_dataset_rejects_wrong_header(tmp_path):

@@ -120,7 +120,7 @@ def test_check_raises_on_unknown_verdict(tmp_path):
 
 
 def test_check_raises_on_timeout(tmp_path):
-    cfg = dataclasses.replace(_script_solver(tmp_path, "sleep 30"), timeout=0.3)
+    cfg = dataclasses.replace(_script_solver(tmp_path, "exec sleep 30"), timeout=0.3)
     with pytest.raises(SolverTimeoutError):
         check("(check-sat)\n", cfg)
 

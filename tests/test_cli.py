@@ -140,6 +140,18 @@ def test_train_rejects_wrong_header(tmp_path):
                  "--output", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("density", ["nan", "inf"])
+def test_train_on_a_non_finite_feature_is_an_input_error(tmp_path, capsys, density):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(FEATURE_NAMES + ("label", "source")) + "\n"
+                    "2,2,2,0.5,1,0.1,3,s0\n"
+                    f"6,3,5,{density},4,0.7,9,s1\n")
+    out = tmp_path / "m.json"
+    assert main(["train", str(path), "--target", "depth", "--output", str(out)]) == 2
+    assert f"line 3, column operation_density: '{density}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_stdout_schema(tmp_path, models, capsys):
     capsys.readouterr()
     csv_path = tmp_path / "again.csv"

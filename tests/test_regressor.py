@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,13 @@ from qlayout.regressor import (
     fit,
 )
 
-from .oracles import exhaustive_splits, left_to_right_sum, minimal_split
+from .oracles import (
+    best_split_per_threshold,
+    exhaustive_splits,
+    fit_per_threshold,
+    left_to_right_sum,
+    minimal_split,
+)
 
 
 def _random_dataset(rng, n_rows, n_features=6, discrete=False):
@@ -109,6 +116,28 @@ def test_fit_stops_on_zero_spread():
     assert tree.root.is_leaf
 
 
+def test_fit_does_not_split_equal_labels_on_rounding_noise():
+    # seven times 0.7 adds up to a mean just off 0.7, so the float spread
+    # is about 1e-32 although every label is the same
+    rows, labels = [(float(i),) for i in range(7)], [0.7] * 7
+    tree = fit(rows, labels, feature_names=("a",))
+    assert tree.root.node_mse > 0.0
+    assert tree.root.is_leaf
+    assert tree.feature_importance() == [0.0]
+
+
+@pytest.mark.parametrize("rows, labels", [
+    ([(1.0, 0.0), (2.0, math.nan)], [1.0, 2.0]),
+    ([(1.0, 0.0), (math.inf, 0.0)], [1.0, 2.0]),
+    ([(1.0, 0.0), (2.0, 0.0)], [1.0, math.nan]),
+    ([(1.0, 0.0), (2.0, 0.0)], [2.0, -math.inf]),
+    ([(1.0, 0.0), (10**400, 0.0)], [1.0, 2.0]),
+])
+def test_fit_rejects_non_finite_rows_and_labels(rows, labels):
+    with pytest.raises(ValueError, match="sample 1 is not finite"):
+        fit(rows, labels, feature_names=("a", "b"))
+
+
 def test_node_statistics_add_left_to_right():
     # Compensated summation (the builtin sum since CPython 3.12) gives a
     # mean of exactly 0.1 and a zero spread here.
@@ -144,6 +173,65 @@ def test_fit_every_split_matches_exhaustive_minimum():
             walk(node.right, [rws[i] for i in ri], [lbs[i] for i in ri])
 
         walk(fit(rows, labels).root, list(rows), list(labels))
+
+
+def _table(rng, kind):
+    """A random table whose float losses are likely to tie or nearly tie."""
+    n = rng.randint(2, 40)
+    if kind == "twins":  # equal columns: ties across features
+        base = [(float(rng.randint(0, 5)), rng.choice((0.1, 0.2, 0.3))) for _ in range(n)]
+        rows = [(a, b, a, b, a, 1.0) for a, b in base]
+    else:
+        rows = [tuple(float(rng.randint(0, 6)) for _ in range(6)) for _ in range(n)]
+    pick = {
+        "integers": lambda: float(rng.randint(0, 12)),
+        "tenths": lambda: rng.choice((0.1, 0.3, 0.6, 0.7)),
+        "decimals": lambda: round(rng.uniform(0, 2), 2),
+        "twins": lambda: rng.choice((0.7, 0.6, 0.3)),
+        "offset": lambda: 1e8 + rng.choice((0.1, 0.2, 0.3)),
+        "tiny": lambda: rng.choice((1e-60, 3e-60, 7e-61)),
+        "huge": lambda: rng.choice((1e100, 3e100, -2e99)),
+        "unscreened": lambda: rng.choice((1e-150, 1e150, 0.5)),
+    }[kind]
+    return rows, [pick() for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", [
+    "integers", "tenths", "decimals", "twins", "offset", "tiny", "huge", "unscreened",
+])
+def test_fit_matches_the_per_threshold_search(kind):
+    rng = random.Random(f"split-{kind}")
+    for _ in range(50):
+        rows, labels = _table(rng, kind)
+        for f in range(6):
+            assert best_split(rows, labels, f) == best_split_per_threshold(rows, labels, f)
+        assert fit(rows, labels).to_json() == fit_per_threshold(rows, labels).to_json()
+
+
+def _exact_sse(rows, labels, threshold):
+    total = Fraction(0)
+    for side in (lambda v: v <= threshold, lambda v: v > threshold):
+        ys = [Fraction(y) for (v,), y in zip(rows, labels) if side(v)]
+        total += sum((y - sum(ys) / len(ys)) ** 2 for y in ys)
+    return total
+
+
+@pytest.mark.parametrize("rows, labels, first, exact_best", [
+    # the float losses of 4.5 and 5.5 are equal, so 4.5 comes first; exactly,
+    # 5.5 is lower by about 4e-17 relative
+    ([4.0, 3.0, 6.0, 5.0, 6.0], [0.7, 0.7, 0.7, 0.6, 0.3], 4.5, 5.5),
+    # exactly, 1.0 and 2.5 tie, but the screen's divisions round 2.5 one
+    # unit lower; the float loss of 1.0 is no higher, so 1.0 comes first
+    ([2.0, 3.0, 0.0, 0.0, 3.0], [0.6, 0.3, 0.7, 0.2, 0.6], 1.0, 2.5),
+])
+def test_split_keeps_the_float_order_where_the_exact_order_differs(
+    rows, labels, first, exact_best
+):
+    rows = [(v,) for v in rows]
+    assert _exact_sse(rows, labels, exact_best) <= _exact_sse(rows, labels, first)
+    cand = best_split(rows, labels, 0)
+    assert cand == best_split_per_threshold(rows, labels, 0)
+    assert cand.threshold == first
 
 
 # --------------------------------------------------------------------------
