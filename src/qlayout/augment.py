@@ -269,10 +269,9 @@ def load_dataset(path, target: str = "depth") -> Dataset:
                 fv = FeatureVector(int(depth), int(width), int(qubit_depth),
                                    float(density), int(pairs), float(variance))
                 label = int(label)
-                finite = math.isfinite(fv.operation_density) and math.isfinite(
-                    fv.entanglement_variance
-                )
-            except ValueError:
+                # an int beyond the float range makes isfinite overflow
+                finite = all(map(math.isfinite, (*fv.as_tuple(), label)))
+            except (ValueError, OverflowError):
                 finite = False
             if not finite:
                 raise ValueError(f"{path}: line {reader.line_num}, {_bad_field(row)}")

@@ -545,8 +545,11 @@ def validate_solution(
     Checks, in priority order: injectivity and range of the evolving map;
     dependency order; swap-window legality (minimum completion time, overlap
     exclusion, gate blocking); two-qubit adjacency at execution time; and
-    reported totals.
+    reported totals.  A swap duration below one step raises ValueError, as
+    the encoder does.
     """
+    if swap_duration < 1:
+        raise ValueError("swap duration must be at least 1 step")
     problems: list[Violation] = []
     nq, nphys = circuit.num_qubits, graph.num_qubits
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import sys
@@ -41,7 +42,7 @@ from .backend import (
 )
 from .circuit import QasmError, emit_qasm, load_qasm
 from .encode import DEFAULT_SWAP_DURATION
-from .features import extract_features
+from .features import FEATURE_NAMES, extract_features
 from .regressor import DEFAULT_MAX_DEPTH, RegressionTree, fit
 from .search import InfeasibleError, SearchError, solve_optimal
 
@@ -145,7 +146,14 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _load_model(path: str | None):
-    return RegressionTree.load(path) if path else None
+    """The model at ``path``, if any; one trained on other features is bad input."""
+    if not path:
+        return None
+    model = RegressionTree.load(path)
+    if model.feature_names != FEATURE_NAMES:
+        raise ValueError(f"{path}: model features {list(model.feature_names)}"
+                         f" are not {list(FEATURE_NAMES)}")
+    return model
 
 
 def _cmd_map(args) -> int:
@@ -297,14 +305,10 @@ def _cmd_bench(args) -> int:
             round(sum(bare.wall_time_per_check), 4),
         ])
 
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+    for path in [None] + ([args.output] if args.output else []):
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            csv.writer(fh).writerows([header, *rows])
     seeded_total = sum(r[3] + r[4] for r in rows)
     bare_total = sum(r[5] + r[6] for r in rows)
     print(f"total checks: seeded={seeded_total} unseeded={bare_total}", file=sys.stderr)

@@ -65,23 +65,16 @@ class TreeNode:
         return self.split is None
 
     def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {
-                "kind": "leaf",
-                "count": self.sample_count,
-                "mse": self.node_mse,
-                "prediction": self.prediction,
-            }
-        return {
-            "kind": "split",
+        doc = {
+            "kind": "leaf" if self.is_leaf else "split",
             "count": self.sample_count,
             "mse": self.node_mse,
             "prediction": self.prediction,
-            "feature": self.split.feature_index,
-            "threshold": self.split.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
         }
+        if not self.is_leaf:
+            doc.update(feature=self.split.feature_index, threshold=self.split.threshold,
+                       left=self.left.to_dict(), right=self.right.to_dict())
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "TreeNode":

@@ -1,12 +1,12 @@
 """Prediction-seeded iterative search for optimal depth, then optimal swaps.
 
-Phase one finds the smallest satisfiable depth bound: start at
-``max(predicted depth, longest dependency chain)``, move in 2-unit steps
-(down after a satisfiable check, up after an unsatisfiable one), and close
-a 2-wide satisfiable/unsatisfiable gap with a single check between the two
-bounds.  Phase two fixes the optimal depth and runs the same stepping on
-the swap-count bound, starting at ``min(predicted swaps, swaps in the last
-satisfiable model)`` with floor zero.
+Phase one finds the smallest satisfiable depth bound, from the predicted
+depth with the longest dependency chain as floor.  Phase two fixes the
+optimal depth and finds the smallest swap-count bound, from ``min(predicted
+swaps, swaps in the last satisfiable model)`` with floor zero.  Both run
+the frontier walk of :func:`run_bound_search`: 2-unit steps from the start,
+then one check to close a 2-wide gap, so an exact prediction costs at most
+three checks per phase.
 
 Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
 shape, wall time); that list is the search's only state besides the loaded
@@ -186,42 +186,31 @@ def run_bound_search(
 ) -> BoundSearchOutcome:
     """Find the minimal bound whose probe is satisfiable.
 
-    Requires a monotone frontier (satisfiable at b implies satisfiable at
-    b+1) and a satisfiable region reachable above ``start``.  ``ceiling`` is
-    a bound known to be satisfiable: an ascent refuted at or above it raises
-    :class:`SearchError`.  The returned payload always comes from a
-    satisfiable check at the optimum itself.
+    The walk's only state is its frontier: the highest refuted bound (at
+    first ``floor - 1``) and the lowest satisfiable bound with its payload.
+    It checks ``max(start, floor)`` first.  While nothing is satisfiable the
+    next bound is ``refuted + 2``; then it is ``max(best - 2, refuted + 1)``
+    until ``best - refuted == 1``, so the payload comes from a satisfiable
+    check at the optimum itself.  That optimum is minimal when satisfiable
+    at b implies satisfiable at b+1.  ``ceiling`` is a bound known to be
+    satisfiable: an ascent refuted at or above it raises :class:`SearchError`.
     """
-    current = max(start, floor)
-    sat, best = probe(current)
-    if sat:
-        while current > floor:
-            lower = max(current - 2, floor)
-            sat2, payload2 = probe(lower)
-            if sat2:
-                best, current = payload2, lower
-                continue
-            if current - lower == 1:       # nothing between the two bounds
-                return BoundSearchOutcome(current, best)
-            sat3, payload3 = probe(lower + 1)
-            if sat3:
-                return BoundSearchOutcome(lower + 1, payload3)
-            return BoundSearchOutcome(current, best)
-        return BoundSearchOutcome(current, best)
-
-    while current < ceiling:
-        upper = current + 2
-        sat2, payload2 = probe(upper)
-        if not sat2:
-            current = upper
-            continue
-        sat3, payload3 = probe(upper - 1)
-        if sat3:
-            return BoundSearchOutcome(upper - 1, payload3)
-        return BoundSearchOutcome(upper, payload2)
-    raise SearchError(
-        f"solver refuted bound {current}, but bound {ceiling} is known satisfiable"
-    )
+    bound, refuted, best = max(start, floor), floor - 1, None
+    while True:
+        sat, payload = probe(bound)
+        if sat:
+            best = BoundSearchOutcome(bound, payload)
+        else:
+            refuted = bound
+        if best is None:
+            if refuted >= ceiling:
+                raise SearchError(f"solver refuted bound {refuted}, but bound"
+                                  f" {ceiling} is known satisfiable")
+            bound = refuted + 2
+        elif best.optimum - refuted > 1:
+            bound = max(best.optimum - 2, refuted + 1)
+        else:
+            return best
 
 
 @dataclass
@@ -285,14 +274,8 @@ def solve_optimal(
         return _trivial_solution(circuit, graph)
     check_feasible(circuit, graph)
 
-    solver = solver or be.SolverConfig.resolve()
-    ldc = longest_chain(circuit)
-    features = None
-    if depth_model is not None or swap_model is not None:
-        features = extract_features(circuit)
-
-    predicted_depth = depth_model.predict(features) if depth_model else 0
-    start = max(predicted_depth, ldc)
+    features = extract_features(circuit) if depth_model or swap_model else None
+    start = depth_model.predict(features) if depth_model else 0
 
     checks: list[CheckRecord] = []
     ctx = None
@@ -322,14 +305,15 @@ def solve_optimal(
     depth_ceiling = len(circuit.gates) * (1 + swap_duration * graph.num_qubits)
     try:
         with be.Session(solver) as session:
-            depth_outcome = run_bound_search(start, ldc, probe, depth_ceiling)
+            depth_outcome = run_bound_search(start, longest_chain(circuit), probe,
+                                             depth_ceiling)
             best_depth = depth_outcome.optimum
             depth_ctx, depth_values = depth_outcome.payload
             swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
             predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
-            swap_start = max(0, min(predicted_swaps, swaps_in_model))
             swap_outcome = run_bound_search(
-                swap_start, 0, lambda bound: probe(best_depth, bound), swaps_in_model
+                min(predicted_swaps, swaps_in_model), 0,
+                lambda bound: probe(best_depth, bound), swaps_in_model,
             )
     except SearchError as exc:
         exc.telemetry = _telemetry(checks)

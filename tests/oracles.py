@@ -25,6 +25,7 @@ from qlayout.encode import (
     encode_swap_bound,
 )
 from qlayout.regressor import DEFAULT_MAX_DEPTH, RegressionTree, SplitCandidate, TreeNode
+from qlayout.search import BoundSearchOutcome, SearchError
 
 
 def left_to_right_sum(values) -> float:
@@ -668,3 +669,48 @@ def linear_scan_solve(
             if result.values[ctx.swap_name(e, t)] is True
         )
     return depth, count, checks
+
+
+# --------------------------------------------------------------------------
+# Bound-search oracle
+# --------------------------------------------------------------------------
+
+
+def bound_search_two_loops(
+    start: int, floor: int, probe, ceiling: float = math.inf
+) -> BoundSearchOutcome:
+    """The bound search that ``run_bound_search`` replaced, kept verbatim.
+
+    A descent loop after a satisfiable first check and an ascent loop after
+    an unsatisfiable one, each closing a 2-wide gap with one middle check.
+    """
+    current = max(start, floor)
+    sat, best = probe(current)
+    if sat:
+        while current > floor:
+            lower = max(current - 2, floor)
+            sat2, payload2 = probe(lower)
+            if sat2:
+                best, current = payload2, lower
+                continue
+            if current - lower == 1:       # nothing between the two bounds
+                return BoundSearchOutcome(current, best)
+            sat3, payload3 = probe(lower + 1)
+            if sat3:
+                return BoundSearchOutcome(lower + 1, payload3)
+            return BoundSearchOutcome(current, best)
+        return BoundSearchOutcome(current, best)
+
+    while current < ceiling:
+        upper = current + 2
+        sat2, payload2 = probe(upper)
+        if not sat2:
+            current = upper
+            continue
+        sat3, payload3 = probe(upper - 1)
+        if sat3:
+            return BoundSearchOutcome(upper - 1, payload3)
+        return BoundSearchOutcome(upper, payload2)
+    raise SearchError(
+        f"solver refuted bound {current}, but bound {ceiling} is known satisfiable"
+    )

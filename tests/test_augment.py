@@ -307,6 +307,8 @@ def test_dataset_csv_round_trip(tmp_path):
     ("entanglement_variance", "-inf"),
     ("circuit_depth", "2.5"),
     ("label", ""),
+    pytest.param("circuit_depth", "1" + "0" * 400, id="circuit_depth-1e400"),
+    pytest.param("label", "-1" + "0" * 400, id="label--1e400"),
 ])
 def test_load_dataset_rejects_a_missing_or_non_finite_number(tmp_path, column, value):
     good = dict(zip(_CSV_HEADER, ["3", "2", "3", "0.5", "1", "0.3", "4", "s0"]))

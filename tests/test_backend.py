@@ -496,6 +496,13 @@ def test_validator_accepts_a_correct_solution():
     assert report.first is None
 
 
+@pytest.mark.parametrize("duration", [0, -1])
+def test_validator_rejects_a_swap_duration_the_encoder_rejects(duration):
+    circuit, graph, sol = _ok_solution()
+    with pytest.raises(ValueError, match="swap duration must be at least 1 step"):
+        validate_solution(circuit, graph, sol, duration)
+
+
 def test_validator_flags_duplicate_placement():
     circuit, graph, sol = _ok_solution()
     bad = dataclasses.replace(sol, initial_map=(1, 1))

@@ -254,6 +254,19 @@ def test_validate_rejects_a_malformed_solution(bell_path, tmp_path, capsys, doc,
     assert "bad input" in err and field in err
 
 
+@pytest.mark.parametrize("duration, code", [("0", 2), ("1", 0), ("3", 4)])
+def test_validate_rejects_a_swap_duration_below_one_step(bell_path, tmp_path, capsys,
+                                                         duration, code):
+    # two swaps on one edge, completing at t=2 and t=3: disjoint only for 1-step swaps
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({**_SOLUTION, "swaps": [[[0, 1], 2], [[0, 1], 3]],
+                                "final_depth": 4, "swap_count": 2}))
+    assert main(["validate", bell_path, "--arch", "line:2", "--solution", str(path),
+                 "--swap-duration", duration]) == code
+    if code == 2:
+        assert "swap duration must be at least 1 step" in capsys.readouterr().err
+
+
 def test_graph_file_that_is_not_an_object_is_an_input_error(bell_path, tmp_path, capsys):
     device = tmp_path / "device.json"
     device.write_text("[1, 2]")
@@ -267,6 +280,20 @@ def test_predict_with_a_split_outside_the_features_is_an_input_error(bell_path, 
     model.write_text(_one_split_model(7))
     assert main(["predict", bell_path, "--depth-model", str(model)]) == 2
     assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("predict", []),
+    ("map", ["--arch", "line:2", "--solver", "/no/such/solver"]),
+])
+def test_a_model_trained_on_other_features_is_an_input_error(bell_path, tmp_path, capsys,
+                                                             command, options):
+    doc = json.loads(_one_split_model(7))
+    doc["feature_names"] = [*FEATURE_NAMES, "extra_a", "extra_b"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main([command, bell_path, *options, "--depth-model", str(model)]) == 2
+    assert f"bad input: {model}: model features" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--threshold", "--large-step", "--small-step"])

@@ -1,6 +1,8 @@
 """Bound search, resize policy, and the two-phase optimal solve."""
 
 import dataclasses
+import math
+import random
 import re
 import shlex
 import time
@@ -24,7 +26,7 @@ from qlayout.search import (
 )
 
 from .conftest import _Const
-from .oracles import brute_force_optimum
+from .oracles import bound_search_two_loops, brute_force_optimum
 from .test_backend import _ECHO_MODEL, _gone, _script_solver
 
 # --------------------------------------------------------------------------
@@ -140,6 +142,59 @@ def test_ascent_refuted_at_a_known_satisfiable_bound_raises():
     probe = _ThresholdProbe(31)
     assert run_bound_search(23, 1, probe, ceiling=31).optimum == 31
     assert [b for b, _ in probe.history] == [23, 25, 27, 29, 31, 30]
+
+
+class _TableProbe:
+    """Satisfiable from ``top`` up, and below it where ``answers`` says so,
+    in any order; records (bound, sat) per check."""
+
+    def __init__(self, answers: dict[int, bool], top: float):
+        self.answers, self.top = answers, top
+        self.history: list[tuple[int, bool]] = []
+
+    def __call__(self, bound: int):
+        assert len(self.history) < 200, "runaway search"
+        sat = bound >= self.top or self.answers.get(bound, False)
+        self.history.append((bound, sat))
+        return sat, f"model@{bound}" if sat else None
+
+
+def _walk(search, start, floor, probe, ceiling):
+    try:
+        out = search(start, floor, probe, ceiling)
+        result = (out.optimum, out.payload)
+    except SearchError as exc:
+        result = str(exc)
+    return result, probe.history
+
+
+def test_frontier_walk_matches_the_two_loop_search_on_random_walks():
+    rng = random.Random(11)
+    seen = dict.fromkeys(("below_floor", "finite_ceiling", "infinite_ceiling",
+                          "error", "hidden_optimum"), 0)
+    for _ in range(3000):
+        floor = rng.randrange(-3, 20)
+        start = floor + rng.randrange(-6, 30)
+        ceiling = rng.choice((math.inf, floor + rng.randrange(-4, 40)))
+        # an infinite ceiling needs a satisfiable region, or the walk never ends
+        top = floor + rng.randrange(-4, 40)
+        if ceiling < math.inf and rng.random() < 0.2:
+            top = math.inf
+        answers = {}
+        if rng.random() < 0.5:          # non-monotone answers below ``top``
+            p_sat = rng.random()
+            answers = {b: rng.random() < p_sat for b in range(floor - 6, floor + 40)}
+        walks = [_walk(search, start, floor, _TableProbe(answers, top), ceiling)
+                 for search in (bound_search_two_loops, run_bound_search)]
+        assert walks[0] == walks[1], (start, floor, ceiling, top, answers)
+        result = walks[0][0]
+        least = next((b for b in range(floor, floor + 41) if b >= top or answers.get(b)), None)
+        seen["below_floor"] += start < floor
+        seen["finite_ceiling"] += ceiling < math.inf
+        seen["infinite_ceiling"] += ceiling == math.inf
+        seen["error"] += isinstance(result, str)
+        seen["hidden_optimum"] += isinstance(result, tuple) and result[0] != least
+    assert min(seen.values()) > 100, seen
 
 
 def test_resize_policy_steps():
