@@ -11,10 +11,12 @@ parent circuit's labeling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import search
 from .arch import CouplingGraph
-from .backend import DecodeError, SolverError
+from .backend import DecodeError, Session, SolverConfig, SolverError
 from .circuit import Circuit, Gate, emit_qasm
 from .features import (
     FEATURE_NAMES,
@@ -285,7 +287,8 @@ def load_dataset(path, target: str = "depth") -> Dataset:
 
 
 def label_sample(circuit: Circuit, graph: CouplingGraph, **solve_kwargs):
-    """Optimal (depth, swaps) for one circuit, via the full solver search."""
+    """Optimal (depth, swaps) for one circuit, via the full solver search;
+    ``build_corpus`` passes its worker's live session as ``solver``."""
     return search.solve_optimal(circuit, graph, **solve_kwargs)
 
 
@@ -298,6 +301,7 @@ def build_corpus(
     kmax: int = DEFAULT_KMAX,
     refine: bool = True,
     jobs: int = 1,
+    solver: Optional[SolverConfig] = None,
     **solve_kwargs,
 ) -> tuple[Dataset, Dataset]:
     """Chunk, label, and write an MLQD-style sample corpus.
@@ -307,9 +311,16 @@ def build_corpus(
     count, graph name, and search counts.  Returns the depth-target and
     swap-target datasets (optionally refined), which are also written as
     ``depth_dataset.csv`` / ``swaps_dataset.csv`` under ``out_dir``.
-    Labeling runs on ``jobs`` worker threads (each solve runs its own solver
-    process, so threads parallelize cleanly).
+
+    Labeling runs on ``jobs`` worker threads.  Each solve takes one of
+    ``jobs`` solver sessions and gives it back when done, so at most
+    ``jobs`` solver processes run, each serving one solve at a time within
+    ``solver.timeout``.  A failed solve's process is killed and the next
+    solve on that session starts a fresh one.  Every session is closed
+    before this returns or raises.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     depth_ds = Dataset("depth", graph=graph.name)
@@ -328,10 +339,15 @@ def build_corpus(
                     continue
                 work.append((source_name, chunk_no, chunk))
 
+    # Each worker holds at most one session, so one is always idle when a
+    # solve starts; deque appends and pops are thread-safe.
+    idle: deque[Session] = deque()
+
     def label(item):
         source_name, chunk_no, chunk = item
+        session = idle.pop()
         try:
-            return label_sample(chunk, graph, **solve_kwargs)
+            return label_sample(chunk, graph, solver=session, **solve_kwargs)
         except (SolverError, search.SearchError, DecodeError, search.InfeasibleError) as exc:
             # any other exception is a bug in qlayout and propagates
             log.warning(
@@ -339,14 +355,18 @@ def build_corpus(
                 source_name, chunk_no, exc,
             )
             return None
+        finally:
+            idle.append(session)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    with contextlib.ExitStack() as stack:
+        idle.extend(stack.enter_context(Session(solver)) for _ in range(jobs))
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(label, work))
-    else:
-        results = [label(item) for item in work]
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(label, work))
+        else:
+            results = [label(item) for item in work]
 
     for (source_name, chunk_no, chunk), result in zip(work, results):
         if result is None:

@@ -2,14 +2,15 @@
 
 The solver is any SMT-LIB2 command that reads from standard input and
 writes its replies to standard output.  :class:`Session` runs every
-solver process: it keeps one for a whole solve, with the base of
-the current grid shape in an outer ``(push 1)`` scope and each check's
-bound lines in an inner scope, popped after the verdict and, on ``sat``,
-one batched ``get-value``; so the solver must answer each command as soon
-as it has read it.  :func:`check` is a one-check session: it sends one
-self-contained script and closes the solver's input, so it also serves a
-solver that answers only at end of input.  Both treat an ``(error ...)``
-reply before the verdict as a solver failure.
+solver process: it keeps one for a whole solve, or for many solves one
+after another, with the base of the current grid shape in an outer
+``(push 1)`` scope and each check's bound lines in an inner scope, popped
+after the verdict and, on ``sat``, one batched ``get-value``; so the
+solver must answer each command as soon as it has read it.  :func:`check`
+is a one-check session: it sends one self-contained script and closes the
+solver's input, so it also serves a solver that answers only at end of
+input.  Both treat an ``(error ...)`` reply before the verdict as a solver
+failure.
 
 Decoded solutions are replay-validated without consulting the solver or the
 script, so encoder and solver bugs cannot vouch for themselves.
@@ -17,6 +18,7 @@ script, so encoder and solver bugs cannot vouch for themselves.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -59,11 +61,17 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """A solver command and the wall-clock seconds one solver process may
-    live: one :func:`check`, or all checks of one :class:`Session`."""
+    """A solver command and the wall-clock seconds of one solve: one
+    :func:`check`, or all checks of one solve on a :class:`Session`, however
+    many solves its process serves.  A timeout that is not above 0 (or is
+    nan) raises ValueError."""
 
     command: tuple[str, ...] = tuple(DEFAULT_SOLVER_COMMAND.split())
     timeout: float = DEFAULT_TIMEOUT
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError(f"solver timeout must be above 0 seconds, not {self.timeout}")
 
     @staticmethod
     def resolve(command: Optional[str] = None, timeout: float = DEFAULT_TIMEOUT) -> "SolverConfig":
@@ -160,26 +168,35 @@ def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
 
 
 class Session:
-    """One solver process answering a sequence of checks.
+    """One solver process at a time, answering the checks of one or more solves.
 
-    Use as a context manager.  The process starts with the first check and
+    Use as a context manager.  A process starts with the first check and
     is closed and waited for on exit; on an exception it is killed first.
     :meth:`load` makes its lines (declarations and base assertions) the
-    outer scope, replacing the previous one; the first load also sends
-    ``encode.PREAMBLE``.  :meth:`check` adds bound lines in an inner scope,
-    asks for a verdict and, on ``sat``, for the named values in one query,
-    then pops the inner scope.  Text is sent with the next check, so that
-    check's wall time includes a pending load.  ``config.timeout`` bounds
-    the whole process: the budget starts when the session is created, and
-    once it is spent the process is killed and every later check raises
-    :class:`SolverTimeoutError`.
+    outer scope, replacing the previous one; a process's first load also
+    sends ``encode.PREAMBLE``.  :meth:`check` adds bound lines in an inner
+    scope, asks for a verdict and, on ``sat``, for the named values in one
+    query, then pops the inner scope.  Text is sent with the next check,
+    so that check's wall time includes a pending load.
+
+    ``config.timeout`` is the budget of one solve.  It starts when the
+    session is created and restarts at each :meth:`solve`; once it is
+    spent the process is killed and every later check of that solve raises
+    :class:`SolverTimeoutError`.  An exception that escapes :meth:`solve`
+    kills the process, so the next solve starts a fresh one; after a clean
+    solve the process stays up, and the next solve's first load pops the
+    old base.
     """
 
     def __init__(self, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig.resolve()
         self._deadline = time.monotonic() + self.config.timeout
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget the process, if any: the next check starts a fresh one."""
         self._proc: Optional[subprocess.Popen] = None
-        self._selector = selectors.DefaultSelector()
+        self._selector: Optional[selectors.BaseSelector] = None
         self._unsent: deque[Optional[memoryview]] = deque()  # encoded text; None ends the input
         self._writing = False      # the selector watches the solver's input
         self._loaded = False
@@ -187,6 +204,17 @@ class Session:
         self._pos = 0
         self._stderr = bytearray()
         self._ended = False        # the solver closed its standard output
+
+    @contextlib.contextmanager
+    def solve(self) -> Iterator["Session"]:
+        """The scope of one solve: restarts the budget, and kills the process
+        when an exception escapes."""
+        self._deadline = time.monotonic() + self.config.timeout
+        try:
+            yield self
+        except BaseException:
+            self.close(kill=True)
+            raise
 
     def __enter__(self) -> "Session":
         return self
@@ -215,11 +243,11 @@ class Session:
 
     def close(self, kill: bool = False) -> None:
         """Close the solver's input and wait for it to exit, or kill it."""
-        proc, self._proc = self._proc, None
-        self._unsent.clear()
+        proc = self._proc
         if proc is None:
-            self._selector.close()
+            self._reset()
             return
+        self._unsent.clear()
         try:
             self._watch_input(proc, False)
             proc.stdin.close()
@@ -237,6 +265,7 @@ class Session:
             proc.stdout.close()
             proc.stderr.close()
             self._selector.close()
+            self._reset()
 
     # ---- process plumbing ------------------------------------------------
 
@@ -266,6 +295,7 @@ class Session:
             raise SolverExitError(f"cannot launch solver {command}: {exc}") from None
         for stream in (proc.stdin, proc.stdout, proc.stderr):
             os.set_blocking(stream.fileno(), False)
+        self._selector = selectors.DefaultSelector()
         for stream in (proc.stdout, proc.stderr):
             self._selector.register(stream, selectors.EVENT_READ)
         self._proc = proc
@@ -287,7 +317,9 @@ class Session:
             if self._ended or done():
                 return
             self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
-            for key, _ in self._selector.select(remaining):
+            # one wait at a time, so an infinite or huge budget cannot
+            # overflow the platform's timeout
+            for key, _ in self._selector.select(min(remaining, 3600.0)):
                 if key.fileobj is proc.stdin:
                     self._write(proc)
                 else:

@@ -62,11 +62,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
+
+
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin"
                    " (default: $QLAYOUT_SOLVER or 'z3 -in')")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                   help="wall-clock seconds per solve, all of its checks together")
+                   help="wall-clock seconds per solve, all of its checks together"
+                   " (above 0)")
     p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION,
                    help="time steps one swap occupies (default 3)")
 
@@ -100,21 +113,22 @@ def build_parser() -> _Parser:
                    help="comma-separated chunk-size budgets, cycled (e.g. 3,5,7)")
     p.add_argument("--two-qubit-only", action="store_true",
                    help="drop single-qubit gates before chunking")
-    p.add_argument("--kmax", type=int, default=DEFAULT_KMAX,
+    p.add_argument("--kmax", type=_at_least(1), default=DEFAULT_KMAX,
                    help="nearest-neighbor refinement rounds (default 3)")
     p.add_argument("--no-refine", action="store_true",
                    help="skip nearest-neighbor refinement")
     p.add_argument("--timeout-per-sample", type=float, default=DEFAULT_TIMEOUT,
-                   help="wall-clock seconds per sample, all of its checks together")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel labeling workers")
+                   help="wall-clock seconds per sample, all of its checks together"
+                   " (above 0), though one solver process labels many samples")
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="parallel labeling workers, one solver process each")
     p.add_argument("--solver")
     p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION)
 
     p = sub.add_parser("train", help="fit a regression tree on a dataset CSV")
     p.add_argument("dataset", help="CSV produced by augment")
     p.add_argument("--target", choices=("depth", "swaps"), required=True)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-depth", type=_at_least(0), default=DEFAULT_MAX_DEPTH)
     p.add_argument("--output", required=True, help="model JSON path")
 
     p = sub.add_parser("predict", help="query trained models for a circuit")
@@ -135,7 +149,7 @@ def build_parser() -> _Parser:
     p.add_argument("--depth-model", required=True)
     p.add_argument("--swap-model", required=True)
     p.add_argument("--output", help="write the per-circuit table as CSV here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     _add_solver_args(p)
 
     return parser

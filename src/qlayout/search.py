@@ -254,7 +254,7 @@ def solve_optimal(
     depth_model=None,
     swap_model=None,
     *,
-    solver: Optional[be.SolverConfig] = None,
+    solver: be.SolverConfig | be.Session | None = None,
     swap_duration: int = DEFAULT_SWAP_DURATION,
     policy: ResizePolicy = ResizePolicy(),
     keep_swap_opcode: bool = False,
@@ -263,7 +263,10 @@ def solve_optimal(
 
     ``depth_model``/``swap_model`` are optional predictors exposing
     ``predict(features) -> int``; they only seed the search and cannot
-    change the reported optima.
+    change the reported optima.  ``solver`` is a ``backend.SolverConfig``
+    (None for the default), which runs this solve in a session of its own,
+    or a live ``backend.Session``, which serves it as one of its solves and
+    stays open.
     """
     if circuit.num_qubits > graph.num_qubits:
         raise ValueError(
@@ -303,8 +306,9 @@ def solve_optimal(
     # A sequential schedule runs one gate at a time, each after fewer than
     # num_qubits swaps, so this depth is satisfiable on a feasible instance.
     depth_ceiling = len(circuit.gates) * (1 + swap_duration * graph.num_qubits)
+    fresh = solver is None or isinstance(solver, be.SolverConfig)
     try:
-        with be.Session(solver) as session:
+        with be.Session(solver) if fresh else solver.solve() as session:
             depth_outcome = run_bound_search(start, longest_chain(circuit), probe,
                                              depth_ceiling)
             best_depth = depth_outcome.optimum
@@ -315,12 +319,11 @@ def solve_optimal(
                 min(predicted_swaps, swaps_in_model), 0,
                 lambda bound: probe(best_depth, bound), swaps_in_model,
             )
+            final_ctx, final_values = swap_outcome.payload
+            solution = be.decode_solution(
+                final_values, final_ctx, keep_swap_opcode=keep_swap_opcode
+            )
     except SearchError as exc:
         exc.telemetry = _telemetry(checks)
         raise
-
-    final_ctx, final_values = swap_outcome.payload
-    solution = be.decode_solution(
-        final_values, final_ctx, keep_swap_opcode=keep_swap_opcode
-    )
     return SolveResult(best_depth, swap_outcome.optimum, checks, solution)

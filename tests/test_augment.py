@@ -1,12 +1,19 @@
-"""Chunked augmentation, qubit reordering, AllKNN refinement, CSV round-trip."""
+"""Chunked augmentation, qubit reordering, AllKNN refinement, CSV round-trip,
+and corpus builds that share solver sessions."""
 
+import dataclasses
 import logging
 import math
 import random
+import shlex
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
-from qlayout import augment
+from qlayout import augment, search
 from qlayout.arch import line_graph
 from qlayout.augment import (
     _CSV_HEADER,
@@ -21,12 +28,14 @@ from qlayout.augment import (
     qubit_reorder,
     save_dataset,
 )
+from qlayout.backend import SolverConfig
 from qlayout.circuit import build_dag, make_circuit
 from qlayout.features import FeatureVector, extract_features
 from qlayout.search import SearchError
 
 from .conftest import random_circuit
 from .oracles import allknn_per_point, enn_reference, left_to_right_sum
+from .test_backend import _gone, _script_solver
 
 
 def _fv(a, b, c, d, e, f) -> FeatureVector:
@@ -371,3 +380,124 @@ def test_build_corpus_lets_a_program_bug_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(augment, "label_sample", buggy)
     with pytest.raises(TypeError, match="unsupported operand"):
         build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path, refine=False)
+
+
+def test_build_corpus_rejects_fewer_than_one_job(tmp_path):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path, jobs=0)
+
+
+# --------------------------------------------------------------------------
+# build_corpus: one solver session per labeling worker
+# --------------------------------------------------------------------------
+
+# Three one-chunk circuits, each solved in two checks.
+_PAIRS = [(name, make_circuit(2, [("h", (0,)), ("cx", (0, 1))])) for name in "abc"]
+
+
+def _launches(pids) -> list[int]:
+    """The logged solver pids, once every one of them has exited."""
+    launched = [int(pid) for pid in pids.read_text().split()]
+    assert all(map(_gone, launched))
+    return launched
+
+
+def _logging(tmp_path, command: str) -> SolverConfig:
+    """A solver that logs its pid to ``tmp_path / "pids"``, then runs ``command``."""
+    return _script_solver(tmp_path, f"echo $$ >> {tmp_path / 'pids'}\n{command}")
+
+
+def test_build_corpus_survives_a_failed_solve(tmp_path, small_solver, caplog):
+    # the first process answers the first check with an error; later ones
+    # are the real solver
+    cfg = _logging(tmp_path, f"""if mkdir {tmp_path / 'failed'} 2>/dev/null; then
+  while read -r line; do
+    [ "$line" = "(check-sat)" ] && echo '(error "scripted failure")'
+  done
+fi
+exec {shlex.join(small_solver.command)}""")
+    with caplog.at_level(logging.WARNING, logger="qlayout.augment"):
+        depth_ds, _ = build_corpus(_PAIRS, [ChunkPlan((3,))], line_graph(2),
+                                   tmp_path / "out", refine=False, solver=cfg)
+    assert "a chunk 0: labeling failed (depth phase failed" in caplog.text
+    assert "scripted failure" in caplog.text
+    assert [(s.source, s.label) for s in depth_ds.samples] == [
+        ("b:sample_0000", 2), ("c:sample_0001", 2),
+    ]
+    assert len(_launches(tmp_path / "pids")) == 2
+
+
+def test_build_corpus_budget_is_per_solve_not_per_build(tmp_path, small_solver):
+    # the real solver, sent each check-sat 0.4 s late: each solve of two
+    # checks fits the budget, the build of three does not
+    cfg = _logging(tmp_path, f"""while read -r line; do
+  [ "$line" = "(check-sat)" ] && sleep 0.4
+  printf '%s\\n' "$line"
+done | {shlex.join(small_solver.command)}""")
+    cfg = dataclasses.replace(cfg, timeout=2.0)
+    start = time.monotonic()
+    depth_ds, _ = build_corpus(_PAIRS, [ChunkPlan((3,))], line_graph(2),
+                               tmp_path / "out", refine=False, solver=cfg)
+    assert time.monotonic() - start > cfg.timeout
+    assert [s.label for s in depth_ds.samples] == [2, 2, 2]
+    assert len(_launches(tmp_path / "pids")) == 1
+
+
+def _tree(root) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_build_corpus_shares_a_session_with_the_same_output(tmp_path, small_solver,
+                                                            monkeypatch):
+    inputs = [*_PAIRS, ("ghz", make_circuit(4, [("h", (0,)), ("cx", (0, 1)),
+                                                ("cx", (1, 2)), ("cx", (2, 3))]))]
+    cfg = _logging(tmp_path, f"exec {shlex.join(small_solver.command)}")
+    pids = tmp_path / "pids"
+
+    def build(name, jobs=1):
+        pids.write_text("")
+        build_corpus(inputs, [ChunkPlan((3,))], line_graph(4), tmp_path / name,
+                     refine=False, jobs=jobs, solver=cfg)
+        return _tree(tmp_path / name), len(_launches(pids))
+
+    shared, launches = build("shared")
+    assert len(shared) == 5 * 3 + 2 and launches == 1
+    parallel, launches = build("parallel", jobs=2)
+    assert parallel == shared and launches <= 2
+
+    # a fresh solver process for every solve, as a SolverConfig gives
+    original = augment.label_sample
+
+    def one_process_per_solve(circuit, graph, *, solver, **kwargs):
+        return original(circuit, graph, solver=solver.config, **kwargs)
+
+    monkeypatch.setattr(augment, "label_sample", one_process_per_solve)
+    fresh, launches = build("fresh")
+    assert fresh == shared and launches == 5
+
+
+def test_build_corpus_never_gives_one_session_to_two_solves(tmp_path, monkeypatch):
+    busy, seen, lock = Counter(), set(), threading.Lock()
+
+    def label(circuit, graph, *, solver):
+        with lock:
+            busy[solver] += 1
+            seen.add(solver)
+            clash = busy[solver] > 1
+        time.sleep(0.0005)
+        with lock:
+            busy[solver] -= 1
+        assert not clash, "two solves shared one session"
+        return search._trivial_solution(circuit, graph)
+
+    monkeypatch.setattr(augment, "label_sample", label)
+    inputs = [(str(i), make_circuit(2, [("cx", (0, 1))])) for i in range(100)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        depth_ds, _ = build_corpus(inputs, [ChunkPlan((1,))], line_graph(2), tmp_path,
+                                   refine=False, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(depth_ds.samples) == 100 and len(seen) <= 8

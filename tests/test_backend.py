@@ -300,6 +300,62 @@ done""")
     assert _gone(int(pid_file.read_text()))
 
 
+def test_session_serves_solves_in_one_process_until_one_fails(tmp_path):
+    pids = tmp_path / "pids"
+    body = _LINE_SOLVER.replace("LOG", str(tmp_path / "input.log"))
+    cfg = _script_solver(tmp_path, f"echo $$ >> {pids}\n" + body.replace("VERDICT", "sat"))
+
+    def solve(name):
+        with session.solve():
+            session.load([f"(declare-const {name} Bool)"])
+            return session.check([], [name]).values
+
+    with Session(dataclasses.replace(cfg, timeout=30.0)) as session:
+        assert solve("x") == {"x": 1} and solve("y") == {"y": 1}
+        with pytest.raises(RuntimeError, match="decode failed"):
+            with session.solve():
+                session.load(["(declare-const z Bool)"])
+                session.check([], ["z"])
+                raise RuntimeError("decode failed")
+        assert solve("w") == {"w": 1}
+    launched = [int(pid) for pid in pids.read_text().split()]
+    assert len(launched) == 2 and all(map(_gone, launched))
+    # after a clean solve the next load pops the old base; after a failed
+    # one a fresh process gets the preamble again
+    scopes = [line for line in (tmp_path / "input.log").read_text().splitlines()
+              if line.startswith(("(set-logic", "(declare-const"))
+              or line == "(pop 1)"]
+    assert scopes == [
+        "(set-logic QF_BV)", "(declare-const x Bool)", "(pop 1)",
+        "(pop 1)", "(declare-const y Bool)", "(pop 1)",
+        "(pop 1)", "(declare-const z Bool)",
+        "(set-logic QF_BV)", "(declare-const w Bool)",
+    ]
+
+
+def test_session_budget_restarts_at_each_solve(tmp_path):
+    # each check takes 0.4 s: two fit one budget only if it restarts
+    cfg = _script_solver(tmp_path, """while read -r line; do
+  [ "$line" = "(check-sat)" ] && sleep 0.4 && echo unsat
+done""")
+    with Session(dataclasses.replace(cfg, timeout=0.6)) as session:
+        for _ in range(2):
+            with session.solve():
+                assert not session.check(["(assert false)"], []).sat
+
+
+def test_solver_timeout_must_be_above_zero():
+    for timeout in (0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="timeout must be above 0"):
+            SolverConfig(timeout=timeout)
+
+
+def test_session_accepts_an_unbounded_budget(tmp_path):
+    cfg = dataclasses.replace(_line_solver(tmp_path, "unsat"), timeout=math.inf)
+    with Session(cfg) as session:
+        assert not session.check(["(assert false)"], []).sat
+
+
 def test_session_reads_while_it_writes_a_large_base(tmp_path):
     # the fake echoes every line back, so it blocks on a full output pipe
     # unless the session reads while it writes the 2 MB base

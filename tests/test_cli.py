@@ -405,6 +405,42 @@ def test_augment_rejects_bad_budget_list(tmp_path):
                  "--out", str(tmp_path / "c"), "--b-list", "x,y"]) == 1
 
 
+@pytest.mark.parametrize("command, option, value, code", [
+    ("map", "--timeout", "0", 2),
+    ("map", "--timeout", "-1", 2),
+    ("map", "--timeout", "nan", 2),
+    ("bench", "--timeout", "0", 2),
+    ("augment", "--timeout-per-sample", "0", 2),
+    ("augment", "--jobs", "0", 1),
+    ("augment", "--jobs", "-2", 1),
+    ("bench", "--jobs", "0", 1),
+    ("augment", "--kmax", "0", 1),
+    ("train", "--max-depth", "-1", 1),
+])
+def test_a_bad_numeric_option_is_rejected_before_any_work(
+        bell_path, tmp_path, models, capsys, command, option, value, code):
+    solver = _script_solver(tmp_path, f"touch {tmp_path / 'launched'}; exit 9")
+    out = tmp_path / "out"
+    solving = ["--arch", "line:2", "--solver", shlex.join(solver.command)]
+    argv = {
+        "map": ["map", bell_path, *solving, "--output", str(out / "m.qasm"),
+                "--telemetry", str(out / "t.json")],
+        "bench": ["bench", bell_path, *solving, "--depth-model", models["depth"],
+                  "--swap-model", models["swaps"], "--output", str(out / "b.csv")],
+        "augment": ["augment", bell_path, *solving, "--out", str(out), "--b-list", "2"],
+        "train": ["train", str(tmp_path / "toy.csv"), "--target", "depth",
+                  "--output", str(out / "model.json")],
+    }[command]
+    capsys.readouterr()
+    try:
+        status = main([*argv, option, value])
+    except SystemExit as exc:       # a usage error, raised by the parser
+        status = exc.code
+    assert status == code
+    assert value in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "launched").exists()
+
+
 def test_bench_compares_seeded_and_unseeded(bell_path, tmp_path, models,
                                             small_solver, capsys):
     out_csv = tmp_path / "bench.csv"
