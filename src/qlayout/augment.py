@@ -166,13 +166,23 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
     at equal distance are taken in ascending sample index.  Datasets whose
     features are all identical pass through unchanged.
 
-    Samples with equal z-scored rows share every distance, so each round
-    measures distances between the distinct surviving rows only, one row's
-    distances at a time: time grows with the square of the number of
-    distinct rows, memory with the number.  The first n + 1 samples nearest
-    to a row decide all of its samples: one that is among the first n has
-    the other n as neighbors, and every other sample the first n.
+    Samples with equal z-scored rows share every distance, so distances are
+    measured between distinct rows only, and removals never change one.
+    Each distinct row is ranked once per call: its distances to the rows
+    that still have samples are sorted, and it keeps the prefix that holds
+    its first k_max + 1 samples and every tie at the last distance.  A
+    round walks that prefix past rows whose samples have all gone; a row
+    is ranked again, over the survivors, only when removals leave its
+    prefix fewer than n + 1 samples.  Everything past a prefix is strictly
+    farther than its last row, so the walk finds the same neighbors as a
+    full sort.  Time grows with the square of the number G of distinct
+    rows, memory with G times the prefix length.  The first n + 1 samples
+    nearest to a row decide all of its samples: one that is among the
+    first n has the other n as neighbors, and every other sample the
+    first n.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, not {k_max}")
     if len(dataset.samples) <= k_max:
         raise ValueError(f"need more than k_max={k_max} samples to refine")
     scaled = _standardize(dataset.rows())
@@ -180,32 +190,56 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
         return Dataset(dataset.target, list(dataset.samples), dataset.graph)
 
     labels = dataset.labels()
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for i, row in enumerate(scaled):
+        groups.setdefault(row, []).append(i)
+    rows = list(groups)
+    members = list(groups.values())  # each row's surviving samples, ascending
+
+    def rank(point, live: list[int], points: list) -> list[tuple[float, int]]:
+        """(distance, row) for the rows ``live``, at ``points``, nearest to
+        ``point``."""
+        dists = list(map(math.dist, repeat(point), points))
+        prefix: list[tuple[float, int]] = []
+        count = 0
+        for o in sorted(range(len(live)), key=dists.__getitem__):
+            if count > k_max and dists[o] != prefix[-1][0]:
+                break
+            prefix.append((dists[o], live[o]))
+            count += len(members[live[o]])
+        return prefix
+
+    def nearest(prefix: Sequence[tuple[float, int]], n: int) -> list[tuple[float, int]]:
+        """The nearest samples by (distance, index), through every tie at
+        the last distance needed: n for each member besides itself.  No
+        row can place more than its first n + 1 members among them."""
+        near: list[tuple[float, int]] = []
+        for d, x in prefix:
+            if not members[x]:
+                continue
+            if len(near) > n and d != near[-1][0]:
+                break
+            near.extend((d, j) for j in members[x][: n + 1])
+        near.sort()
+        return near
+
+    ranked: list[Sequence[tuple[float, int]]] = [()] * len(rows)
     alive = list(range(len(dataset.samples)))
     for n in range(1, k_max + 1):
         if len(alive) <= n:
             break
-        groups: dict[tuple[float, ...], list[int]] = {}
-        for i in alive:
-            groups.setdefault(scaled[i], []).append(i)
-        rows = list(groups)
-        members = list(groups.values())
+        live = [x for x, group in enumerate(members) if group]
+        points = [rows[x] for x in live]
         removed = []
-        for p, group in groups.items():
-            dists = list(map(math.dist, repeat(p), rows))
-            # The nearest samples by (distance, index), through every tie at
-            # the last distance needed: n for each member besides itself.  No
-            # group can place more than its first n + 1 members among them.
-            near: list[tuple[float, int]] = []
-            for x in sorted(range(len(rows)), key=dists.__getitem__):
-                d = dists[x]
-                if len(near) > n and d != near[-1][0]:
-                    break
-                near.extend((d, j) for j in members[x][: n + 1])
-            near.sort()
+        for p in live:
+            near = nearest(ranked[p], n)
+            if len(near) <= n:  # not ranked yet, or emptied by removals
+                ranked[p] = rank(rows[p], live, points)
+                near = nearest(ranked[p], n)
             head = [j for _, j in near[: n + 1]]
             first = head[:n]
             others = _modal(labels, first)
-            for i in group:
+            for i in members[p]:
                 if i in first:
                     modal = _modal(labels, (j for j in head if j != i))
                 else:
@@ -215,6 +249,7 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
         if removed:
             gone = set(removed)
             alive = [i for i in alive if i not in gone]
+            members[:] = [[i for i in group if i not in gone] for group in members]
     return Dataset(
         dataset.target, [dataset.samples[i] for i in alive], dataset.graph
     )
@@ -318,10 +353,18 @@ def build_corpus(
     ``solver.timeout``.  A failed solve's process is killed and the next
     solve on that session starts a fresh one.  Every session is closed
     before this returns or raises.
+
+    ``out_dir`` must not hold ``sample_*`` entries already: a second build
+    there would leave the first one's samples beside its own.  This, like
+    ``jobs`` and ``kmax``, is checked before anything is solved or written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if refine and kmax < 1:
+        raise ValueError(f"kmax must be at least 1, not {kmax}")
     out = Path(out_dir)
+    if next(out.glob("sample_*"), None) is not None:
+        raise ValueError(f"{out} already holds sample_* entries from an earlier build")
     out.mkdir(parents=True, exist_ok=True)
     depth_ds = Dataset("depth", graph=graph.name)
     swap_ds = Dataset("swaps", graph=graph.name)

@@ -325,6 +325,8 @@ def fit(
         raise ValueError("cannot fit a regression tree on an empty dataset")
     if len(rows) != len(labels):
         raise ValueError("rows and labels must have equal length")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     rows = [tuple(r) for r in rows]
     labels = list(labels)
     for i, (row, label) in enumerate(zip(rows, labels)):

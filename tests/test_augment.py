@@ -148,6 +148,31 @@ def test_refine_requires_more_samples_than_kmax():
         allknn_refine(ds, k_max=3)
 
 
+@pytest.mark.parametrize("k_max", [0, -5])
+def test_refine_rejects_k_max_below_one(k_max):
+    ds = _toy_dataset([(i, i) for i in range(6)], [1, 2, 1, 2, 1, 2])
+    with pytest.raises(ValueError, match=f"k_max must be at least 1, not {k_max}"):
+        allknn_refine(ds, k_max=k_max)
+
+
+def test_refine_measures_each_distinct_row_pair_once(monkeypatch):
+    # 60 samples over 12 distinct rows, all of one label: nothing is ever
+    # removed, so no row is ranked a second time in rounds 2 and 3.
+    rows = [(i % 4, i % 3) for i in range(60)]
+    distinct = len(set(rows))
+    calls = Counter()
+    dist = math.dist
+
+    def counting(p, q):
+        calls["dist"] += 1
+        return dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counting)
+    out = allknn_refine(_toy_dataset(rows, [1] * 60), k_max=3)
+    assert len(out.samples) == 60
+    assert calls["dist"] == distinct ** 2 == 144
+
+
 def test_refine_all_same_label_unchanged():
     rows = [(i, 7 - i) for i in range(8)]
     ds = _toy_dataset(rows, [4] * 8)
@@ -385,6 +410,16 @@ def test_build_corpus_lets_a_program_bug_propagate(tmp_path, monkeypatch):
 def test_build_corpus_rejects_fewer_than_one_job(tmp_path):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path, jobs=0)
+
+
+def test_build_corpus_rejects_kmax_below_one_before_labeling(tmp_path, monkeypatch):
+    def never(circuit, graph, **kwargs):
+        raise AssertionError("a chunk was labeled")
+
+    monkeypatch.setattr(augment, "label_sample", never)
+    with pytest.raises(ValueError, match="kmax must be at least 1, not 0"):
+        build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path / "out", kmax=0)
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

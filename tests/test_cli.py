@@ -398,6 +398,21 @@ def test_augment_builds_a_corpus_tree(tmp_path, small_solver, capsys):
         assert len(lines) == 3
 
 
+def test_augment_refuses_a_directory_with_an_earlier_corpus(bell_path, tmp_path, capsys):
+    # an earlier build left sample_0000..0002; a second build would keep
+    # them beside its own samples, which no dataset row names
+    out = tmp_path / "corpus"
+    for idx in range(3):
+        (out / f"sample_{idx:04d}").mkdir(parents=True)
+    solver = _script_solver(tmp_path, f"touch {tmp_path / 'launched'}; exit 9")
+    code = main(["augment", bell_path, "--arch", "line:2", "--out", str(out),
+                 "--b-list", "2", "--solver", shlex.join(solver.command)])
+    assert code == 2
+    assert "already holds sample_* entries" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [f"sample_{i:04d}" for i in range(3)]
+    assert not (tmp_path / "launched").exists()
+
+
 def test_augment_rejects_bad_budget_list(tmp_path):
     seed = tmp_path / "bell.qasm"
     seed.write_text(BELL)

@@ -156,6 +156,11 @@ def test_fit_rejects_empty_and_mismatched_input():
         fit([(1.0,)], [1.0, 2.0])
 
 
+def test_fit_rejects_a_negative_max_depth():
+    with pytest.raises(ValueError, match="max_depth must be at least 0, not -1"):
+        fit([(1.0,), (2.0,)], [1.0, 2.0], max_depth=-1)
+
+
 def test_fit_every_split_matches_exhaustive_minimum():
     rng = random.Random(99)
     for _ in range(12):
