@@ -14,10 +14,12 @@ base, and every count, history and resize event is derived from it.  The
 grid shape of a check is :func:`grid_shape` of the previous record: the
 time-grid extent starts one increment above the first bound and regrows
 (by a large or small increment, chosen by comparing the previous depth
-bound against a threshold) whenever the next bound would not fit;
-gate-time widths widen before a bound that crosses a power of two and
-narrow again after satisfiable depth checks.  Increments are at least 2,
-the search's stride, so a regrown grid always fits the next bound.
+bound against a threshold) whenever the next bound would not fit.  The
+gate-time width starts at the first bound's own width, widens before a
+bound that crosses a power of two and narrows again after satisfiable
+depth checks, so a solve whose bounds stay below the next power of two
+loads its base once.  Increments are at least 2, the search's stride, so
+a regrown grid always fits the next bound.
 
 One probe serves both phases, and one solver session serves the whole
 solve.  The probe loads the context and base once per grid shape as the
@@ -128,14 +130,14 @@ def grid_shape(
     """(horizon, time_bits) of the check after ``last``: ``depth`` is its
     depth bound, or None in the swap phase, which keeps the grid.
 
-    The first grid ends one policy step above the first bound.  After a
-    satisfiable depth check the gate-time width narrows to its bound's.  A
-    depth bound past the grid regrows it one step above the previous depth
-    bound, and one needing more bits widens it.
+    The first grid ends one policy step above the first bound, with that
+    bound's width: the width a satisfiable check there would narrow to.
+    After a satisfiable depth check the gate-time width narrows to its
+    bound's.  A depth bound past the grid regrows it one step above the
+    previous depth bound, and one needing more bits widens it.
     """
     if last is None:
-        horizon = depth + policy.step(depth)
-        return horizon, bit_length(horizon)
+        return depth + policy.step(depth), bit_length(depth)
     horizon, time_bits = last.horizon, last.time_bits
     if last.phase == "depth" and last.sat:
         time_bits = min(time_bits, bit_length(last.bound))
@@ -162,11 +164,18 @@ def _resize_events(checks: list[CheckRecord]) -> list[dict]:
     ]
 
 
+def _base_loads(checks: list[CheckRecord]) -> int:
+    """Bases the session loaded: one per check on a new grid shape."""
+    shapes = [(c.horizon, c.time_bits) for c in checks]
+    return sum(prev != cur for prev, cur in zip([None] + shapes, shapes))
+
+
 def _telemetry(checks: list[CheckRecord]) -> dict:
     return {
         "depth_checks": len(_history(checks, "depth")),
         "swap_checks": len(_history(checks, "swap")),
         "resize_events": _resize_events(checks),
+        "base_loads": _base_loads(checks),
         "wall_time_per_check": [c.wall_time for c in checks],
         "checks": [asdict(c) for c in checks],
     }
@@ -226,6 +235,7 @@ class SolveResult:
     swap_checks = property(lambda self: len(self.swap_history))
     wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
     resize_events = property(lambda self: _resize_events(self.checks))
+    base_loads = property(lambda self: _base_loads(self.checks))
 
     def telemetry(self) -> dict:
         return {"optimal_depth": self.optimal_depth,

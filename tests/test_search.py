@@ -12,6 +12,7 @@ import pytest
 from qlayout import backend as be
 from qlayout.arch import CouplingGraph, line_graph
 from qlayout.circuit import make_circuit
+from qlayout.encode import bit_length
 from qlayout.search import (
     BoundSearchOutcome,
     CheckRecord,
@@ -224,15 +225,69 @@ def test_smallest_resize_steps_still_fit_every_bound(scripted):
     assert [fake.shape(i)[0] for i in range(5)] == [5, 5, 7, 9, 9]
 
 
+def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
+    """A random two-phase solve's check records, each on the grid shape
+    :func:`grid_shape` gives it, as ``solve_optimal``'s probe does."""
+    policy = ResizePolicy(threshold=rng.randrange(1, 80),
+                          large_step=rng.randrange(2, 20),
+                          small_step=rng.randrange(2, 20))
+    floor = rng.randrange(1, 70)
+    start = floor + rng.randrange(-5, 40)
+    top = floor + rng.randrange(0, 60)
+    p_sat = rng.random() * rng.choice((0, 1))      # non-monotone below ``top``
+    checks: list[CheckRecord] = []
+
+    def probe(phase: str, bound: int, sat_from: int, depth: int | None):
+        shape = grid_shape(checks[-1] if checks else None, depth, policy)
+        sat = bound >= sat_from or rng.random() < p_sat
+        checks.append(CheckRecord(phase, bound, sat, *shape, wall_time=0.0))
+        return sat, bound
+
+    run_bound_search(start, floor, lambda b: probe("depth", b, top, b), top)
+    swap_top = rng.randrange(0, 12)
+    run_bound_search(rng.randrange(0, 16), 0,
+                     lambda b: probe("swap", b, swap_top, None), swap_top)
+    return checks
+
+
+def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
+    rng = random.Random(14)
+    seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load"), 0)
+    for _ in range(3000):
+        checks = _shaped_walk(rng)
+        widest = 0
+        for prev, check in zip([None] + checks, checks):
+            if check.phase == "depth":
+                widest = max(widest, check.bound)
+                assert check.bound <= check.horizon, checks
+                assert check.bound < 1 << check.time_bits, checks
+            else:                      # the swap phase keeps the depth's grid
+                assert check.horizon == prev.horizon, checks
+            assert check.time_bits <= bit_length(widest), checks
+        result = SolveResult(0, 0, checks)
+        changed = {e["check_index"] for e in result.resize_events}
+        assert result.base_loads == 1 + len(changed)
+        kinds = {(e["kind"], e["new"] > e["old"]) for e in result.resize_events}
+        seen["narrowed"] += ("time_bits", False) in kinds
+        seen["widened"] += ("time_bits", True) in kinds
+        seen["regrown"] += ("horizon", True) in kinds
+        seen["one_load"] += result.base_loads == 1
+    assert min(seen.values()) > 100, seen
+
+
 def _record(phase: str, bound: int, sat: bool, horizon: int, time_bits: int):
     return CheckRecord(phase, bound, sat, horizon, time_bits, wall_time=0.01)
 
 
 def test_first_grid_shape_is_one_step_above_the_first_bound():
+    # the horizon ends one step above the bound; the width is the bound's own
     policy = ResizePolicy()
-    assert grid_shape(None, 9, policy) == (19, 5)
+    assert grid_shape(None, 9, policy) == (19, 4)
+    assert grid_shape(None, 8, policy) == (18, 4)
+    assert grid_shape(None, 7, policy) == (17, 3)
+    assert grid_shape(None, 1, policy) == (11, 1)
     assert grid_shape(None, 49, policy) == (59, 6)     # below threshold: +10
-    assert grid_shape(None, 50, policy) == (65, 7)     # at threshold: +15
+    assert grid_shape(None, 50, policy) == (65, 6)     # at threshold: +15
 
 
 def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
@@ -377,21 +432,26 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     assert len(result.wall_time_per_check) == 13
     assert len(fake.scripts) == 13
 
-    # extent: starts at 9+10=19, regrows once when bound 19 arrives
-    assert fake.shape(0) == (19, 5)
+    # extent: starts at 9+10=19 with bound 9's 4 bits, widens before bound
+    # 17 and regrows when bound 19 arrives
+    assert fake.shape(0) == (19, 4)
     assert result.resize_events == [
+        {"phase": "depth", "check_index": 4, "kind": "time_bits",
+         "old": 4, "new": 5},
         {"phase": "depth", "check_index": 5, "kind": "horizon",
          "old": 19, "new": 27},
     ]
+    assert fake.shape(4) == (19, 5)
     assert fake.shape(5) == (27, 5)
     # one load per grid shape; the swap phase keeps the optimum's shape
-    assert fake.loads == 2
+    assert fake.loads == result.base_loads == 3
 
     tele = result.telemetry()
     assert tele["optimal_depth"] == 25
     assert tele["depth_checks"] + tele["swap_checks"] == len(
         tele["wall_time_per_check"]
     )
+    assert tele["base_loads"] == 3
     assert tele["checks"][5] == {"phase": "depth", "bound": 19, "sat": False,
                                  "horizon": 27, "time_bits": 5, "wall_time": 0.01}
     assert [(c["phase"], c["bound"]) for c in tele["checks"][-3:]] == [
@@ -409,22 +469,33 @@ def test_initial_extent_uses_small_step_below_threshold(scripted):
     assert result.resize_events == []
 
 
+def test_bounds_below_the_next_power_of_two_load_the_base_once(scripted):
+    # chain of 5: floor 5 (3 bits), and every bound probed stays below 8
+    fake = scripted(["unsat", ("sat", 2), "unsat",            # 5 U, 7 S, 6 U
+                     ("sat", 2), "unsat", "unsat"])           # 2 S, 0 U, 1 U
+    result = solve_optimal(_chain(5), line_graph(3))
+    assert result.depth_history == [(5, False), (7, True), (6, False)]
+    assert (result.optimal_depth, result.optimal_swaps) == (7, 2)
+    assert fake.shape(0) == (15, 3)
+    assert result.resize_events == []
+    assert fake.loads == result.base_loads == 1
+
+
 def test_initial_extent_uses_large_step_at_threshold(scripted):
     fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
     result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(60))
     assert result.optimal_depth == 60
     assert result.optimal_swaps == 0
-    assert fake.shape(0) == (60 + 15, 7)        # 60 >= threshold: +15
-    # satisfiable at 60 lets the gate-time width narrow from 7 to 6 bits
-    assert {
-        "phase": "depth", "check_index": 1, "kind": "time_bits",
-        "old": 7, "new": 6,
-    } in result.resize_events
-    assert fake.shape(1) == (75, 6)
+    assert fake.shape(0) == (60 + 15, 6)        # 60 >= threshold: +15
+    # the first grid already has bound 60's width, so narrowing after the
+    # satisfiable check changes nothing and the base is sent once
+    assert result.resize_events == []
+    assert [fake.shape(i) for i in range(4)] == [(75, 6)] * 4
+    assert fake.loads == result.base_loads == 1
 
 
 def test_gate_time_width_widens_when_a_bound_crosses_a_power_of_two(scripted):
-    # chain of 3 on a line: floor 3, extent 13 (4 bits); ascend to 17
+    # chain of 3 on a line: floor 3, extent 13 at bound 3's 2 bits; ascend to 17
     fake = scripted(
         ["unsat"] * 7 + [("sat", 1), "unsat"]     # 3..15 U, 17 S, 16 U
         + [("sat", 1), ("sat", 0)]                # swaps: 1 S, 0 S
@@ -433,11 +504,17 @@ def test_gate_time_width_widens_when_a_bound_crosses_a_power_of_two(scripted):
     assert result.optimal_depth == 17
     assert result.optimal_swaps == 0
     assert [b for b, _ in result.depth_history] == [3, 5, 7, 9, 11, 13, 15, 17, 16]
-    assert fake.shape(0) == (13, 4)
-    kinds = [(e["kind"], e["old"], e["new"]) for e in result.resize_events]
-    assert ("horizon", 13, 21) in kinds           # regrown before bound 13
-    assert ("time_bits", 4, 5) in kinds           # widened before bound 17
+    assert fake.shape(0) == (13, 2)
+    events = [(e["check_index"], e["kind"], e["old"], e["new"])
+              for e in result.resize_events]
+    assert events == [
+        (1, "time_bits", 2, 3),                   # widened before bound 5
+        (3, "time_bits", 3, 4),                   # widened before bound 9
+        (5, "horizon", 13, 21),                   # regrown before bound 13
+        (7, "time_bits", 4, 5),                   # widened before bound 17
+    ]
     assert fake.shape(7) == (21, 5)
+    assert fake.loads == result.base_loads == 5
     assert result.swap_history == [(1, True), (0, True)]
 
 
