@@ -68,7 +68,6 @@ from .search import (
     BoundSearchOutcome,
     CheckRecord,
     InfeasibleError,
-    ResizePolicy,
     SearchError,
     SolveResult,
     run_bound_search,
@@ -92,7 +91,7 @@ __all__ = [
     "encode_base", "encode_depth_bound", "encode_swap_bound",
     "FEATURE_NAMES", "FeatureVector", "extract_features",
     "RegressionTree", "best_split", "fit",
-    "BoundSearchOutcome", "CheckRecord", "InfeasibleError", "ResizePolicy",
-    "SearchError", "SolveResult", "run_bound_search", "solve_optimal",
+    "BoundSearchOutcome", "CheckRecord", "InfeasibleError", "SearchError",
+    "SolveResult", "run_bound_search", "solve_optimal",
     "__version__",
 ]

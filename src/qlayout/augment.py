@@ -26,6 +26,7 @@ from . import search
 from .arch import CouplingGraph
 from .backend import DecodeError, Session, SolverConfig, SolverError
 from .circuit import Circuit, Gate, emit_qasm
+from .encode import DEFAULT_SWAP_DURATION, check_swap_duration
 from .features import (
     FEATURE_NAMES,
     FeatureVector,
@@ -337,7 +338,7 @@ def build_corpus(
     refine: bool = True,
     jobs: int = 1,
     solver: Optional[SolverConfig] = None,
-    **solve_kwargs,
+    swap_duration: int = DEFAULT_SWAP_DURATION,
 ) -> tuple[Dataset, Dataset]:
     """Chunk, label, and write an MLQD-style sample corpus.
 
@@ -356,12 +357,14 @@ def build_corpus(
 
     ``out_dir`` must not hold ``sample_*`` entries already: a second build
     there would leave the first one's samples beside its own.  This, like
-    ``jobs`` and ``kmax``, is checked before anything is solved or written.
+    ``jobs``, ``kmax`` and ``swap_duration``, is checked before anything is
+    solved or written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if refine and kmax < 1:
         raise ValueError(f"kmax must be at least 1, not {kmax}")
+    check_swap_duration(swap_duration)
     out = Path(out_dir)
     if next(out.glob("sample_*"), None) is not None:
         raise ValueError(f"{out} already holds sample_* entries from an earlier build")
@@ -390,7 +393,7 @@ def build_corpus(
         source_name, chunk_no, chunk = item
         session = idle.pop()
         try:
-            return label_sample(chunk, graph, solver=session, **solve_kwargs)
+            return label_sample(chunk, graph, solver=session, swap_duration=swap_duration)
         except (SolverError, search.SearchError, DecodeError, search.InfeasibleError) as exc:
             # any other exception is a bug in qlayout and propagates
             log.warning(

@@ -581,7 +581,7 @@ def validate_solution(
     the encoder does.
     """
     if swap_duration < 1:
-        raise ValueError("swap duration must be at least 1 step")
+        raise ValueError(f"swap duration must be at least 1 step, not {swap_duration}")
     problems: list[Violation] = []
     nq, nphys = circuit.num_qubits, graph.num_qubits
 

@@ -4,9 +4,7 @@ Subcommands: ``map`` (optimally lay out one circuit), ``features`` (print
 the six-feature description), ``augment`` (build a labeled corpus),
 ``train`` (fit a regression tree), ``predict`` (query trained models),
 ``validate`` (replay-check a solution file), and ``bench`` (compare
-predictor-seeded and unseeded searches).  ``map`` and ``bench`` search
-with the default :class:`~qlayout.search.ResizePolicy`; library callers
-pass their own.
+predictor-seeded and unseeded searches).
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error
 (including a spent ``--timeout`` budget and a ``sat`` answer whose model
@@ -159,11 +157,13 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig.resolve(args.solver, timeout=args.timeout)
 
 
-def _load_model(path: str | None):
-    """The model at ``path``, if any; one trained on other features is bad input."""
+def _load_model(path: str | None, role: str):
+    """The ``role`` model at ``path``, if any; any other model is bad input."""
     if not path:
         return None
     model = RegressionTree.load(path)
+    if model.target != role:
+        raise ValueError(f"{path}: a {model.target!r} model, not a {role!r} model")
     if model.feature_names != FEATURE_NAMES:
         raise ValueError(f"{path}: model features {list(model.feature_names)}"
                          f" are not {list(FEATURE_NAMES)}")
@@ -176,8 +176,8 @@ def _cmd_map(args) -> int:
     result = solve_optimal(
         circuit,
         graph,
-        depth_model=_load_model(args.depth_model),
-        swap_model=_load_model(args.swap_model),
+        depth_model=_load_model(args.depth_model, "depth"),
+        swap_model=_load_model(args.swap_model, "swaps"),
         solver=_solver_config(args),
         swap_duration=args.swap_duration,
         keep_swap_opcode=args.keep_swap_opcode,
@@ -260,9 +260,9 @@ def _cmd_predict(args) -> int:
     features = extract_features(load_qasm(args.circuit))
     out = {}
     if args.depth_model:
-        out["depth"] = _load_model(args.depth_model).predict(features)
+        out["depth"] = _load_model(args.depth_model, "depth").predict(features)
     if args.swap_model:
-        out["swaps"] = _load_model(args.swap_model).predict(features)
+        out["swaps"] = _load_model(args.swap_model, "swaps").predict(features)
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -281,8 +281,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     graph = resolve_graph(args.arch)
-    depth_model = _load_model(args.depth_model)
-    swap_model = _load_model(args.swap_model)
+    depth_model = _load_model(args.depth_model, "depth")
+    swap_model = _load_model(args.swap_model, "swaps")
     solver = _solver_config(args)
     circuits = [(path, load_qasm(path)) for path in args.inputs]
 

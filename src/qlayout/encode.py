@@ -41,6 +41,12 @@ class EncodingError(ValueError):
     """Instance cannot be encoded with the requested shape."""
 
 
+def check_swap_duration(steps: int) -> None:
+    """Raise :class:`EncodingError` unless a swap occupies at least one step."""
+    if steps < 1:
+        raise EncodingError(f"swap duration must be at least 1 step, not {steps}")
+
+
 def bit_length(value: int) -> int:
     """Bits needed to represent ``value``: floor(log2(value)) + 1, min 1."""
     return max(1, int(value).bit_length())
@@ -80,8 +86,7 @@ class EncodingContext:
             raise EncodingError("time horizon must be at least 1")
         if self.time_bits < 1:
             raise EncodingError("gate-time width must be at least 1 bit")
-        if self.swap_duration < 1:
-            raise EncodingError("swap duration must be at least 1 step")
+        check_swap_duration(self.swap_duration)
         object.__setattr__(self, "dag_edges", tuple(sorted(build_dag(self.circuit).edges)))
 
     @property

@@ -12,14 +12,13 @@ Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
 shape, wall time); that list is the search's only state besides the loaded
 base, and every count, history and resize event is derived from it.  The
 grid shape of a check is :func:`grid_shape` of the previous record: the
-time-grid extent starts one increment above the first bound and regrows
-(by a large or small increment, chosen by comparing the previous depth
-bound against a threshold) whenever the next bound would not fit.  The
+time-grid extent starts one step above the first bound and regrows one
+step above the previous depth bound whenever the next bound would not
+fit; a step is 10 below depth bound 50 and 15 at or above it.  The
 gate-time width starts at the first bound's own width, widens before a
 bound that crosses a power of two and narrows again after satisfiable
 depth checks, so a solve whose bounds stay below the next power of two
-loads its base once.  Increments are at least 2, the search's stride, so
-a regrown grid always fits the next bound.
+loads its base once.
 
 One probe serves both phases, and one solver session serves the whole
 solve.  The probe loads the context and base once per grid shape as the
@@ -43,6 +42,7 @@ from .encode import (  # noqa: F401 - emit_script stays for qbench/spans.py
     DEFAULT_SWAP_DURATION,
     bit_length,
     build_context,
+    check_swap_duration,
     declarations,
     emit_script,
     encode_base,
@@ -96,20 +96,13 @@ def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ResizePolicy:
-    """Extent-growth policy: large increment at or above the threshold."""
+# Both steps are at least 2, the search's stride, so a regrown grid always
+# fits the next bound.
+_THRESHOLD, _LARGE_STEP, _SMALL_STEP = 50, 15, 10
 
-    threshold: int = 50
-    large_step: int = 15
-    small_step: int = 10
 
-    def __post_init__(self):
-        if min(self.large_step, self.small_step) < 2:
-            raise ValueError("resize steps must be at least 2, the search's stride")
-
-    def step(self, bound: int) -> int:
-        return self.large_step if bound >= self.threshold else self.small_step
+def _step(bound: int) -> int:
+    return _LARGE_STEP if bound >= _THRESHOLD else _SMALL_STEP
 
 
 @dataclass(frozen=True)
@@ -124,27 +117,25 @@ class CheckRecord:
     wall_time: float
 
 
-def grid_shape(
-    last: Optional[CheckRecord], depth: Optional[int], policy: ResizePolicy
-) -> tuple[int, int]:
+def grid_shape(last: Optional[CheckRecord], depth: Optional[int]) -> tuple[int, int]:
     """(horizon, time_bits) of the check after ``last``: ``depth`` is its
     depth bound, or None in the swap phase, which keeps the grid.
 
-    The first grid ends one policy step above the first bound, with that
+    The first grid ends one :func:`_step` above the first bound, with that
     bound's width: the width a satisfiable check there would narrow to.
     After a satisfiable depth check the gate-time width narrows to its
     bound's.  A depth bound past the grid regrows it one step above the
     previous depth bound, and one needing more bits widens it.
     """
     if last is None:
-        return depth + policy.step(depth), bit_length(depth)
+        return depth + _step(depth), bit_length(depth)
     horizon, time_bits = last.horizon, last.time_bits
     if last.phase == "depth" and last.sat:
         time_bits = min(time_bits, bit_length(last.bound))
     if depth is None:
         return horizon, time_bits
     if depth >= horizon:
-        horizon = last.bound + policy.step(last.bound)
+        horizon = last.bound + _step(last.bound)
     return horizon, max(time_bits, bit_length(depth))
 
 
@@ -266,7 +257,6 @@ def solve_optimal(
     *,
     solver: be.SolverConfig | be.Session | None = None,
     swap_duration: int = DEFAULT_SWAP_DURATION,
-    policy: ResizePolicy = ResizePolicy(),
     keep_swap_opcode: bool = False,
 ) -> SolveResult:
     """Optimal (depth, swap count) for a circuit on a device, with telemetry.
@@ -276,8 +266,9 @@ def solve_optimal(
     change the reported optima.  ``solver`` is a ``backend.SolverConfig``
     (None for the default), which runs this solve in a session of its own,
     or a live ``backend.Session``, which serves it as one of its solves and
-    stays open.
+    stays open.  A swap duration below one step raises ValueError.
     """
+    check_swap_duration(swap_duration)
     if circuit.num_qubits > graph.num_qubits:
         raise ValueError(
             f"circuit needs {circuit.num_qubits} qubits but device"
@@ -298,7 +289,7 @@ def solve_optimal(
         nonlocal ctx
         phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
         shape = grid_shape(checks[-1] if checks else None,
-                           depth if phase == "depth" else None, policy)
+                           depth if phase == "depth" else None)
         if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
             ctx = build_context(circuit, graph, *shape, swap_duration)
             session.load(declarations(ctx) + encode_base(ctx))

@@ -422,6 +422,18 @@ def test_build_corpus_rejects_kmax_below_one_before_labeling(tmp_path, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def test_build_corpus_rejects_a_swap_duration_below_one_step_before_labeling(
+        tmp_path, monkeypatch):
+    def never(circuit, graph, **kwargs):
+        raise AssertionError("a chunk was labeled")
+
+    monkeypatch.setattr(augment, "label_sample", never)
+    with pytest.raises(ValueError, match="swap duration must be at least 1 step, not 0"):
+        build_corpus(_PAIR, [ChunkPlan((3,))], line_graph(2), tmp_path / "out",
+                     swap_duration=0)
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # build_corpus: one solver session per labeling worker
 # --------------------------------------------------------------------------
@@ -515,7 +527,7 @@ def test_build_corpus_shares_a_session_with_the_same_output(tmp_path, small_solv
 def test_build_corpus_never_gives_one_session_to_two_solves(tmp_path, monkeypatch):
     busy, seen, lock = Counter(), set(), threading.Lock()
 
-    def label(circuit, graph, *, solver):
+    def label(circuit, graph, *, solver, swap_duration):
         with lock:
             busy[solver] += 1
             seen.add(solver)

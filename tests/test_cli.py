@@ -296,6 +296,21 @@ def test_a_model_trained_on_other_features_is_an_input_error(bell_path, tmp_path
     assert f"bad input: {model}: model features" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, options", [
+    ("predict", []),
+    ("map", ["--arch", "line:2", "--solver", "/no/such/solver"]),
+])
+@pytest.mark.parametrize("flag, target", [("--depth-model", "swaps"),
+                                          ("--swap-model", "depth")])
+def test_a_model_for_the_other_target_is_an_input_error(bell_path, models, capsys,
+                                                        command, options, flag, target):
+    capsys.readouterr()
+    assert main([command, bell_path, *options, flag, models[target]]) == 2
+    captured = capsys.readouterr()
+    assert f"bad input: {models[target]}: a {target!r} model" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--threshold", "--large-step", "--small-step"])
 def test_resize_policy_flags_are_gone(bell_path, flag):
     with pytest.raises(SystemExit) as info:
@@ -431,6 +446,9 @@ def test_augment_rejects_bad_budget_list(tmp_path):
     ("augment", "--jobs", "-2", 1),
     ("bench", "--jobs", "0", 1),
     ("augment", "--kmax", "0", 1),
+    ("map", "--swap-duration", "0", 2),
+    ("bench", "--swap-duration", "-1", 2),
+    ("augment", "--swap-duration", "0", 2),
     ("train", "--max-depth", "-1", 1),
 ])
 def test_a_bad_numeric_option_is_rejected_before_any_work(

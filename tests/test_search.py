@@ -1,4 +1,4 @@
-"""Bound search, resize policy, and the two-phase optimal solve."""
+"""Bound search, grid resizing, and the two-phase optimal solve."""
 
 import dataclasses
 import math
@@ -17,7 +17,6 @@ from qlayout.search import (
     BoundSearchOutcome,
     CheckRecord,
     InfeasibleError,
-    ResizePolicy,
     SearchError,
     SolveResult,
     check_feasible,
@@ -198,39 +197,9 @@ def test_frontier_walk_matches_the_two_loop_search_on_random_walks():
     assert min(seen.values()) > 100, seen
 
 
-def test_resize_policy_steps():
-    policy = ResizePolicy()
-    assert policy.threshold == 50
-    assert policy.step(0) == 10
-    assert policy.step(49) == 10
-    assert policy.step(50) == 15
-    assert policy.step(77) == 15
-    custom = ResizePolicy(threshold=5, large_step=4, small_step=2)
-    assert custom.step(4) == 2
-    assert custom.step(5) == 4
-    # steps below the search's 2-unit stride could not fit the next bound
-    for steps in ({"small_step": 1}, {"large_step": 1}, {"small_step": 0},
-                  {"large_step": -3}):
-        with pytest.raises(ValueError, match="at least 2"):
-            ResizePolicy(**steps)
-
-
-def test_smallest_resize_steps_still_fit_every_bound(scripted):
-    # steps of 2 grow the grid to exactly each new ascent bound, which fits
-    fake = scripted(["unsat"] * 3 + [("sat", 0), "unsat", ("sat", 0)])
-    policy = ResizePolicy(large_step=2, small_step=2)
-    result = solve_optimal(_chain(3), line_graph(3), policy=policy)
-    assert [b for b, _ in result.depth_history] == [3, 5, 7, 9, 8]
-    assert result.optimal_depth == 9
-    assert [fake.shape(i)[0] for i in range(5)] == [5, 5, 7, 9, 9]
-
-
 def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
     """A random two-phase solve's check records, each on the grid shape
     :func:`grid_shape` gives it, as ``solve_optimal``'s probe does."""
-    policy = ResizePolicy(threshold=rng.randrange(1, 80),
-                          large_step=rng.randrange(2, 20),
-                          small_step=rng.randrange(2, 20))
     floor = rng.randrange(1, 70)
     start = floor + rng.randrange(-5, 40)
     top = floor + rng.randrange(0, 60)
@@ -238,7 +207,7 @@ def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
 
     def probe(phase: str, bound: int, sat_from: int, depth: int | None):
-        shape = grid_shape(checks[-1] if checks else None, depth, policy)
+        shape = grid_shape(checks[-1] if checks else None, depth)
         sat = bound >= sat_from or rng.random() < p_sat
         checks.append(CheckRecord(phase, bound, sat, *shape, wall_time=0.0))
         return sat, bound
@@ -252,7 +221,7 @@ def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
 
 def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
     rng = random.Random(14)
-    seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load"), 0)
+    seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load", "large_step"), 0)
     for _ in range(3000):
         checks = _shaped_walk(rng)
         widest = 0
@@ -272,6 +241,7 @@ def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
         seen["widened"] += ("time_bits", True) in kinds
         seen["regrown"] += ("horizon", True) in kinds
         seen["one_load"] += result.base_loads == 1
+        seen["large_step"] += any(c.phase == "depth" and c.bound >= 50 for c in checks)
     assert min(seen.values()) > 100, seen
 
 
@@ -279,46 +249,49 @@ def _record(phase: str, bound: int, sat: bool, horizon: int, time_bits: int):
     return CheckRecord(phase, bound, sat, horizon, time_bits, wall_time=0.01)
 
 
+def test_resize_policy_steps():
+    # a regrown grid ends 10 steps above a previous depth bound below 50,
+    # 15 above one at or above it
+    for bound, step in ((0, 10), (49, 10), (50, 15), (77, 15)):
+        last = _record("depth", bound, False, bound + 1, 7)
+        assert grid_shape(last, bound + 2) == (bound + step, 7)
+
+
 def test_first_grid_shape_is_one_step_above_the_first_bound():
     # the horizon ends one step above the bound; the width is the bound's own
-    policy = ResizePolicy()
-    assert grid_shape(None, 9, policy) == (19, 4)
-    assert grid_shape(None, 8, policy) == (18, 4)
-    assert grid_shape(None, 7, policy) == (17, 3)
-    assert grid_shape(None, 1, policy) == (11, 1)
-    assert grid_shape(None, 49, policy) == (59, 6)     # below threshold: +10
-    assert grid_shape(None, 50, policy) == (65, 6)     # at threshold: +15
+    assert grid_shape(None, 9) == (19, 4)
+    assert grid_shape(None, 8) == (18, 4)
+    assert grid_shape(None, 7) == (17, 3)
+    assert grid_shape(None, 1) == (11, 1)
+    assert grid_shape(None, 49) == (59, 6)     # below threshold: +10
+    assert grid_shape(None, 50) == (65, 6)     # at threshold: +15
 
 
 def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
-    policy = ResizePolicy()
-    assert grid_shape(_record("depth", 60, True, 75, 7), 58, policy) == (75, 6)
-    assert grid_shape(_record("depth", 60, False, 75, 7), 62, policy) == (75, 7)
+    assert grid_shape(_record("depth", 60, True, 75, 7), 58) == (75, 6)
+    assert grid_shape(_record("depth", 60, False, 75, 7), 62) == (75, 7)
     # a swap record's bound is a swap count, so it never narrows the width
-    assert grid_shape(_record("swap", 1, True, 75, 7), None, policy) == (75, 7)
+    assert grid_shape(_record("swap", 1, True, 75, 7), None) == (75, 7)
 
 
 def test_grid_shape_regrows_the_horizon_from_the_previous_depth_bound():
-    policy = ResizePolicy()
-    assert grid_shape(_record("depth", 17, False, 19, 5), 18, policy) == (19, 5)
-    assert grid_shape(_record("depth", 17, False, 19, 5), 19, policy) == (27, 5)
-    assert grid_shape(_record("depth", 55, False, 57, 6), 57, policy) == (70, 6)
+    assert grid_shape(_record("depth", 17, False, 19, 5), 18) == (19, 5)
+    assert grid_shape(_record("depth", 17, False, 19, 5), 19) == (27, 5)
+    assert grid_shape(_record("depth", 55, False, 57, 6), 57) == (70, 6)
 
 
 def test_grid_shape_widens_for_a_bound_that_needs_more_bits():
-    policy = ResizePolicy()
-    assert grid_shape(_record("depth", 15, False, 21, 4), 17, policy) == (21, 5)
-    assert grid_shape(_record("depth", 13, False, 21, 4), 15, policy) == (21, 4)
+    assert grid_shape(_record("depth", 15, False, 21, 4), 17) == (21, 5)
+    assert grid_shape(_record("depth", 13, False, 21, 4), 15) == (21, 4)
 
 
 def test_swap_phase_checks_keep_the_grid_shape():
-    policy = ResizePolicy(large_step=2, small_step=2)
     for sat in (True, False):
-        assert grid_shape(_record("swap", 1, sat, 27, 5), None, policy) == (27, 5)
+        assert grid_shape(_record("swap", 1, sat, 27, 5), None) == (27, 5)
     # the optimum may sit on the grid's last step: no regrowth for swaps
-    assert grid_shape(_record("depth", 66, False, 67, 7), None, policy) == (67, 7)
+    assert grid_shape(_record("depth", 66, False, 67, 7), None) == (67, 7)
     # but the swap phase inherits a narrowing after a satisfiable depth check
-    assert grid_shape(_record("depth", 15, True, 30, 5), None, policy) == (30, 4)
+    assert grid_shape(_record("depth", 15, True, 30, 5), None) == (30, 4)
 
 
 # --------------------------------------------------------------------------
@@ -607,6 +580,20 @@ def test_circuit_without_interactions_skips_the_solver(monkeypatch):
     assert sol.gate_times == (0, 0, 1, 0)
     report = be.validate_solution(circuit, line_graph(4), sol)
     assert report.ok
+
+
+@pytest.mark.parametrize("gates, duration", [
+    ([("h", (0,))], -4),                        # no two-qubit gate: no check runs
+    ([("cx", (0, 1))], 0),
+])
+def test_a_swap_duration_below_one_step_is_rejected_before_any_check(
+        monkeypatch, gates, duration):
+    def boom(*args, **kwargs):
+        raise AssertionError("solver must not run")
+
+    monkeypatch.setattr("qlayout.search.be.Session", boom)
+    with pytest.raises(ValueError, match=f"at least 1 step, not {duration}"):
+        solve_optimal(make_circuit(2, gates), line_graph(2), swap_duration=duration)
 
 
 def test_wide_circuit_is_rejected():
