@@ -6,11 +6,14 @@ solver process: it keeps one for a whole solve, or for many solves one
 after another, with the base of the current grid shape in an outer
 ``(push 1)`` scope and each check's bound lines in an inner scope, popped
 after the verdict and, on ``sat``, one batched ``get-value``; so the
-solver must answer each command as soon as it has read it.  :func:`check`
-is a one-check session: it sends one self-contained script and closes the
+solver must answer each command as soon as it has read it.  A load
+launches the process, if none runs, before it takes its first line, and
+streams the lines as they come, so the solver starts up and parses while
+the caller still encodes the rest of the base.  :func:`check` is a
+one-check session: it sends one self-contained script and closes the
 solver's input, so it also serves a solver that answers only at end of
-input.  Both treat an ``(error ...)`` reply before the verdict as a solver
-failure.
+input.  Both treat an ``(error ...)`` reply before the verdict as a
+solver failure.
 
 Decoded solutions are replay-validated without consulting the solver or the
 script, so encoder and solver bugs cannot vouch for themselves.
@@ -28,6 +31,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 from .arch import CouplingGraph
@@ -37,6 +41,9 @@ from .encode import DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, value_quer
 DEFAULT_SOLVER_COMMAND = "z3 -in"
 SOLVER_ENV_VAR = "QLAYOUT_SOLVER"
 DEFAULT_TIMEOUT = 300.0
+# Lines per batch of a streamed load: about 32-40 KB of this encoding's
+# base text, so a batch usually fits an empty 64 KB pipe in one write.
+_BATCH_LINES = 512
 
 
 class SolverError(RuntimeError):
@@ -85,6 +92,7 @@ class CheckResult:
     sat: bool
     values: Optional[dict[str, int | bool]]  # None when unsat
     wall_time: float
+    bytes_sent: int = 0     # written to the solver for this check
 
 
 # One ``(name value)`` pair, alone or inside a batched get-value reply.
@@ -164,20 +172,30 @@ def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
             pass
         session._pump(session._proc, lambda: False)   # to the end of output
         values = _values(session._text[session._pos:]) if sat else None
-    return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start)
+        sent = session._written
+    return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start,
+                       bytes_sent=sent)
 
 
 class Session:
     """One solver process at a time, answering the checks of one or more solves.
 
-    Use as a context manager.  A process starts with the first check and
-    is closed and waited for on exit; on an exception it is killed first.
-    :meth:`load` makes its lines (declarations and base assertions) the
-    outer scope, replacing the previous one; a process's first load also
-    sends ``encode.PREAMBLE``.  :meth:`check` adds bound lines in an inner
-    scope, asks for a verdict and, on ``sat``, for the named values in one
-    query, then pops the inner scope.  Text is sent with the next check,
-    so that check's wall time includes a pending load.
+    Use as a context manager.  A process starts with the first load or
+    check, and is closed and waited for on exit; on an exception it is
+    killed first.  :meth:`load` makes its lines (declarations and base
+    assertions) the outer scope, replacing the previous one; a process's
+    first load also sends ``encode.PREAMBLE``.  It launches the process,
+    if none runs, before it takes its first line, and streams the lines in
+    batches as it takes them: after each batch it writes pending text, as
+    much as one write takes without blocking, and reads any output waiting.
+    A load that raises kills the process, so no half-sent base is ever
+    checked.  :meth:`check` adds bound lines in an inner scope, asks for a
+    verdict and, on ``sat``, for the named values in one query, then pops
+    the inner scope.  A load's text goes out while the load runs instead of
+    waiting for the next check; only what the solver's input has not taken
+    by then, and a check's closing pop, go out with the next load or check.
+    The wall time and ``bytes_sent`` of a check that follows a load include
+    that load: its launch, the encoding of its lines and their transfer.
 
     ``config.timeout`` is the budget of one solve.  It starts when the
     session is created and restarts at each :meth:`solve`; once it is
@@ -199,6 +217,8 @@ class Session:
         self._selector: Optional[selectors.BaseSelector] = None
         self._unsent: deque[Optional[memoryview]] = deque()  # encoded text; None ends the input
         self._writing = False      # the selector watches the solver's input
+        self._written = 0          # bytes written since the last check
+        self._loading_since: Optional[float] = None  # start of a load not yet checked
         self._loaded = False
         self._text = ""            # solver output; replies before _pos are taken
         self._pos = 0
@@ -223,14 +243,25 @@ class Session:
         self.close(kill=exc_type is not None)
 
     def load(self, lines: Iterable[str]) -> None:
-        """Replace the outer scope with ``lines``; sent with the next check."""
-        self._send(["(pop 1)"] if self._loaded else PREAMBLE)
-        self._send(["(push 1)", *lines])
+        """Replace the outer scope with ``lines``, streaming them to the
+        solver, launched first if none runs, as they are taken."""
+        if self._loading_since is None:
+            self._loading_since = time.monotonic()
+        try:
+            proc = self._proc or self._start()
+            self._send(["(pop 1)"] if self._loaded else PREAMBLE)
+            rest = chain(["(push 1)"], lines)
+            while batch := list(islice(rest, _BATCH_LINES)):
+                self._send(batch)
+                self._poll(proc, 0)
+        except BaseException:
+            self.close(kill=True)
+            raise
         self._loaded = True
 
     def check(self, lines: Iterable[str], names: Iterable[str]) -> CheckResult:
         """Check the outer scope plus ``lines``; values of ``names`` on sat."""
-        start = time.monotonic()
+        start = self._loading_since or time.monotonic()
         self._send(["(push 1)", *lines, "(check-sat)"])
         while (sat := _verdict(self._reply())) is None:
             pass
@@ -239,7 +270,9 @@ class Session:
             self._send([value_query(names)])
             values = _values(self._reply())
         self._send(["(pop 1)"])
-        return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start)
+        sent, self._written, self._loading_since = self._written, 0, None
+        return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start,
+                           bytes_sent=sent)
 
     def close(self, kill: bool = False) -> None:
         """Close the solver's input and wait for it to exit, or kill it."""
@@ -316,18 +349,23 @@ class Session:
         while (remaining := self._deadline - time.monotonic()) > 0:
             if self._ended or done():
                 return
-            self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
             # one wait at a time, so an infinite or huge budget cannot
             # overflow the platform's timeout
-            for key, _ in self._selector.select(min(remaining, 3600.0)):
-                if key.fileobj is proc.stdin:
-                    self._write(proc)
-                else:
-                    self._read(key, proc.stdout)
+            self._poll(proc, min(remaining, 3600.0))
         proc.kill()
         raise SolverTimeoutError(
             f"solver exceeded {self.config.timeout}s: {' '.join(self.config.command)}"
         )
+
+    def _poll(self, proc: subprocess.Popen, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the solver's pipes, then write
+        one chunk of pending input and read one chunk of each ready output."""
+        self._watch_input(proc, bool(self._unsent) and not proc.stdin.closed)
+        for key, _ in self._selector.select(timeout):
+            if key.fileobj is proc.stdin:
+                self._write(proc)
+            else:
+                self._read(key, proc.stdout)
 
     def _write(self, proc: subprocess.Popen) -> None:
         data = self._unsent[0]
@@ -343,6 +381,7 @@ class Session:
         except BrokenPipeError:  # the solver stopped reading; its output tells why
             self._unsent.clear()
             return
+        self._written += sent
         if sent < len(data):
             self._unsent[0] = data[sent:]
         else:

@@ -30,6 +30,7 @@ scope in a solver session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .arch import CouplingGraph
 from .circuit import Circuit, build_dag
@@ -149,16 +150,17 @@ def declarations(ctx: EncodingContext) -> list[str]:
     return [f"(declare-const {name} {sort})" for name, sort in ctx.variables()]
 
 
-def encode_base(ctx: EncodingContext) -> list[str]:
+def encode_base(ctx: EncodingContext) -> Iterator[str]:
     """The instance-defining constraints, independent of any bound.
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
     blocking; mapping transformation after swap completion.  Shared
     sub-terms are defined once, before their first use, as nullary
-    ``define-fun`` literals (see the module docstring).
+    ``define-fun`` literals (see the module docstring).  Lines are yielded
+    as they are built, so a solver session can take the first ones while
+    the rest are encoded.
     """
-    lines: list[str] = []
     nq = ctx.circuit.num_qubits
     nphys = ctx.graph.num_qubits
     qb = ctx.qubit_bits
@@ -173,22 +175,20 @@ def encode_base(ctx: EncodingContext) -> list[str]:
     for t in range(horizon):
         if phys_limit is not None:
             for q in range(nq):
-                lines.append(f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))")
+                yield f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))"
         if nq > 1:
             names = " ".join(ctx.pos_name(q, t) for q in range(nq))
-            lines.append(f"(assert (distinct {names}))")
+            yield f"(assert (distinct {names}))"
 
     for q in range(nq):
         for t in range(horizon):
             pos = ctx.pos_name(q, t)
             for p in range(nphys):
-                lines.append(_define(at(q, t, p), f"(= {pos} {_bv(p, qb)})"))
+                yield _define(at(q, t, p), f"(= {pos} {_bv(p, qb)})")
     for g in ctx.circuit.gates:
         for t in range(steps):
-            lines.append(_define(
-                ctx.exec_name(g.id, t),
-                f"(= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})",
-            ))
+            yield _define(ctx.exec_name(g.id, t),
+                          f"(= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})")
 
     # Two-qubit gates execute on device edges.
     for g in ctx.circuit.gates:
@@ -200,16 +200,16 @@ def encode_base(ctx: EncodingContext) -> list[str]:
                 f"(and {at(q1, t, a)} {at(q2, t, b)}) (and {at(q1, t, b)} {at(q2, t, a)})"
                 for a, b in edges
             )
-            lines.append(f"(assert (=> {ctx.exec_name(g.id, t)} (or {placements})))")
+            yield f"(assert (=> {ctx.exec_name(g.id, t)} (or {placements})))"
 
     # Dependent gates execute strictly in order.
     for i, j in ctx.dag_edges:
-        lines.append(f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))")
+        yield f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))"
 
     # Swaps need a full window: none may complete before duration-1.
     for e in range(len(edges)):
         for t in range(min(dur - 1, horizon)):
-            lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
+            yield f"(assert (not {ctx.swap_name(e, t)}))"
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
     for t in range(dur - 1, horizon):
@@ -221,9 +221,7 @@ def encode_base(ctx: EncodingContext) -> list[str]:
                 for tt in range(t - dur + 1, t + 1)
             ]
             if others:
-                lines.append(
-                    f"(assert (=> {ctx.swap_name(k, t)} (not {_any(others)})))"
-                )
+                yield f"(assert (=> {ctx.swap_name(k, t)} (not {_any(others)})))"
 
     # Swap windows block gates on the swapped physical qubits: a gate may
     # not execute at t while one of its qubits sits on a busy qubit.
@@ -232,18 +230,18 @@ def encode_base(ctx: EncodingContext) -> list[str]:
         for p in busy:
             for t in range(steps):
                 window = range(max(t, dur - 1), min(t + dur - 1, horizon - 1) + 1)
-                lines.append(_define(ctx.busy_name(p, t), _any([
+                yield _define(ctx.busy_name(p, t), _any([
                     ctx.swap_name(k, tt) for k in ctx.graph.edges_at(p) for tt in window
-                ])))
+                ]))
         for q in range(nq):
             for t in range(steps):
-                lines.append(_define(ctx.blocked_name(q, t), _any([
+                yield _define(ctx.blocked_name(q, t), _any([
                     f"(and {at(q, t, p)} {ctx.busy_name(p, t)})" for p in busy
-                ])))
+                ]))
         for g in ctx.circuit.gates:
             for t in range(steps):
                 blocked = _any([ctx.blocked_name(q, t) for q in g.qubits])
-                lines.append(f"(assert (not (and {ctx.exec_name(g.id, t)} {blocked})))")
+                yield f"(assert (not (and {ctx.exec_name(g.id, t)} {blocked})))"
 
     # Mapping evolves exactly through completed swaps.
     for t in range(horizon - 1):
@@ -254,12 +252,11 @@ def encode_base(ctx: EncodingContext) -> list[str]:
                     stay = f"(and (not {_any(incident)}) {at(q, t, p)})"
                 else:
                     stay = at(q, t, p)
-                lines.append(f"(assert (=> {stay} {at(q, t + 1, p)}))")
+                yield f"(assert (=> {stay} {at(q, t + 1, p)}))"
             for k, (a, b) in enumerate(edges):
                 sw = ctx.swap_name(k, t)
-                lines.append(f"(assert (=> (and {sw} {at(q, t, a)}) {at(q, t + 1, b)}))")
-                lines.append(f"(assert (=> (and {sw} {at(q, t, b)}) {at(q, t + 1, a)}))")
-    return lines
+                yield f"(assert (=> (and {sw} {at(q, t, a)}) {at(q, t + 1, b)}))"
+                yield f"(assert (=> (and {sw} {at(q, t, b)}) {at(q, t + 1, a)}))"
 
 
 def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:

@@ -9,12 +9,13 @@ then one check to close a 2-wide gap, so an exact prediction costs at most
 three checks per phase.
 
 Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
-shape, wall time); that list is the search's only state besides the loaded
-base, and every count, history and resize event is derived from it.  The
-grid shape of a check is :func:`grid_shape` of the previous record: the
-time-grid extent starts one step above the first bound and regrows one
-step above the previous depth bound whenever the next bound would not
-fit; a step is 10 below depth bound 50 and 15 at or above it.  The
+shape, wall time, bytes sent); that list is the search's only state
+besides the loaded base, and every count, history and resize event is
+derived from it.  The grid shape of a check is :func:`grid_shape` of the
+previous record: the time-grid extent starts one step above the first
+bound and regrows one step above the previous depth bound whenever the
+next bound would not fit; a step is 10 below depth bound 50 and 15 at or
+above it.  The
 gate-time width starts at the first bound's own width, widens before a
 bound that crosses a power of two and narrows again after satisfiable
 depth checks, so a solve whose bounds stay below the next power of two
@@ -22,10 +23,12 @@ loads its base once.
 
 One probe serves both phases, and one solver session serves the whole
 solve.  The probe loads the context and base once per grid shape as the
-session's outer scope; each check adds only its bound lines, and a solver
-failure becomes a :class:`SearchError` naming the phase.  An ascent that
-a solver refutes at or above a bound known to be satisfiable also raises
-:class:`SearchError`, so a wrong solver cannot keep the search running.
+session's outer scope, streaming the base to the solver as it is encoded;
+each check adds only its bound lines, and a solver failure, a failed
+launch included, becomes a :class:`SearchError` naming the phase.  An
+ascent that a solver refutes at or above a bound known to be satisfiable
+also raises :class:`SearchError`, so a wrong solver cannot keep the search
+running.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 from . import backend as be
@@ -107,7 +111,9 @@ def _step(bound: int) -> int:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One solver check: the bound it probed, its verdict and grid shape."""
+    """One solver check: the bound it probed, its verdict, grid shape, wall
+    time and the bytes written to the solver for it, a base it loaded
+    included."""
 
     phase: str          # "depth", or "swap" (then ``bound`` is a swap count)
     bound: int
@@ -115,6 +121,7 @@ class CheckRecord:
     horizon: int
     time_bits: int
     wall_time: float
+    bytes_sent: int = 0
 
 
 def grid_shape(last: Optional[CheckRecord], depth: Optional[int]) -> tuple[int, int]:
@@ -167,6 +174,7 @@ def _telemetry(checks: list[CheckRecord]) -> dict:
         "swap_checks": len(_history(checks, "swap")),
         "resize_events": _resize_events(checks),
         "base_loads": _base_loads(checks),
+        "bytes_sent": sum(c.bytes_sent for c in checks),
         "wall_time_per_check": [c.wall_time for c in checks],
         "checks": [asdict(c) for c in checks],
     }
@@ -227,6 +235,7 @@ class SolveResult:
     wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
     resize_events = property(lambda self: _resize_events(self.checks))
     base_loads = property(lambda self: _base_loads(self.checks))
+    bytes_sent = property(lambda self: sum(c.bytes_sent for c in self.checks))
 
     def telemetry(self) -> dict:
         return {"optimal_depth": self.optimal_depth,
@@ -290,18 +299,19 @@ def solve_optimal(
         phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
         shape = grid_shape(checks[-1] if checks else None,
                            depth if phase == "depth" else None)
-        if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
-            ctx = build_context(circuit, graph, *shape, swap_duration)
-            session.load(declarations(ctx) + encode_base(ctx))
-        bounds = encode_depth_bound(ctx, depth)
-        if phase == "swap":
-            bounds += encode_swap_bound(ctx, swap_bound)
         try:
+            if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
+                ctx = build_context(circuit, graph, *shape, swap_duration)
+                session.load(chain(declarations(ctx), encode_base(ctx)))
+            bounds = encode_depth_bound(ctx, depth)
+            if phase == "swap":
+                bounds += encode_swap_bound(ctx, swap_bound)
             result = session.check(bounds, (name for name, _ in ctx.variables()))
         except be.SolverError as exc:
             raise SearchError(f"{phase} phase failed at bound {bound} (horizon"
                               f" {shape[0]}, {shape[1]} time bits): {exc}") from exc
-        checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time))
+        checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time,
+                                  result.bytes_sent))
         return result.sat, (ctx, result.values) if result.sat else None
 
     # A sequential schedule runs one gate at a time, each after fewer than

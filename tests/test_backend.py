@@ -222,11 +222,100 @@ def test_session_unsat_asks_for_no_values(tmp_path):
     assert "(get-value (x))" not in (tmp_path / "input.log").read_text()
 
 
-def test_session_without_checks_launches_nothing(tmp_path):
+def _wait_for(path, seconds=10.0) -> None:
+    """Block until ``path`` exists; fail after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.01)
+
+
+def test_session_without_load_or_check_launches_nothing(tmp_path):
     cfg = _script_solver(tmp_path, f"touch {tmp_path / 'launched'}; cat > /dev/null")
-    with Session(cfg) as session:
-        session.load(["(declare-const x Bool)"])
+    with Session(cfg):
+        pass
     assert not (tmp_path / "launched").exists()
+
+
+def test_load_launches_the_solver_before_taking_a_line(tmp_path):
+    # the first line waits for the solver's mark, which a solver launched
+    # only after the lines were taken could never leave
+    launched, pid_file = tmp_path / "launched", tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; touch {launched}; cat > /dev/null")
+
+    def lines():
+        _wait_for(launched)
+        yield "(declare-const x Bool)"
+
+    with Session(cfg) as session:
+        session.load(lines())
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_a_load_that_raises_leaves_no_solver_running(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; cat > /dev/null")
+
+    def lines():
+        _wait_for(pid_file)
+        yield from ["(declare-const x Bool)"] * 2000
+        raise RuntimeError("encoder bug")
+
+    with pytest.raises(RuntimeError, match="encoder bug"):
+        with Session(cfg) as session:
+            session.load(lines())
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_check_wall_time_and_bytes_cover_the_load_before_it(tmp_path):
+    cfg = _line_solver(tmp_path)
+
+    def lines():
+        time.sleep(0.2)           # encoding time, spent inside the load
+        yield "(declare-const x Bool)"
+
+    with Session(cfg) as session:
+        session.load(lines())
+        first = session.check(["(assert x)"], ["x"])
+        second = session.check([], ["x"])
+    assert first.wall_time >= 0.2 and second.wall_time < first.wall_time
+    wire = (tmp_path / "input.log").read_text()
+    assert first.bytes_sent == len(
+        "(set-option :produce-models true)\n(set-logic QF_BV)\n(push 1)\n"
+        "(declare-const x Bool)\n(push 1)\n(assert x)\n(check-sat)\n(get-value (x))\n")
+    # the first check's closing pop goes out with the second check
+    assert second.bytes_sent == len("(pop 1)\n(push 1)\n(check-sat)\n(get-value (x))\n")
+    assert first.bytes_sent + second.bytes_sent == len(wire)
+
+
+# A base of about 2 MB, more than the solver's input and output pipes hold.
+_LARGE_BASE = [f"(assert (= x{i % 7} x{i % 7}))" + " " * 20 for i in range(50_000)]
+
+
+def test_streamed_load_to_a_solver_that_rejects_every_line_raises(tmp_path):
+    # the fake stops reading while its output pipe is full, so a load that
+    # blocked on writing the base would never return
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}\n"
+                                   "exec sed -u 's/.*/(error \"unsupported\")/'")
+    start = time.monotonic()
+    with pytest.raises(SolverOutputError, match="unsupported"):
+        with Session(dataclasses.replace(cfg, timeout=30.0)) as session:
+            session.load(_LARGE_BASE)
+            session.check(["(assert false)"], [])
+    assert time.monotonic() - start < 30.0
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_solver_exit_mid_load_is_an_exit_error(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"""echo $$ > {pid_file}
+head -n 100 > /dev/null; echo 'read enough' >&2; exit 4""")
+    with pytest.raises(SolverExitError, match="exited 4.*read enough"):
+        with Session(dataclasses.replace(cfg, timeout=30.0)) as session:
+            session.load(_LARGE_BASE)
+            session.check(["(assert false)"], [])
+    assert _gone(int(pid_file.read_text()))
 
 
 def test_session_fails_on_an_error_before_the_verdict(tmp_path):

@@ -85,7 +85,7 @@ def test_range_assertion_skipped_for_power_of_two_devices():
 def test_distinct_positions_every_step():
     c = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    base = encode_base(ctx)
+    base = list(encode_base(ctx))
     distinct = [ln for ln in base if "distinct" in ln]
     assert len(distinct) == 4
     assert "(assert (distinct pos_q0_t2 pos_q1_t2 pos_q2_t2))" in distinct
@@ -94,7 +94,7 @@ def test_distinct_positions_every_step():
 def test_adjacency_implications_capped_by_time_bits():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), horizon=10, time_bits=2)
-    base = encode_base(ctx)
+    base = list(encode_base(ctx))
     on_time = [ln for ln in base if ln.startswith("(assert (=> exec_g0_t")]
     assert len(on_time) == 4                       # t in 0..3 only (2 bits)
     assert "(define-fun exec_g0_t3 () Bool (= time_g0 #b11))" in base
@@ -118,7 +118,7 @@ def test_dag_order_constraints_present():
 def test_single_qubit_only_circuit_has_no_adjacency_family():
     c = make_circuit(2, [("h", (0,)), ("x", (1,))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    base = encode_base(ctx)
+    base = list(encode_base(ctx))
     assert not any(ln.startswith("(assert (=> exec_") for ln in base)
     assert not any(re.search(r"\(and at_q\S+ at_q", ln) for ln in base)  # no placements
 
@@ -127,7 +127,7 @@ def test_blocking_is_one_assertion_per_gate_and_step():
     c = make_circuit(3, [("cx", (0, 1)), ("h", (2,)), ("cx", (1, 2))])
     for time_bits in (2, 3, 4):
         ctx = build_context(c, qx2(), 9, time_bits)
-        base = encode_base(ctx)
+        base = list(encode_base(ctx))
         blocking = [ln for ln in base if ln.startswith("(assert (not (and exec_")]
         assert len(blocking) == 3 * ctx.representable_times
         assert "(assert (not (and exec_g1_t3 blk_q2_t3)))" in blocking
@@ -137,7 +137,7 @@ def test_blocking_is_one_assertion_per_gate_and_step():
 def test_early_swaps_forbidden_by_duration():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), 6, 3, swap_duration=3)
-    base = encode_base(ctx)
+    base = list(encode_base(ctx))
     for e in range(2):
         for t in (0, 1):
             assert f"(assert (not swp_e{e}_t{t}))" in base
@@ -258,7 +258,7 @@ def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
     # variables satisfies one base and not the other
     depth, _ = brute_force_schedule(circuit, graph)
     ctx = build_context(circuit, graph, depth + 1, bit_length(depth + 1))
-    new = encode_base(ctx)
+    new = list(encode_base(ctx))
     definitions = [ln for ln in new if ln.startswith("(define-fun ")]
     new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
     old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))

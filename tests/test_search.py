@@ -426,7 +426,8 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     )
     assert tele["base_loads"] == 3
     assert tele["checks"][5] == {"phase": "depth", "bound": 19, "sat": False,
-                                 "horizon": 27, "time_bits": 5, "wall_time": 0.01}
+                                 "horizon": 27, "time_bits": 5, "wall_time": 0.01,
+                                 "bytes_sent": 0}
     assert [(c["phase"], c["bound"]) for c in tele["checks"][-3:]] == [
         ("swap", 3), ("swap", 1), ("swap", 0),
     ]
@@ -700,6 +701,34 @@ def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
     result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
     assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
     assert _gone(int(pid_file.read_text()))
+
+
+def test_solver_exit_mid_load_is_a_search_error(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; head -n 20 > /dev/null; exit 6")
+    with pytest.raises(SearchError, match="depth phase failed at bound 2 ") as info:
+        solve_optimal(_chain(2), line_graph(3), solver=cfg)
+    assert isinstance(info.value.__cause__, be.SolverExitError)
+    assert "exited 6" in str(info.value)
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_a_solver_that_cannot_launch_is_a_search_error():
+    with pytest.raises(SearchError, match="depth phase failed at bound 2 ") as info:
+        solve_optimal(_chain(2), line_graph(3), solver=be.SolverConfig.resolve("/no/such/solver"))
+    assert isinstance(info.value.__cause__, be.SolverExitError)
+    assert "cannot launch" in str(info.value.__cause__)
+    assert info.value.telemetry["checks"] == []
+
+
+def test_bytes_sent_per_check_add_up_to_the_solver_input(tmp_path, small_solver):
+    wire = tmp_path / "wire"
+    cfg = _script_solver(tmp_path, f"tee {wire} | {shlex.join(small_solver.command)}")
+    result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    assert len(result.checks) > 1 and all(c.bytes_sent > 0 for c in result.checks)
+    assert result.bytes_sent == sum(c.bytes_sent for c in result.checks)
+    assert result.bytes_sent == len(wire.read_bytes())
+    assert result.telemetry()["bytes_sent"] == result.bytes_sent
 
 
 def test_outcome_dataclass_shape():
