@@ -4,12 +4,13 @@ The solver is any SMT-LIB2 command that reads from standard input and
 writes its replies to standard output.  :class:`Session` runs every
 solver process: it keeps one for a whole solve, or for many solves one
 after another, with the base of the current grid shape in an outer
-``(push 1)`` scope and each check's bound lines in an inner scope, popped
-after the verdict and, on ``sat``, one batched ``get-value``; so the
-solver must answer each command as soon as it has read it.  A load
-launches the process, if none runs, before it takes its first line, and
-streams the lines as they come, so the solver starts up and parses while
-the caller still encodes the rest of the base.  :func:`check` is a
+``(push 1)`` scope, grown in place when the grid deepens, and each
+check's bound lines in an inner scope, popped after the verdict and, on
+``sat``, one batched ``get-value``; so the solver must answer each
+command as soon as it has read it.  A load launches the process, if none
+runs, before it takes its first line, and streams the lines as they
+come, so the solver starts up and parses while the caller still encodes
+the rest of the base.  :func:`check` is a
 one-check session: it sends one self-contained script and closes the
 solver's input, so it also serves a solver that answers only at end of
 input.  Both treat an ``(error ...)`` reply before the verdict as a
@@ -184,18 +185,21 @@ class Session:
     check, and is closed and waited for on exit; on an exception it is
     killed first.  :meth:`load` makes its lines (declarations and base
     assertions) the outer scope, replacing the previous one; a process's
-    first load also sends ``encode.PREAMBLE``.  It launches the process,
-    if none runs, before it takes its first line, and streams the lines in
-    batches as it takes them: after each batch it writes pending text, as
-    much as one write takes without blocking, and reads any output waiting.
-    A load that raises kills the process, so no half-sent base is ever
+    first load also sends ``encode.PREAMBLE``.  :meth:`extend` adds lines
+    to the current outer scope, with no pop and no second base, so a grid
+    can grow in place.  Both launch the process, if none runs, before
+    they take their first line, and stream the lines in batches as they
+    take them: after each batch they write pending text, as much as one
+    write takes without blocking, and read any output waiting.  A load or
+    extension that raises kills the process, so no half-sent base is ever
     checked.  :meth:`check` adds bound lines in an inner scope, asks for a
     verdict and, on ``sat``, for the named values in one query, then pops
-    the inner scope.  A load's text goes out while the load runs instead of
+    the inner scope.  Streamed text goes out while the load runs instead of
     waiting for the next check; only what the solver's input has not taken
     by then, and a check's closing pop, go out with the next load or check.
-    The wall time and ``bytes_sent`` of a check that follows a load include
-    that load: its launch, the encoding of its lines and their transfer.
+    The wall time and ``bytes_sent`` of a check that follows loads or
+    extensions include them: the launch, the encoding of their lines and
+    their transfer.
 
     ``config.timeout`` is the budget of one solve.  It starts when the
     session is created and restarts at each :meth:`solve`; once it is
@@ -245,19 +249,28 @@ class Session:
     def load(self, lines: Iterable[str]) -> None:
         """Replace the outer scope with ``lines``, streaming them to the
         solver, launched first if none runs, as they are taken."""
+        self._stream(chain(["(pop 1)"] if self._loaded else PREAMBLE, ["(push 1)"], lines))
+        self._loaded = True
+
+    def extend(self, lines: Iterable[str]) -> None:
+        """Add ``lines`` to the outer scope of the last load, streamed as
+        :meth:`load` streams them."""
+        self._stream(lines)
+
+    def _stream(self, lines: Iterable[str]) -> None:
+        """Send ``lines`` in batches, launching the solver first if none
+        runs; kill it if taking a line raises."""
         if self._loading_since is None:
             self._loading_since = time.monotonic()
         try:
             proc = self._proc or self._start()
-            self._send(["(pop 1)"] if self._loaded else PREAMBLE)
-            rest = chain(["(push 1)"], lines)
+            rest = iter(lines)
             while batch := list(islice(rest, _BATCH_LINES)):
                 self._send(batch)
                 self._poll(proc, 0)
         except BaseException:
             self.close(kill=True)
             raise
-        self._loaded = True
 
     def check(self, lines: Iterable[str], names: Iterable[str]) -> CheckResult:
         """Check the outer scope plus ``lines``; values of ``names`` on sat."""

@@ -11,8 +11,17 @@ The question "can this circuit be mapped onto this device within depth T_B
 A gate executing at step t contributes t+1 to the final depth; a swap
 completing at t occupies its two physical qubits over the window
 [t-duration+1, t] and exchanges the mapping that takes effect at t+1.
-The time grid has extent ``horizon`` (exclusive), which always exceeds any
-depth bound asserted against it.
+The time grid has extent ``horizon`` (exclusive), at least any depth bound
+asserted against it.  Swaps run ``duration - 1`` steps further
+(``swap_extent``), so no swap window is cut off at the horizon; every
+depth bound forces these look-ahead swaps false.
+
+The encoding is prefix-closed in time: no step's lines depend on the
+horizon.  With ``start=h``, ``declarations`` and ``encode_base`` yield only
+the lines of steps h and later (a swap counts at the step its window
+starts, and gate times, dependency order and early swaps at step 0), so
+the base of horizon h plus those lines of a deeper grid of the same
+gate-time width is the deeper grid's base.
 
 Sub-terms that many assertions share are named once, as nullary
 ``define-fun`` literals, so they add no variables and leave the set of
@@ -97,6 +106,12 @@ class EncodingContext:
         return max(1, (n - 1).bit_length() if n > 1 else 1)
 
     @property
+    def swap_extent(self) -> int:
+        """Exclusive extent of the swap grid: ``swap_duration - 1`` steps
+        past the horizon, the last completion of a window starting before it."""
+        return self.horizon + self.swap_duration - 1
+
+    @property
     def representable_times(self) -> int:
         """Largest time-step count expressible in gate-time equalities."""
         return min(self.horizon, 1 << self.time_bits)
@@ -122,18 +137,31 @@ class EncodingContext:
     def blocked_name(self, q: int, t: int) -> str:
         return f"blk_q{q}_t{t}"
 
-    def variables(self) -> list[tuple[str, str]]:
-        """All (name, sort) pairs, in declaration order."""
+    def variables(self, start: int = 0) -> list[tuple[str, str]]:
+        """(name, sort) pairs of the steps from ``start`` on, in declaration
+        order."""
         out = []
         for q in range(self.circuit.num_qubits):
-            for t in range(self.horizon):
+            for t in range(start, self.horizon):
                 out.append((self.pos_name(q, t), f"(_ BitVec {self.qubit_bits})"))
+        first_swap = start + self.swap_duration - 1 if start else 0
         for e in range(len(self.graph.edges)):
-            for t in range(self.horizon):
+            for t in range(first_swap, self.swap_extent):
                 out.append((self.swap_name(e, t), "Bool"))
-        for g in range(len(self.circuit.gates)):
-            out.append((self.time_name(g), f"(_ BitVec {self.time_bits})"))
+        if not start:
+            for g in range(len(self.circuit.gates)):
+                out.append((self.time_name(g), f"(_ BitVec {self.time_bits})"))
         return out
+
+    def model_names(self) -> list[str]:
+        """The variables a decoded model reads: positions at step 0, swaps
+        completing before the horizon, and gate times."""
+        return [
+            *(self.pos_name(q, 0) for q in range(self.circuit.num_qubits)),
+            *(self.swap_name(e, t) for e in range(len(self.graph.edges))
+              for t in range(self.horizon)),
+            *(self.time_name(g) for g in range(len(self.circuit.gates))),
+        ]
 
 
 def build_context(
@@ -146,12 +174,13 @@ def build_context(
     return EncodingContext(circuit, graph, horizon, time_bits, swap_duration)
 
 
-def declarations(ctx: EncodingContext) -> list[str]:
-    return [f"(declare-const {name} {sort})" for name, sort in ctx.variables()]
+def declarations(ctx: EncodingContext, start: int = 0) -> list[str]:
+    return [f"(declare-const {name} {sort})" for name, sort in ctx.variables(start)]
 
 
-def encode_base(ctx: EncodingContext) -> Iterator[str]:
-    """The instance-defining constraints, independent of any bound.
+def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
+    """The instance-defining constraints of the steps from ``start`` on,
+    independent of any bound.
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
@@ -172,7 +201,7 @@ def encode_base(ctx: EncodingContext) -> Iterator[str]:
 
     # Mapping validity: positions inside the device, distinct per step.
     phys_limit = None if nphys == (1 << qb) else _bv(nphys, qb)
-    for t in range(horizon):
+    for t in range(start, horizon):
         if phys_limit is not None:
             for q in range(nq):
                 yield f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))"
@@ -181,12 +210,12 @@ def encode_base(ctx: EncodingContext) -> Iterator[str]:
             yield f"(assert (distinct {names}))"
 
     for q in range(nq):
-        for t in range(horizon):
+        for t in range(start, horizon):
             pos = ctx.pos_name(q, t)
             for p in range(nphys):
                 yield _define(at(q, t, p), f"(= {pos} {_bv(p, qb)})")
     for g in ctx.circuit.gates:
-        for t in range(steps):
+        for t in range(start, steps):
             yield _define(ctx.exec_name(g.id, t),
                           f"(= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})")
 
@@ -195,24 +224,24 @@ def encode_base(ctx: EncodingContext) -> Iterator[str]:
         if not g.is_two_qubit:
             continue
         q1, q2 = g.qubits
-        for t in range(steps):
+        for t in range(start, steps):
             placements = " ".join(
                 f"(and {at(q1, t, a)} {at(q2, t, b)}) (and {at(q1, t, b)} {at(q2, t, a)})"
                 for a, b in edges
             )
             yield f"(assert (=> {ctx.exec_name(g.id, t)} (or {placements})))"
 
-    # Dependent gates execute strictly in order.
-    for i, j in ctx.dag_edges:
-        yield f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))"
-
-    # Swaps need a full window: none may complete before duration-1.
-    for e in range(len(edges)):
-        for t in range(min(dur - 1, horizon)):
-            yield f"(assert (not {ctx.swap_name(e, t)}))"
+    if not start:
+        # Dependent gates execute strictly in order.
+        for i, j in ctx.dag_edges:
+            yield f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))"
+        # Swaps need a full window: none may complete before duration-1.
+        for e in range(len(edges)):
+            for t in range(dur - 1):
+                yield f"(assert (not {ctx.swap_name(e, t)}))"
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
-    for t in range(dur - 1, horizon):
+    for t in range(start + dur - 1, ctx.swap_extent):
         for k in range(len(edges)):
             others = [ctx.swap_name(k, tt) for tt in range(t - dur + 1, t)]
             others += [
@@ -225,26 +254,26 @@ def encode_base(ctx: EncodingContext) -> Iterator[str]:
 
     # Swap windows block gates on the swapped physical qubits: a gate may
     # not execute at t while one of its qubits sits on a busy qubit.
-    busy = [p for p in range(nphys) if ctx.graph.edges_at(p)] if horizon >= dur else []
+    busy = [p for p in range(nphys) if ctx.graph.edges_at(p)]
     if busy:
         for p in busy:
-            for t in range(steps):
-                window = range(max(t, dur - 1), min(t + dur - 1, horizon - 1) + 1)
+            for t in range(start, steps):
+                window = range(max(t, dur - 1), t + dur)
                 yield _define(ctx.busy_name(p, t), _any([
                     ctx.swap_name(k, tt) for k in ctx.graph.edges_at(p) for tt in window
                 ]))
         for q in range(nq):
-            for t in range(steps):
+            for t in range(start, steps):
                 yield _define(ctx.blocked_name(q, t), _any([
                     f"(and {at(q, t, p)} {ctx.busy_name(p, t)})" for p in busy
                 ]))
         for g in ctx.circuit.gates:
-            for t in range(steps):
+            for t in range(start, steps):
                 blocked = _any([ctx.blocked_name(q, t) for q in g.qubits])
                 yield f"(assert (not (and {ctx.exec_name(g.id, t)} {blocked})))"
 
     # Mapping evolves exactly through completed swaps.
-    for t in range(horizon - 1):
+    for t in range(max(start - 1, 0), horizon - 1):
         for q in range(nq):
             for p in range(nphys):
                 incident = [ctx.swap_name(k, t) for k in ctx.graph.edges_at(p)]
@@ -261,7 +290,7 @@ def encode_base(ctx: EncodingContext) -> Iterator[str]:
 
 def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
     """Assert every gate time below the bound and no swap completing at or
-    beyond it."""
+    beyond it, look-ahead swaps included."""
     if depth_bound > ctx.horizon:
         raise EncodingError(
             f"depth bound {depth_bound} exceeds time horizon {ctx.horizon};"
@@ -273,13 +302,14 @@ def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
         for g in range(len(ctx.circuit.gates)):
             lines.append(f"(assert (bvult {ctx.time_name(g)} {limit}))")
     for e in range(len(ctx.graph.edges)):
-        for t in range(depth_bound, ctx.horizon):
+        for t in range(depth_bound, ctx.swap_extent):
             lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
     return lines
 
 
 def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
-    """Cap the number of true swap indicators via a zero-extended adder tree."""
+    """Cap the number of true swap indicators before the horizon via a
+    zero-extended adder tree; a depth bound forces the later ones false."""
     if swap_bound < 0:
         raise EncodingError("swap bound must be nonnegative")
     all_swaps = [
@@ -314,11 +344,11 @@ def value_query(names) -> str:
 
 def emit_script(ctx: EncodingContext, fragments: list[list[str]]) -> str:
     """Assemble a complete solver script: declarations, constraint
-    fragments, the satisfiability query, and one value query for every
-    variable."""
+    fragments, the satisfiability query, and one value query for the
+    variables a decoded model reads."""
     lines = [*PREAMBLE, *declarations(ctx)]
     for fragment in fragments:
         lines.extend(fragment)
     lines.append("(check-sat)")
-    lines.append(value_query(name for name, _ in ctx.variables()))
+    lines.append(value_query(ctx.model_names()))
     return "\n".join(lines) + "\n"

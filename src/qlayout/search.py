@@ -12,23 +12,21 @@ Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
 shape, wall time, bytes sent); that list is the search's only state
 besides the loaded base, and every count, history and resize event is
 derived from it.  The grid shape of a check is :func:`grid_shape` of the
-previous record: the time-grid extent starts one step above the first
-bound and regrows one step above the previous depth bound whenever the
-next bound would not fit; a step is 10 below depth bound 50 and 15 at or
-above it.  The
-gate-time width starts at the first bound's own width, widens before a
-bound that crosses a power of two and narrows again after satisfiable
-depth checks, so a solve whose bounds stay below the next power of two
-loads its base once.
+previous record: the time grid always ends at the deepest depth bound
+probed so far.  The gate-time width starts at the first bound's own
+width, widens before a bound that crosses a power of two and narrows
+again after satisfiable depth checks.
 
 One probe serves both phases, and one solver session serves the whole
-solve.  The probe loads the context and base once per grid shape as the
-session's outer scope, streaming the base to the solver as it is encoded;
-each check adds only its bound lines, and a solver failure, a failed
-launch included, becomes a :class:`SearchError` naming the phase.  An
-ascent that a solver refutes at or above a bound known to be satisfiable
-also raises :class:`SearchError`, so a wrong solver cannot keep the search
-running.
+solve.  The probe loads the context and base as the session's outer
+scope, streaming the base to the solver as it is encoded, once per
+gate-time width.  When a deeper bound grows the grid at the same width,
+the encoding is prefix-closed, so the probe extends the outer scope with
+the new steps' lines alone.  Each check adds only its bound lines, and a
+solver failure, a failed launch included, becomes a :class:`SearchError`
+naming the phase.  An ascent that a solver refutes at or above a bound
+known to be satisfiable also raises :class:`SearchError`, so a wrong
+solver cannot keep the search running.
 """
 
 from __future__ import annotations
@@ -100,15 +98,6 @@ def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
         )
 
 
-# Both steps are at least 2, the search's stride, so a regrown grid always
-# fits the next bound.
-_THRESHOLD, _LARGE_STEP, _SMALL_STEP = 50, 15, 10
-
-
-def _step(bound: int) -> int:
-    return _LARGE_STEP if bound >= _THRESHOLD else _SMALL_STEP
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     """One solver check: the bound it probed, its verdict, grid shape, wall
@@ -128,22 +117,19 @@ def grid_shape(last: Optional[CheckRecord], depth: Optional[int]) -> tuple[int, 
     """(horizon, time_bits) of the check after ``last``: ``depth`` is its
     depth bound, or None in the swap phase, which keeps the grid.
 
-    The first grid ends one :func:`_step` above the first bound, with that
-    bound's width: the width a satisfiable check there would narrow to.
-    After a satisfiable depth check the gate-time width narrows to its
-    bound's.  A depth bound past the grid regrows it one step above the
-    previous depth bound, and one needing more bits widens it.
+    The first grid ends at the first bound, with that bound's width: the
+    width a satisfiable check there would narrow to.  After a satisfiable
+    depth check the gate-time width narrows to its bound's.  A deeper depth
+    bound grows the grid to end at it, and one needing more bits widens it.
     """
     if last is None:
-        return depth + _step(depth), bit_length(depth)
+        return depth, bit_length(depth)
     horizon, time_bits = last.horizon, last.time_bits
     if last.phase == "depth" and last.sat:
         time_bits = min(time_bits, bit_length(last.bound))
     if depth is None:
         return horizon, time_bits
-    if depth >= horizon:
-        horizon = last.bound + _step(last.bound)
-    return horizon, max(time_bits, bit_length(depth))
+    return max(horizon, depth), max(time_bits, bit_length(depth))
 
 
 def _history(checks: list[CheckRecord], phase: str) -> list[tuple[int, bool]]:
@@ -163,9 +149,15 @@ def _resize_events(checks: list[CheckRecord]) -> list[dict]:
 
 
 def _base_loads(checks: list[CheckRecord]) -> int:
-    """Bases the session loaded: one per check on a new grid shape."""
-    shapes = [(c.horizon, c.time_bits) for c in checks]
-    return sum(prev != cur for prev, cur in zip([None] + shapes, shapes))
+    """Whole bases the session loaded: one per check on a new gate-time width."""
+    widths = [c.time_bits for c in checks]
+    return sum(prev != cur for prev, cur in zip([None] + widths, widths))
+
+
+def _grid_extensions(checks: list[CheckRecord]) -> int:
+    """Grids grown in place: a deeper horizon at an unchanged width."""
+    return sum(prev.time_bits == cur.time_bits and prev.horizon != cur.horizon
+               for prev, cur in zip(checks, checks[1:]))
 
 
 def _telemetry(checks: list[CheckRecord]) -> dict:
@@ -174,6 +166,7 @@ def _telemetry(checks: list[CheckRecord]) -> dict:
         "swap_checks": len(_history(checks, "swap")),
         "resize_events": _resize_events(checks),
         "base_loads": _base_loads(checks),
+        "grid_extensions": _grid_extensions(checks),
         "bytes_sent": sum(c.bytes_sent for c in checks),
         "wall_time_per_check": [c.wall_time for c in checks],
         "checks": [asdict(c) for c in checks],
@@ -235,6 +228,7 @@ class SolveResult:
     wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
     resize_events = property(lambda self: _resize_events(self.checks))
     base_loads = property(lambda self: _base_loads(self.checks))
+    grid_extensions = property(lambda self: _grid_extensions(self.checks))
     bytes_sent = property(lambda self: sum(c.bytes_sent for c in self.checks))
 
     def telemetry(self) -> dict:
@@ -301,12 +295,15 @@ def solve_optimal(
                            depth if phase == "depth" else None)
         try:
             if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
+                # a deeper grid at the same width needs only its new steps
+                start = ctx.horizon if ctx and ctx.time_bits == shape[1] else 0
                 ctx = build_context(circuit, graph, *shape, swap_duration)
-                session.load(chain(declarations(ctx), encode_base(ctx)))
+                lines = chain(declarations(ctx, start), encode_base(ctx, start))
+                (session.extend if start else session.load)(lines)
             bounds = encode_depth_bound(ctx, depth)
             if phase == "swap":
                 bounds += encode_swap_bound(ctx, swap_bound)
-            result = session.check(bounds, (name for name, _ in ctx.variables()))
+            result = session.check(bounds, ctx.model_names())
         except be.SolverError as exc:
             raise SearchError(f"{phase} phase failed at bound {bound} (horizon"
                               f" {shape[0]}, {shape[1]} time bits): {exc}") from exc

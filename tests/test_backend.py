@@ -288,6 +288,62 @@ def test_check_wall_time_and_bytes_cover_the_load_before_it(tmp_path):
     assert first.bytes_sent + second.bytes_sent == len(wire)
 
 
+def test_extend_adds_to_the_outer_scope_without_a_pop(tmp_path):
+    cfg = _line_solver(tmp_path)
+    with Session(cfg) as session:
+        session.load(["(declare-const x Bool)"])
+        first = session.check(["(assert x)"], ["x"])
+        session.extend(iter(["(declare-const y Bool)", "(assert (or x y))"]))
+        second = session.check(["(assert y)"], ["x", "y"])
+        third = session.check([], ["y"])
+    assert [r.values for r in (first, second, third)] == [
+        {"x": 1}, {"x": 1, "y": 1}, {"y": 1}]
+    # the extension lines follow the closing pop of the check before them,
+    # and the next check keeps its own push/pop scope
+    assert (tmp_path / "input.log").read_text().splitlines() == [
+        "(set-option :produce-models true)", "(set-logic QF_BV)",
+        "(push 1)", "(declare-const x Bool)",
+        "(push 1)", "(assert x)", "(check-sat)", "(get-value (x))", "(pop 1)",
+        "(declare-const y Bool)", "(assert (or x y))",
+        "(push 1)", "(assert y)", "(check-sat)", "(get-value (x y))", "(pop 1)",
+        "(push 1)", "(check-sat)", "(get-value (y))",
+    ]
+
+
+def test_check_wall_time_and_bytes_cover_the_extension_before_it(tmp_path):
+    cfg = _line_solver(tmp_path)
+
+    def lines():
+        time.sleep(0.2)           # encoding time, spent inside the extension
+        yield "(declare-const y Bool)"
+
+    with Session(cfg) as session:
+        session.load(["(declare-const x Bool)"])
+        first = session.check([], ["x"])
+        session.extend(lines())
+        second = session.check([], ["y"])
+    assert second.wall_time >= 0.2 > first.wall_time
+    assert second.bytes_sent == len(
+        "(pop 1)\n(declare-const y Bool)\n(push 1)\n(check-sat)\n(get-value (y))\n")
+    assert first.bytes_sent + second.bytes_sent == len((tmp_path / "input.log").read_text())
+
+
+def test_an_extension_that_raises_leaves_no_solver_running(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; cat > /dev/null")
+
+    def lines():
+        _wait_for(pid_file)
+        yield from ["(declare-const y Bool)"] * 2000
+        raise RuntimeError("encoder bug")
+
+    with pytest.raises(RuntimeError, match="encoder bug"):
+        with Session(cfg) as session:
+            session.load(["(declare-const x Bool)"])
+            session.extend(lines())
+    assert _gone(int(pid_file.read_text()))
+
+
 # A base of about 2 MB, more than the solver's input and output pipes hold.
 _LARGE_BASE = [f"(assert (= x{i % 7} x{i % 7}))" + " " * 20 for i in range(50_000)]
 

@@ -346,6 +346,7 @@ def test_map_validate_round_trip(bell_path, tmp_path, small_solver, capsys):
     assert len(doc["wall_time_per_check"]) == doc["depth_checks"] + doc["swap_checks"]
     assert len(doc["checks"]) == doc["depth_checks"] + doc["swap_checks"]
     assert doc["base_loads"] == 1          # every check on the first grid
+    assert doc["grid_extensions"] == 0     # bell's floor 2 is satisfiable
     assert doc["bytes_sent"] == sum(c["bytes_sent"] for c in doc["checks"]) > 0
 
     assert main(["validate", bell_path, "--arch", "line:2",

@@ -5,10 +5,12 @@ import random
 import re
 import shutil
 import subprocess
+from collections import Counter
+from itertools import chain
 
 import pytest
 
-from qlayout.arch import grid_graph, line_graph, qx2
+from qlayout.arch import grid_graph, line_graph, qx2, resolve_graph
 from qlayout.backend import check, decode_solution, validate_solution
 from qlayout.circuit import Circuit, make_circuit
 from qlayout.encode import (
@@ -46,7 +48,7 @@ def test_variable_grid_shapes_on_qx2():
     tim = [d for d in decls if d.startswith("(declare-const time_")]
     assert len(pos) == 2 * 4                 # |Q| x horizon
     assert all("(_ BitVec 3)" in d for d in pos)   # ceil(log2 5) = 3
-    assert len(swp) == 6 * 4                 # |E| x horizon
+    assert len(swp) == 6 * (4 + 2)           # |E| x (horizon + duration - 1)
     assert all(d.endswith("Bool)") for d in swp)
     assert len(tim) == 1
     assert "(_ BitVec 5)" in tim[0]
@@ -56,7 +58,7 @@ def test_declaration_count_formula():
     c = make_circuit(3, [("cx", (0, 1)), ("h", (2,)), ("cx", (1, 2))])
     for graph, horizon in [(line_graph(4), 7), (qx2(), 5)]:
         ctx = build_context(c, graph, horizon, time_bits=4)
-        expected = (3 + len(graph.edges)) * horizon + 3
+        expected = 3 * horizon + len(graph.edges) * (horizon + 2) + 3
         assert len(declarations(ctx)) == expected
 
 
@@ -152,6 +154,8 @@ def test_depth_bound_fragment():
     # swaps at t >= 5 forbidden
     assert "(assert (not swp_e0_t5))" in frag
     assert "(assert (not swp_e1_t7))" in frag
+    assert "(assert (not swp_e1_t9))" in frag      # look-ahead swaps too
+    assert not any("swp_e1_t10" in ln for ln in frag)
     with pytest.raises(EncodingError):
         encode_depth_bound(ctx, 9)
 
@@ -177,6 +181,88 @@ def test_swap_bound_special_cases():
 
 
 # --------------------------------------------------------------------------
+# Prefix closure: a grid grown in place is the deeper grid
+# --------------------------------------------------------------------------
+
+
+def _grown_grids():
+    """(base of horizon h, lines of steps h on at horizon h2, base of h2)
+    for h < h2, over seeded circuits on four devices, swap durations 1-3
+    and gate-time widths 3-5."""
+    rng = random.Random(17)
+    for spec in ("qx2", "line:5", "grid:2x3", "ring:5"):
+        graph = resolve_graph(spec)
+        for width in (2, 3, 4):
+            gates = []
+            for _ in range(rng.randint(2, 5)):
+                a, b = rng.sample(range(width), 2)
+                gates.append(("cx", (a, b)) if rng.random() < 0.7 else ("h", (a,)))
+            circuit = make_circuit(width, gates)
+            for duration in (1, 2, 3):
+                for bits in (3, 4, 5):
+                    h = rng.randint(1, 7)
+                    h2 = rng.randint(h + 1, 10)
+                    small, big = (build_context(circuit, graph, x, bits, duration)
+                                  for x in (h, h2))
+                    yield (list(chain(declarations(small), encode_base(small))),
+                           list(chain(declarations(big, h), encode_base(big, h))),
+                           list(chain(declarations(big), encode_base(big))))
+
+
+def test_a_base_plus_its_extension_is_the_deeper_base():
+    cases = 0
+    for base, extension, deeper in _grown_grids():
+        assert extension
+        assert Counter(base + extension) == Counter(deeper)
+        cases += 1
+    assert cases == 108
+
+
+def test_a_grown_base_repeats_no_line():
+    for base, extension, _ in _grown_grids():
+        stream = base + extension
+        assert len(set(stream)) == len(stream)
+
+
+_NAME = re.compile(r"\b(?:pos|swp|time|at|exec|busy|blk)_[a-z0-9_]+")
+
+
+def test_a_grown_base_names_every_symbol_before_its_first_use():
+    for base, extension, _ in _grown_grids():
+        known = set()
+        for line in base + extension:
+            names = _NAME.findall(line)
+            if line.startswith(("(declare-const ", "(define-fun ")):
+                new, names = names[0], names[1:]
+                assert new not in known, line
+            else:
+                new = None
+            assert known.issuperset(names), line
+            if new:
+                known.add(new)
+
+
+def test_extension_lines_start_at_their_step():
+    c = make_circuit(2, [("cx", (0, 1)), ("cx", (0, 1))])
+    ctx = build_context(c, line_graph(3), horizon=5, time_bits=3, swap_duration=3)
+    assert declarations(ctx, 4) == [
+        "(declare-const pos_q0_t4 (_ BitVec 2))", "(declare-const pos_q1_t4 (_ BitVec 2))",
+        "(declare-const swp_e0_t6 Bool)", "(declare-const swp_e1_t6 Bool)",
+    ]
+    extension = list(encode_base(ctx, 4))
+    assert "(assert (bvult time_g0 time_g1))" in encode_base(ctx)
+    assert not any("time_g1 time_g0" in ln or "time_g0 time_g1" in ln for ln in extension)
+    # a window starting at step 4 ends at the look-ahead swap 6
+    assert "(define-fun busy_p0_t4 () Bool (or swp_e0_t4 swp_e0_t5 swp_e0_t6))" in extension
+    # the mapping evolves from the old grid's last step into the new one
+    assert "(assert (=> (and swp_e0_t3 at_q0_t3_p0) at_q0_t4_p1))" in extension
+    assert ctx.model_names() == [
+        "pos_q0_t0", "pos_q1_t0", *(f"swp_e{e}_t{t}" for e in (0, 1) for t in range(5)),
+        "time_g0", "time_g1",
+    ]
+
+
+# --------------------------------------------------------------------------
 # The compact base has the models of the pairwise one
 # --------------------------------------------------------------------------
 
@@ -192,6 +278,15 @@ def _holds(commands, values) -> bool:
     return True
 
 
+def _look_ahead_false(ctx) -> list[str]:
+    """The one premise under which the compact base must match the pairwise
+    one: the swaps completing at or past the horizon, which the pairwise
+    base does not declare, are false, as every depth bound asserts."""
+    return [f"(assert (not {ctx.swap_name(k, t)}))"
+            for k in range(len(ctx.graph.edges))
+            for t in range(ctx.horizon, ctx.swap_extent)]
+
+
 def _schedule_values(ctx, schedule) -> dict:
     """The declared variables of ``ctx`` set from an oracle schedule."""
     values = {}
@@ -200,7 +295,7 @@ def _schedule_values(ctx, schedule) -> dict:
         for t in range(ctx.horizon):
             values[ctx.pos_name(q, t)] = (schedule.placements[min(t, last)][q], ctx.qubit_bits)
     for k, edge in enumerate(ctx.graph.edges):
-        for t in range(ctx.horizon):
+        for t in range(ctx.swap_extent):
             values[ctx.swap_name(k, t)] = (edge, t) in schedule.swaps
     for g, t in schedule.gate_times.items():
         values[ctx.time_name(g)] = (t, ctx.time_bits)
@@ -239,8 +334,9 @@ def test_compact_base_agrees_with_pairwise_base(name, circuit, graph):
     # them after a satisfiable check (on line:3, 8 steps of a 10-step grid)
     for time_bits in (bit_length(horizon), bit_length(depth)):
         ctx = build_context(circuit, graph, horizon, time_bits)
-        new = refsolver.parse("\n".join(encode_base(ctx)))
-        old = refsolver.parse("\n".join(encode_base_pairwise(ctx)))
+        premise = _look_ahead_false(ctx)
+        new = refsolver.parse("\n".join([*premise, *encode_base(ctx)]))
+        old = refsolver.parse("\n".join([*premise, *encode_base_pairwise(ctx)]))
         valid = _schedule_values(ctx, schedule)
         assert _holds(new, valid) and _holds(old, valid)
         verdicts = set()
@@ -263,7 +359,7 @@ def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
     new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
     old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))
     script = "\n".join([
-        *declarations(ctx), *definitions,
+        *declarations(ctx), *definitions, *_look_ahead_false(ctx),
         f"(assert (not (= (and {old_body}) (and {new_body}))))", "(check-sat)",
     ])
     out = io.StringIO()
@@ -355,11 +451,12 @@ def test_emit_script_layout():
     assert lines[0] == "(set-option :produce-models true)"
     assert lines[1] == "(set-logic QF_BV)"
     check_at = lines.index("(check-sat)")
-    assert all(ln.startswith("(get-value (") for ln in lines[check_at + 1 :])
-    # one batched query names every variable, in declaration order
-    assert len(lines) - check_at - 1 == 1
-    names = [name for name, _ in ctx.variables()]
-    assert lines[-1] == f"(get-value ({' '.join(names)}))"
+    # one batched query names the variables a decoded model reads: positions
+    # at step 0, swaps completing before the horizon, gate times
+    assert lines[check_at + 1:] == [
+        "(get-value (pos_q0_t0 pos_q1_t0 swp_e0_t0 swp_e0_t1 swp_e0_t2 swp_e0_t3"
+        " swp_e1_t0 swp_e1_t1 swp_e1_t2 swp_e1_t3 time_g0))"
+    ]
     assert script.count("(") == script.count(")")
 
 

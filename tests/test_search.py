@@ -221,27 +221,32 @@ def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
 
 def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
     rng = random.Random(14)
-    seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load", "large_step"), 0)
+    seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load", "extended"), 0)
     for _ in range(3000):
         checks = _shaped_walk(rng)
-        widest = 0
+        deepest = 0
         for prev, check in zip([None] + checks, checks):
             if check.phase == "depth":
-                widest = max(widest, check.bound)
-                assert check.bound <= check.horizon, checks
+                deepest = max(deepest, check.bound)
+                assert check.horizon == deepest, checks
                 assert check.bound < 1 << check.time_bits, checks
             else:                      # the swap phase keeps the depth's grid
                 assert check.horizon == prev.horizon, checks
-            assert check.time_bits <= bit_length(widest), checks
+            assert check.time_bits <= bit_length(deepest), checks
         result = SolveResult(0, 0, checks)
-        changed = {e["check_index"] for e in result.resize_events}
-        assert result.base_loads == 1 + len(changed)
+        pairs = list(zip(checks, checks[1:]))
+        widths = sum(a.time_bits != b.time_bits for a, b in pairs)
+        grown = sum(a.time_bits == b.time_bits and a.horizon < b.horizon for a, b in pairs)
+        assert result.base_loads == 1 + widths
+        assert result.grid_extensions == grown
+        assert result.telemetry()["grid_extensions"] == grown
         kinds = {(e["kind"], e["new"] > e["old"]) for e in result.resize_events}
+        assert ("horizon", False) not in kinds     # a grid never shrinks
         seen["narrowed"] += ("time_bits", False) in kinds
         seen["widened"] += ("time_bits", True) in kinds
         seen["regrown"] += ("horizon", True) in kinds
         seen["one_load"] += result.base_loads == 1
-        seen["large_step"] += any(c.phase == "depth" and c.bound >= 50 for c in checks)
+        seen["extended"] += result.grid_extensions > 0
     assert min(seen.values()) > 100, seen
 
 
@@ -249,22 +254,18 @@ def _record(phase: str, bound: int, sat: bool, horizon: int, time_bits: int):
     return CheckRecord(phase, bound, sat, horizon, time_bits, wall_time=0.01)
 
 
-def test_resize_policy_steps():
-    # a regrown grid ends 10 steps above a previous depth bound below 50,
-    # 15 above one at or above it
-    for bound, step in ((0, 10), (49, 10), (50, 15), (77, 15)):
+def test_a_deeper_depth_bound_grows_the_grid_to_end_at_it():
+    # no padding at any bound: the grid ends at the deepest bound probed
+    for bound in (0, 49, 50, 77):
         last = _record("depth", bound, False, bound + 1, 7)
-        assert grid_shape(last, bound + 2) == (bound + step, 7)
+        assert [grid_shape(last, bound + d) for d in (1, 2, 3)] == [
+            (bound + 1, 7), (bound + 2, 7), (bound + 3, 7)]
 
 
-def test_first_grid_shape_is_one_step_above_the_first_bound():
-    # the horizon ends one step above the bound; the width is the bound's own
-    assert grid_shape(None, 9) == (19, 4)
-    assert grid_shape(None, 8) == (18, 4)
-    assert grid_shape(None, 7) == (17, 3)
-    assert grid_shape(None, 1) == (11, 1)
-    assert grid_shape(None, 49) == (59, 6)     # below threshold: +10
-    assert grid_shape(None, 50) == (65, 6)     # at threshold: +15
+def test_first_grid_ends_at_the_first_bound():
+    # the horizon is the bound itself; the width is the bound's own
+    assert [grid_shape(None, b) for b in (9, 8, 7, 1, 49, 50)] == [
+        (9, 4), (8, 4), (7, 3), (1, 1), (49, 6), (50, 6)]
 
 
 def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
@@ -276,8 +277,12 @@ def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
 
 def test_grid_shape_regrows_the_horizon_from_the_previous_depth_bound():
     assert grid_shape(_record("depth", 17, False, 19, 5), 18) == (19, 5)
-    assert grid_shape(_record("depth", 17, False, 19, 5), 19) == (27, 5)
-    assert grid_shape(_record("depth", 55, False, 57, 6), 57) == (70, 6)
+    assert grid_shape(_record("depth", 17, False, 19, 5), 19) == (19, 5)
+    assert grid_shape(_record("depth", 17, False, 19, 5), 21) == (21, 5)
+    assert grid_shape(_record("depth", 55, False, 57, 6), 57) == (57, 6)
+    assert grid_shape(_record("depth", 55, False, 57, 6), 59) == (59, 6)
+    # a bound below the deepest one keeps the grid
+    assert grid_shape(_record("depth", 21, True, 21, 5), 19) == (21, 5)
 
 
 def test_grid_shape_widens_for_a_bound_that_needs_more_bits():
@@ -308,14 +313,14 @@ class ScriptedSolver:
 
     Each step is "unsat", ("sat", k) where k swap indicators are set true
     in the returned model (everything else zero/false), or an exception to
-    raise.  ``scripts`` holds, per check, the loaded outer scope followed by
-    the check's own lines.
+    raise.  ``scripts`` holds, per check, the loaded outer scope with its
+    extensions, followed by the check's own lines.
     """
 
     def __init__(self, steps):
         self.steps = list(steps)
         self.scripts: list[str] = []
-        self.loads = 0
+        self.loads = self.extends = 0
         self.loaded = ""
 
     # be.Session(config) returns this fake, which is its own context manager
@@ -346,6 +351,11 @@ class ScriptedSolver:
         self.loads += 1
         self.loaded = "\n".join(lines) + "\n"
 
+    def extend(self, lines) -> None:
+        assert self.loaded, "extension before a load"
+        self.extends += 1
+        self.loaded += "\n".join(lines) + "\n"
+
     def check(self, lines, names) -> be.CheckResult:
         script = self.loaded + "\n".join(lines) + "\n"
         self.scripts.append(script)
@@ -357,18 +367,22 @@ class ScriptedSolver:
         if step == "unsat":
             return be.CheckResult(sat=False, values=None, wall_time=0.01)
         _, n_true = step
+        # the query names exactly what a decoded model reads: positions at
+        # step 0, swaps completing before the horizon, and gate times
+        horizon, _ = self.shape(len(self.scripts) - 1)
+        declared = [m.group(1) for m in _BV_DECL.finditer(script)]
+        declared += [m.group(1) for m in _BOOL_DECL.finditer(script)]
+        wanted = [name for name in declared
+                  if re.fullmatch(r"pos_q\d+_t0|time_g\d+", name)
+                  or (name.startswith("swp_") and int(name.rsplit("_t", 1)[1]) < horizon)]
+        assert sorted(names) == sorted(wanted)
         values: dict[str, int | bool] = {}
-        for m in _BV_DECL.finditer(script):
-            name = m.group(1)
+        for name in wanted:
             spot = re.match(r"pos_q(\d+)_t", name)
             values[name] = int(spot.group(1)) if spot else 0
-        swap_names = []
-        for m in _BOOL_DECL.finditer(script):
-            values[m.group(1)] = False
-            swap_names.append(m.group(1))
-        for name in swap_names[:n_true]:
-            values[name] = True
-        assert sorted(names) == sorted(values)     # one query for every variable
+        swap_names = [name for name in wanted if name.startswith("swp_")]
+        for i, name in enumerate(swap_names):
+            values[name] = i < n_true
         return be.CheckResult(sat=True, values=values, wall_time=0.01)
 
 
@@ -405,42 +419,53 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     assert len(result.wall_time_per_check) == 13
     assert len(fake.scripts) == 13
 
-    # extent: starts at 9+10=19 with bound 9's 4 bits, widens before bound
-    # 17 and regrows when bound 19 arrives
-    assert fake.shape(0) == (19, 4)
-    assert result.resize_events == [
-        {"phase": "depth", "check_index": 4, "kind": "time_bits",
-         "old": 4, "new": 5},
-        {"phase": "depth", "check_index": 5, "kind": "horizon",
-         "old": 19, "new": 27},
+    # the grid ends at each deeper bound: 9 with bound 9's 4 bits, grown in
+    # place to 15, reloaded at 17 with 5 bits, grown in place to 25
+    assert [fake.shape(i) for i in range(13)] == [
+        (9, 4), (11, 4), (13, 4), (15, 4), (17, 5), (19, 5), (21, 5), (23, 5),
+    ] + [(25, 5)] * 5
+    assert [(e["check_index"], e["kind"], e["old"], e["new"])
+            for e in result.resize_events] == [
+        (1, "horizon", 9, 11), (2, "horizon", 11, 13), (3, "horizon", 13, 15),
+        (4, "horizon", 15, 17), (4, "time_bits", 4, 5), (5, "horizon", 17, 19),
+        (6, "horizon", 19, 21), (7, "horizon", 21, 23), (8, "horizon", 23, 25),
     ]
-    assert fake.shape(4) == (19, 5)
-    assert fake.shape(5) == (27, 5)
-    # one load per grid shape; the swap phase keeps the optimum's shape
-    assert fake.loads == result.base_loads == 3
+    assert all(e["phase"] == "depth" for e in result.resize_events)
+    # one load per gate-time width; every other growth extends in place, and
+    # the swap phase keeps the optimum's shape
+    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (2, 7)
 
     tele = result.telemetry()
     assert tele["optimal_depth"] == 25
     assert tele["depth_checks"] + tele["swap_checks"] == len(
         tele["wall_time_per_check"]
     )
-    assert tele["base_loads"] == 3
+    assert (tele["base_loads"], tele["grid_extensions"]) == (2, 7)
     assert tele["checks"][5] == {"phase": "depth", "bound": 19, "sat": False,
-                                 "horizon": 27, "time_bits": 5, "wall_time": 0.01,
+                                 "horizon": 19, "time_bits": 5, "wall_time": 0.01,
                                  "bytes_sent": 0}
     assert [(c["phase"], c["bound"]) for c in tele["checks"][-3:]] == [
         ("swap", 3), ("swap", 1), ("swap", 0),
     ]
 
 
-def test_initial_extent_uses_small_step_below_threshold(scripted):
+def test_a_predicted_first_bound_sizes_the_first_grid(scripted):
+    # below and above the old padding threshold of 50 alike, the first grid
+    # ends at the predicted bound; the descent below it keeps that grid
     fake = scripted([("sat", 2), "unsat", "unsat",            # 48 S, 46 U, 47 U
                      ("sat", 2), "unsat", "unsat"])           # 2 S, 0 U, 1 U
     result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(48))
-    assert result.optimal_depth == 48
-    assert result.optimal_swaps == 2
-    assert fake.shape(0) == (48 + 10, 6)        # 48 < threshold: +10
+    assert (result.optimal_depth, result.optimal_swaps) == (48, 2)
+    assert [fake.shape(i) for i in range(6)] == [(48, 6)] * 6
     assert result.resize_events == []
+    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 0)
+
+    fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
+    result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(60))
+    assert (result.optimal_depth, result.optimal_swaps) == (60, 0)
+    assert [fake.shape(i) for i in range(4)] == [(60, 6)] * 4
+    assert result.resize_events == []
+    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 0)
 
 
 def test_bounds_below_the_next_power_of_two_load_the_base_once(scripted):
@@ -450,26 +475,15 @@ def test_bounds_below_the_next_power_of_two_load_the_base_once(scripted):
     result = solve_optimal(_chain(5), line_graph(3))
     assert result.depth_history == [(5, False), (7, True), (6, False)]
     assert (result.optimal_depth, result.optimal_swaps) == (7, 2)
-    assert fake.shape(0) == (15, 3)
-    assert result.resize_events == []
-    assert fake.loads == result.base_loads == 1
-
-
-def test_initial_extent_uses_large_step_at_threshold(scripted):
-    fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
-    result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(60))
-    assert result.optimal_depth == 60
-    assert result.optimal_swaps == 0
-    assert fake.shape(0) == (60 + 15, 6)        # 60 >= threshold: +15
-    # the first grid already has bound 60's width, so narrowing after the
-    # satisfiable check changes nothing and the base is sent once
-    assert result.resize_events == []
-    assert [fake.shape(i) for i in range(4)] == [(75, 6)] * 4
-    assert fake.loads == result.base_loads == 1
+    assert [fake.shape(i) for i in range(6)] == [(5, 3)] + [(7, 3)] * 5
+    # bound 7 grows the grid in place; no check sends a second base
+    assert [(e["check_index"], e["kind"], e["old"], e["new"])
+            for e in result.resize_events] == [(1, "horizon", 5, 7)]
+    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 1)
 
 
 def test_gate_time_width_widens_when_a_bound_crosses_a_power_of_two(scripted):
-    # chain of 3 on a line: floor 3, extent 13 at bound 3's 2 bits; ascend to 17
+    # chain of 3 on a line: floor 3, extent 3 at bound 3's 2 bits; ascend to 17
     fake = scripted(
         ["unsat"] * 7 + [("sat", 1), "unsat"]     # 3..15 U, 17 S, 16 U
         + [("sat", 1), ("sat", 0)]                # swaps: 1 S, 0 S
@@ -478,17 +492,20 @@ def test_gate_time_width_widens_when_a_bound_crosses_a_power_of_two(scripted):
     assert result.optimal_depth == 17
     assert result.optimal_swaps == 0
     assert [b for b, _ in result.depth_history] == [3, 5, 7, 9, 11, 13, 15, 17, 16]
-    assert fake.shape(0) == (13, 2)
+    assert [fake.shape(i) for i in range(11)] == [
+        (3, 2), (5, 3), (7, 3), (9, 4), (11, 4), (13, 4), (15, 4),
+    ] + [(17, 5)] * 4
     events = [(e["check_index"], e["kind"], e["old"], e["new"])
               for e in result.resize_events]
     assert events == [
-        (1, "time_bits", 2, 3),                   # widened before bound 5
-        (3, "time_bits", 3, 4),                   # widened before bound 9
-        (5, "horizon", 13, 21),                   # regrown before bound 13
-        (7, "time_bits", 4, 5),                   # widened before bound 17
+        (1, "horizon", 3, 5), (1, "time_bits", 2, 3),     # widened before 5
+        (2, "horizon", 5, 7),
+        (3, "horizon", 7, 9), (3, "time_bits", 3, 4),     # widened before 9
+        (4, "horizon", 9, 11), (5, "horizon", 11, 13), (6, "horizon", 13, 15),
+        (7, "horizon", 15, 17), (7, "time_bits", 4, 5),   # widened before 17
     ]
-    assert fake.shape(7) == (21, 5)
-    assert fake.loads == result.base_loads == 5
+    # each widening sends a whole base; every other growth extends it
+    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (4, 4)
     assert result.swap_history == [(1, True), (0, True)]
 
 
@@ -552,6 +569,9 @@ def test_depth_ascent_stops_when_the_solver_refutes_every_bound(scripted):
         2, 4, 6, 8, 10, 12, 14,
     ]
     assert len(fake.scripts) == 7
+    # widths 2, 3, 3, 4, 4, 4, 4 bits: three bases, four in-place growths
+    assert (info.value.telemetry["base_loads"], info.value.telemetry["grid_extensions"]) == (3, 4)
+    assert (fake.loads, fake.extends) == (3, 4)
 
 
 def test_swap_ascent_stops_when_the_solver_refutes_every_bound(scripted):
@@ -672,7 +692,7 @@ while read -r line; do
 done""")
     with pytest.raises(SearchError, match="swap phase failed") as info:
         solve_optimal(_chain(1), line_graph(3), solver=cfg)
-    assert "swap phase failed at bound 0 (horizon 11, 1 time bits): " in str(info.value)
+    assert "swap phase failed at bound 0 (horizon 1, 1 time bits): " in str(info.value)
     assert isinstance(info.value.__cause__, be.SolverExitError)
     assert "exited 7" in str(info.value)
     assert len(info.value.telemetry["wall_time_per_check"]) == 1
@@ -765,3 +785,17 @@ def test_solve_matches_exhaustive_oracle(small_solver):
     report = be.validate_solution(circuit, graph, sol)
     assert report.ok, report.violations
     assert result.depth_checks + result.swap_checks == len(result.wall_time_per_check)
+
+
+def test_a_grid_grown_in_place_reaches_the_exhaustive_optimum(small_solver):
+    # the ascent probes 3, 5 and 7: bound 7 keeps bound 5's gate-time width,
+    # so the session extends that grid instead of sending a second base
+    circuit = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
+    graph = line_graph(3)
+    result = solve_optimal(circuit, graph, solver=small_solver)
+    assert (result.optimal_depth, result.optimal_swaps) == brute_force_optimum(circuit, graph)
+    assert result.depth_history == [(3, False), (5, False), (7, True), (6, True)]
+    assert [(c.horizon, c.time_bits) for c in result.checks] == (
+        [(3, 2), (5, 3), (7, 3)] + [(7, 3)] * (len(result.checks) - 3))
+    assert (result.base_loads, result.grid_extensions) == (2, 1)
+    assert be.validate_solution(circuit, graph, result.solution).ok
