@@ -449,9 +449,9 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     ]
 
 
-def test_a_predicted_first_bound_sizes_the_first_grid(scripted):
-    # below and above the old padding threshold of 50 alike, the first grid
-    # ends at the predicted bound; the descent below it keeps that grid
+def test_initial_extent_uses_small_step_below_threshold(scripted):
+    # below the old padding threshold of 50 the first grid ends at the
+    # predicted bound; the descent below it keeps that grid
     fake = scripted([("sat", 2), "unsat", "unsat",            # 48 S, 46 U, 47 U
                      ("sat", 2), "unsat", "unsat"])           # 2 S, 0 U, 1 U
     result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(48))
@@ -460,6 +460,11 @@ def test_a_predicted_first_bound_sizes_the_first_grid(scripted):
     assert result.resize_events == []
     assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 0)
 
+
+def test_initial_extent_uses_large_step_at_threshold(scripted):
+    # above the old padding threshold of 50 the first grid likewise ends at
+    # the predicted bound, and narrowing after the satisfiable check changes
+    # nothing, so the base is sent once
     fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
     result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(60))
     assert (result.optimal_depth, result.optimal_swaps) == (60, 0)
