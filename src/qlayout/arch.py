@@ -50,6 +50,8 @@ class CouplingGraph:
     )
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise GraphError(f"a coupling graph needs at least 1 qubit, not {self.num_qubits}")
         seen = set()
         canon = []
         for a, b in self.edges:

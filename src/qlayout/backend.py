@@ -37,7 +37,8 @@ from typing import Iterable, Iterator, Optional
 
 from .arch import CouplingGraph
 from .circuit import Circuit, Gate, build_dag
-from .encode import DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, value_query
+from .encode import (DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, check_swap_duration,
+                     value_query)
 
 DEFAULT_SOLVER_COMMAND = "z3 -in"
 SOLVER_ENV_VAR = "QLAYOUT_SOLVER"
@@ -632,8 +633,7 @@ def validate_solution(
     reported totals.  A swap duration below one step raises ValueError, as
     the encoder does.
     """
-    if swap_duration < 1:
-        raise ValueError(f"swap duration must be at least 1 step, not {swap_duration}")
+    check_swap_duration(swap_duration)
     problems: list[Violation] = []
     nq, nphys = circuit.num_qubits, graph.num_qubits
 

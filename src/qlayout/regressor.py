@@ -320,7 +320,8 @@ def fit(
     max_depth: int = DEFAULT_MAX_DEPTH,
     feature_names: tuple[str, ...] = FEATURE_NAMES,
 ) -> RegressionTree:
-    """Grow a tree on feature rows and numeric labels, all finite floats."""
+    """Grow a tree on feature rows and numeric labels, all finite floats;
+    each row holds one value per name in ``feature_names``."""
     if not rows:
         raise ValueError("cannot fit a regression tree on an empty dataset")
     if len(rows) != len(labels):
@@ -330,6 +331,9 @@ def fit(
     rows = [tuple(r) for r in rows]
     labels = list(labels)
     for i, (row, label) in enumerate(zip(rows, labels)):
+        if len(row) != len(feature_names):
+            raise ValueError(f"sample {i} has {len(row)} features, but feature_names"
+                             f" has {len(feature_names)}: {row}")
         try:
             finite = all(map(math.isfinite, row)) and math.isfinite(label)
         except OverflowError:  # an int beyond the float range

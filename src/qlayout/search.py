@@ -9,24 +9,23 @@ then one check to close a 2-wide gap, so an exact prediction costs at most
 three checks per phase.
 
 Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
-shape, wall time, bytes sent); that list is the search's only state
-besides the loaded base, and every count, history and resize event is
-derived from it.  The grid shape of a check is :func:`grid_shape` of the
-previous record: the time grid always ends at the deepest depth bound
-probed so far.  The gate-time width starts at the first bound's own
-width, widens before a bound that crosses a power of two and narrows
-again after satisfiable depth checks.
+shape, wall time, bytes sent).  That list is the search's only state, and
+each count over it is defined once, as a :class:`SolveResult` property.
+A check's grid shape is :func:`grid_shape` of the records before it, in
+closed form: the grid ends at the deepest depth bound probed, and the
+gate-time width is that of the lowest satisfiable depth bound probed so
+far, or of the horizon while none is.
 
 One probe serves both phases, and one solver session serves the whole
-solve.  The probe loads the context and base as the session's outer
-scope, streaming the base to the solver as it is encoded, once per
-gate-time width.  When a deeper bound grows the grid at the same width,
-the encoding is prefix-closed, so the probe extends the outer scope with
-the new steps' lines alone.  Each check adds only its bound lines, and a
-solver failure, a failed launch included, becomes a :class:`SearchError`
-naming the phase.  An ascent that a solver refutes at or above a bound
-known to be satisfiable also raises :class:`SearchError`, so a wrong
-solver cannot keep the search running.
+solve.  On a gate-time width other than the previous record's, the probe
+loads the context and base as the session's outer scope, streaming the
+base to the solver as it is encoded.  On a deeper grid at the same width
+it extends that scope with the new steps' lines alone, as the encoding is
+prefix-closed.  Each check adds only its bound lines, and a solver
+failure, a failed launch included, becomes a :class:`SearchError` naming
+the phase.  An ascent that a solver refutes at or above a bound known to
+be satisfiable also raises :class:`SearchError`, so a wrong solver cannot
+keep the search running.
 """
 
 from __future__ import annotations
@@ -55,7 +54,9 @@ from .features import extract_features
 
 
 class SearchError(RuntimeError):
-    """Search aborted by a failing or wrong solver; carries partial telemetry."""
+    """Search aborted by a failing or wrong solver.  From :func:`solve_optimal`,
+    ``telemetry`` is :meth:`SolveResult.telemetry` of the checks run, with
+    ``optimal_depth`` and ``optimal_swaps`` None."""
 
     def __init__(self, message: str, telemetry: Optional[dict] = None):
         super().__init__(message)
@@ -113,64 +114,20 @@ class CheckRecord:
     bytes_sent: int = 0
 
 
-def grid_shape(last: Optional[CheckRecord], depth: Optional[int]) -> tuple[int, int]:
-    """(horizon, time_bits) of the check after ``last``: ``depth`` is its
-    depth bound, or None in the swap phase, which keeps the grid.
+def grid_shape(checks: list[CheckRecord], depth: int) -> tuple[int, int]:
+    """(horizon, time_bits) of the check after ``checks`` at depth bound
+    ``depth`` (in the swap phase, the optimal depth).
 
-    The first grid ends at the first bound, with that bound's width: the
-    width a satisfiable check there would narrow to.  After a satisfiable
-    depth check the gate-time width narrows to its bound's.  A deeper depth
-    bound grows the grid to end at it, and one needing more bits widens it.
+    The grid ends at the deepest depth bound probed, this one included.  The
+    gate-time width is that of the lowest satisfiable depth bound probed so
+    far, or of the horizon while none is: :func:`run_bound_search` never
+    probes above its best satisfiable bound, so the width grows with the
+    horizon on an ascent and narrows after each satisfiable depth check.
     """
-    if last is None:
-        return depth, bit_length(depth)
-    horizon, time_bits = last.horizon, last.time_bits
-    if last.phase == "depth" and last.sat:
-        time_bits = min(time_bits, bit_length(last.bound))
-    if depth is None:
-        return horizon, time_bits
-    return max(horizon, depth), max(time_bits, bit_length(depth))
-
-
-def _history(checks: list[CheckRecord], phase: str) -> list[tuple[int, bool]]:
-    return [(c.bound, c.sat) for c in checks if c.phase == phase]
-
-
-def _resize_events(checks: list[CheckRecord]) -> list[dict]:
-    """Grid-shape changes between consecutive checks, at the index of the
-    first check on the new shape; depth-phase checks cause all of them."""
-    return [
-        {"phase": "depth", "check_index": i, "kind": kind, "old": old, "new": new}
-        for i, (prev, cur) in enumerate(zip(checks, checks[1:]), start=1)
-        for kind, old, new in (("horizon", prev.horizon, cur.horizon),
-                               ("time_bits", prev.time_bits, cur.time_bits))
-        if old != new
-    ]
-
-
-def _base_loads(checks: list[CheckRecord]) -> int:
-    """Whole bases the session loaded: one per check on a new gate-time width."""
-    widths = [c.time_bits for c in checks]
-    return sum(prev != cur for prev, cur in zip([None] + widths, widths))
-
-
-def _grid_extensions(checks: list[CheckRecord]) -> int:
-    """Grids grown in place: a deeper horizon at an unchanged width."""
-    return sum(prev.time_bits == cur.time_bits and prev.horizon != cur.horizon
-               for prev, cur in zip(checks, checks[1:]))
-
-
-def _telemetry(checks: list[CheckRecord]) -> dict:
-    return {
-        "depth_checks": len(_history(checks, "depth")),
-        "swap_checks": len(_history(checks, "swap")),
-        "resize_events": _resize_events(checks),
-        "base_loads": _base_loads(checks),
-        "grid_extensions": _grid_extensions(checks),
-        "bytes_sent": sum(c.bytes_sent for c in checks),
-        "wall_time_per_check": [c.wall_time for c in checks],
-        "checks": [asdict(c) for c in checks],
-    }
+    depth_checks = [c for c in checks if c.phase == "depth"]
+    horizon = max([depth] + [c.bound for c in depth_checks])
+    lowest_sat = min([horizon] + [c.bound for c in depth_checks if c.sat])
+    return horizon, bit_length(lowest_sat)
 
 
 @dataclass
@@ -216,24 +173,52 @@ def run_bound_search(
 
 @dataclass
 class SolveResult:
-    optimal_depth: int
-    optimal_swaps: int
+    optimal_depth: Optional[int]
+    optimal_swaps: Optional[int]
     checks: list[CheckRecord] = field(default_factory=list)
     solution: Optional[be.MappingSolution] = None
 
-    depth_history = property(lambda self: _history(self.checks, "depth"))
-    swap_history = property(lambda self: _history(self.checks, "swap"))
+    depth_history = property(lambda self: [(c.bound, c.sat) for c in self.checks
+                                           if c.phase == "depth"])
+    swap_history = property(lambda self: [(c.bound, c.sat) for c in self.checks
+                                          if c.phase == "swap"])
     depth_checks = property(lambda self: len(self.depth_history))
     swap_checks = property(lambda self: len(self.swap_history))
     wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
-    resize_events = property(lambda self: _resize_events(self.checks))
-    base_loads = property(lambda self: _base_loads(self.checks))
-    grid_extensions = property(lambda self: _grid_extensions(self.checks))
     bytes_sent = property(lambda self: sum(c.bytes_sent for c in self.checks))
 
+    @property
+    def resize_events(self) -> list[dict]:
+        """Grid-shape changes between consecutive checks, at the index of the
+        first check on the new shape; depth-phase checks cause all of them."""
+        return [
+            {"phase": "depth", "check_index": i, "kind": kind, "old": old, "new": new}
+            for i, (prev, cur) in enumerate(zip(self.checks, self.checks[1:]), start=1)
+            for kind, old, new in (("horizon", prev.horizon, cur.horizon),
+                                   ("time_bits", prev.time_bits, cur.time_bits))
+            if old != new
+        ]
+
+    @property
+    def base_loads(self) -> int:
+        """Whole bases the session loaded: one per check on a new gate-time width."""
+        widths = [c.time_bits for c in self.checks]
+        return sum(prev != cur for prev, cur in zip([None] + widths, widths))
+
+    @property
+    def grid_extensions(self) -> int:
+        """Grids grown in place: a deeper horizon at an unchanged width."""
+        return sum(prev.time_bits == cur.time_bits and prev.horizon != cur.horizon
+                   for prev, cur in zip(self.checks, self.checks[1:]))
+
     def telemetry(self) -> dict:
-        return {"optimal_depth": self.optimal_depth,
-                "optimal_swaps": self.optimal_swaps, **_telemetry(self.checks)}
+        """The optima (None when the search failed) and every count above, by
+        name, plus each check record as a dict."""
+        keys = ("optimal_depth", "optimal_swaps", "depth_checks", "swap_checks",
+                "resize_events", "base_loads", "grid_extensions", "bytes_sent",
+                "wall_time_per_check")
+        return {**{key: getattr(self, key) for key in keys},
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def _trivial_solution(circuit: Circuit, graph: CouplingGraph) -> SolveResult:
@@ -285,19 +270,17 @@ def solve_optimal(
     start = depth_model.predict(features) if depth_model else 0
 
     checks: list[CheckRecord] = []
-    ctx = None
 
     def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
         """One check at a depth bound; the swap phase adds a swap bound."""
-        nonlocal ctx
         phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
-        shape = grid_shape(checks[-1] if checks else None,
-                           depth if phase == "depth" else None)
+        shape = grid_shape(checks, depth)
+        last = (checks[-1].horizon, checks[-1].time_bits) if checks else (0, 0)
+        ctx = build_context(circuit, graph, *shape, swap_duration)
         try:
-            if ctx is None or (ctx.horizon, ctx.time_bits) != shape:
+            if shape != last:
                 # a deeper grid at the same width needs only its new steps
-                start = ctx.horizon if ctx and ctx.time_bits == shape[1] else 0
-                ctx = build_context(circuit, graph, *shape, swap_duration)
+                start = last[0] if last[1] == shape[1] else 0
                 lines = chain(declarations(ctx, start), encode_base(ctx, start))
                 (session.extend if start else session.load)(lines)
             bounds = encode_depth_bound(ctx, depth)
@@ -332,6 +315,6 @@ def solve_optimal(
                 final_values, final_ctx, keep_swap_opcode=keep_swap_opcode
             )
     except SearchError as exc:
-        exc.telemetry = _telemetry(checks)
+        exc.telemetry = SolveResult(None, None, checks).telemetry()
         raise
     return SolveResult(best_depth, swap_outcome.optimum, checks, solution)

@@ -714,3 +714,24 @@ def bound_search_two_loops(
     raise SearchError(
         f"solver refuted bound {current}, but bound {ceiling} is known satisfiable"
     )
+
+
+def grid_shape_after(last, depth: int | None) -> tuple[int, int]:
+    """The transition rule that ``search.grid_shape``'s closed form replaced,
+    kept verbatim: (horizon, time_bits) of the check after ``last``, a
+    ``CheckRecord`` or None; ``depth`` is its depth bound, or None in the swap
+    phase, which keeps the grid.
+
+    The first grid ends at the first bound, with that bound's width: the
+    width a satisfiable check there would narrow to.  After a satisfiable
+    depth check the gate-time width narrows to its bound's.  A deeper depth
+    bound grows the grid to end at it, and one needing more bits widens it.
+    """
+    if last is None:
+        return depth, bit_length(depth)
+    horizon, time_bits = last.horizon, last.time_bits
+    if last.phase == "depth" and last.sat:
+        time_bits = min(time_bits, bit_length(last.bound))
+    if depth is None:
+        return horizon, time_bits
+    return max(horizon, depth), max(time_bits, bit_length(depth))

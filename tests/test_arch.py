@@ -128,6 +128,16 @@ def test_load_graph_rejects_self_loop(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("num_qubits", [0, -2])
+def test_a_graph_without_qubits_is_rejected(tmp_path, num_qubits):
+    with pytest.raises(GraphError, match=f"at least 1 qubit, not {num_qubits}"):
+        CouplingGraph("empty", num_qubits, ())
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"num_qubits": num_qubits, "edges": []}))
+    with pytest.raises(GraphError, match="at least 1 qubit"):
+        load_graph(path)
+
+
 def test_load_graph_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -267,6 +267,15 @@ def test_validate_rejects_a_swap_duration_below_one_step(bell_path, tmp_path, ca
         assert "swap duration must be at least 1 step" in capsys.readouterr().err
 
 
+def test_validate_on_a_graph_without_qubits_is_an_input_error(bell_path, tmp_path, capsys):
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps({"num_qubits": -2, "edges": []}))
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(_SOLUTION))
+    assert main(["validate", bell_path, "--arch", str(device), "--solution", str(solution)]) == 2
+    assert "at least 1 qubit" in capsys.readouterr().err
+
+
 def test_graph_file_that_is_not_an_object_is_an_input_error(bell_path, tmp_path, capsys):
     device = tmp_path / "device.json"
     device.write_text("[1, 2]")

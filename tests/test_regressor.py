@@ -144,7 +144,8 @@ def test_node_statistics_add_left_to_right():
     labels = [0.1] * 10
     assert left_to_right_sum(labels) != math.fsum(labels)
     mean = left_to_right_sum(labels) / 10
-    root = fit([(float(i),) for i in range(10)], labels, max_depth=0).root
+    root = fit([(float(i),) for i in range(10)], labels, max_depth=0,
+               feature_names=("a",)).root
     assert root.prediction == mean
     assert root.node_mse == left_to_right_sum((v - mean) ** 2 for v in labels) / 10
 
@@ -154,6 +155,17 @@ def test_fit_rejects_empty_and_mismatched_input():
         fit([], [])
     with pytest.raises(ValueError):
         fit([(1.0,)], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("rows, names", [
+    ([(1.0,), (3.0, 4.0)], ("a",)),
+    ([(1.0, 2.0), (3.0,)], ("a", "b")),
+    ([(1.0, 2.0), (3.0, 4.0)], ("a",)),
+])
+def test_fit_rejects_rows_that_do_not_match_the_feature_names(rows, names):
+    bad = next(i for i, row in enumerate(rows) if len(row) != len(names))
+    with pytest.raises(ValueError, match=f"sample {bad} has {len(rows[bad])} features"):
+        fit(rows, [1.0, 2.0], feature_names=names)
 
 
 def test_fit_rejects_a_negative_max_depth():

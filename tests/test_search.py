@@ -26,7 +26,7 @@ from qlayout.search import (
 )
 
 from .conftest import _Const
-from .oracles import bound_search_two_loops, brute_force_optimum
+from .oracles import bound_search_two_loops, brute_force_optimum, grid_shape_after
 from .test_backend import _ECHO_MODEL, _gone, _script_solver
 
 # --------------------------------------------------------------------------
@@ -197,33 +197,38 @@ def test_frontier_walk_matches_the_two_loop_search_on_random_walks():
     assert min(seen.values()) > 100, seen
 
 
-def _shaped_walk(rng: random.Random) -> list[CheckRecord]:
+def _shaped_walk(rng: random.Random) -> tuple[list[CheckRecord], list[tuple[int, int]]]:
     """A random two-phase solve's check records, each on the grid shape
-    :func:`grid_shape` gives it, as ``solve_optimal``'s probe does."""
+    :func:`grid_shape` gives it, as ``solve_optimal``'s probe does, and the
+    shape the transition rule ``oracles.grid_shape_after`` gives each check."""
     floor = rng.randrange(1, 70)
     start = floor + rng.randrange(-5, 40)
     top = floor + rng.randrange(0, 60)
     p_sat = rng.random() * rng.choice((0, 1))      # non-monotone below ``top``
     checks: list[CheckRecord] = []
+    oracle: list[tuple[int, int]] = []
 
-    def probe(phase: str, bound: int, sat_from: int, depth: int | None):
-        shape = grid_shape(checks[-1] if checks else None, depth)
+    def probe(phase: str, bound: int, sat_from: int, depth: int):
+        oracle.append(grid_shape_after(checks[-1] if checks else None,
+                                       depth if phase == "depth" else None))
         sat = bound >= sat_from or rng.random() < p_sat
-        checks.append(CheckRecord(phase, bound, sat, *shape, wall_time=0.0))
+        checks.append(CheckRecord(phase, bound, sat, *grid_shape(checks, depth), 0.0))
         return sat, bound
 
-    run_bound_search(start, floor, lambda b: probe("depth", b, top, b), top)
+    best = run_bound_search(start, floor, lambda b: probe("depth", b, top, b), top)
     swap_top = rng.randrange(0, 12)
     run_bound_search(rng.randrange(0, 16), 0,
-                     lambda b: probe("swap", b, swap_top, None), swap_top)
-    return checks
+                     lambda b: probe("swap", b, swap_top, best.optimum), swap_top)
+    return checks, oracle
 
 
 def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
     rng = random.Random(14)
     seen = dict.fromkeys(("narrowed", "widened", "regrown", "one_load", "extended"), 0)
     for _ in range(3000):
-        checks = _shaped_walk(rng)
+        checks, oracle = _shaped_walk(rng)
+        # the closed form agrees with the transition rule it replaced
+        assert [(c.horizon, c.time_bits) for c in checks] == oracle, checks
         deepest = 0
         for prev, check in zip([None] + checks, checks):
             if check.phase == "depth":
@@ -250,53 +255,73 @@ def test_every_check_fits_its_grid_and_no_width_exceeds_the_bounds_probed():
     assert min(seen.values()) > 100, seen
 
 
-def _record(phase: str, bound: int, sat: bool, horizon: int, time_bits: int):
-    return CheckRecord(phase, bound, sat, horizon, time_bits, wall_time=0.01)
+def _checks(*steps: tuple[str, int, bool]) -> list[CheckRecord]:
+    """The records of a solve's (phase, bound, sat) steps, each on the shape
+    ``oracles.grid_shape_after`` gives it."""
+    checks: list[CheckRecord] = []
+    for phase, bound, sat in steps:
+        shape = grid_shape_after(checks[-1] if checks else None,
+                                 bound if phase == "depth" else None)
+        checks.append(CheckRecord(phase, bound, sat, *shape, wall_time=0.01))
+    return checks
+
+
+def _ascent(*bounds: int) -> list[CheckRecord]:
+    return _checks(*(("depth", b, False) for b in bounds))
 
 
 def test_a_deeper_depth_bound_grows_the_grid_to_end_at_it():
-    # no padding at any bound: the grid ends at the deepest bound probed
-    for bound in (0, 49, 50, 77):
-        last = _record("depth", bound, False, bound + 1, 7)
-        assert [grid_shape(last, bound + d) for d in (1, 2, 3)] == [
-            (bound + 1, 7), (bound + 2, 7), (bound + 3, 7)]
+    # no padding at any bound: each step of an ascent ends the grid at its bound
+    for bound in (1, 49, 50, 77):
+        ascent = (bound, bound + 2, bound + 4)
+        assert [grid_shape(_ascent(*ascent[:i]), b) for i, b in enumerate(ascent)] == [
+            (b, bit_length(b)) for b in ascent]
+    assert grid_shape(_ascent(62), 64) == (64, 7)
 
 
 def test_first_grid_ends_at_the_first_bound():
     # the horizon is the bound itself; the width is the bound's own
-    assert [grid_shape(None, b) for b in (9, 8, 7, 1, 49, 50)] == [
+    assert [grid_shape([], b) for b in (9, 8, 7, 1, 49, 50)] == [
         (9, 4), (8, 4), (7, 3), (1, 1), (49, 6), (50, 6)]
 
 
 def test_grid_shape_narrows_only_after_a_satisfiable_depth_check():
-    assert grid_shape(_record("depth", 60, True, 75, 7), 58) == (75, 6)
-    assert grid_shape(_record("depth", 60, False, 75, 7), 62) == (75, 7)
+    descent = [("depth", b, True) for b in (66, 64)]
+    assert grid_shape(_checks(*descent), 62) == (66, 7)
+    assert grid_shape(_checks(*descent, ("depth", 62, True)), 60) == (66, 6)
+    # a refuted bound below a power of two narrows nothing
+    assert grid_shape(_checks(*descent, ("depth", 62, False)), 63) == (66, 7)
     # a swap record's bound is a swap count, so it never narrows the width
-    assert grid_shape(_record("swap", 1, True, 75, 7), None) == (75, 7)
+    swaps = _checks(*descent, ("depth", 62, False), ("depth", 63, False), ("swap", 1, True))
+    assert grid_shape(swaps, 64) == (66, 7)
 
 
 def test_grid_shape_regrows_the_horizon_from_the_previous_depth_bound():
-    assert grid_shape(_record("depth", 17, False, 19, 5), 18) == (19, 5)
-    assert grid_shape(_record("depth", 17, False, 19, 5), 19) == (19, 5)
-    assert grid_shape(_record("depth", 17, False, 19, 5), 21) == (21, 5)
-    assert grid_shape(_record("depth", 55, False, 57, 6), 57) == (57, 6)
-    assert grid_shape(_record("depth", 55, False, 57, 6), 59) == (59, 6)
+    assert grid_shape(_ascent(17), 19) == (19, 5)
+    assert grid_shape(_ascent(17, 19), 21) == (21, 5)
+    assert grid_shape(_ascent(55), 57) == (57, 6)
+    assert grid_shape(_ascent(55, 57), 59) == (59, 6)
     # a bound below the deepest one keeps the grid
-    assert grid_shape(_record("depth", 21, True, 21, 5), 19) == (21, 5)
+    assert grid_shape(_checks(("depth", 21, True)), 19) == (21, 5)
+    assert grid_shape(_checks(("depth", 19, True), ("depth", 17, False)), 18) == (19, 5)
 
 
 def test_grid_shape_widens_for_a_bound_that_needs_more_bits():
-    assert grid_shape(_record("depth", 15, False, 21, 4), 17) == (21, 5)
-    assert grid_shape(_record("depth", 13, False, 21, 4), 15) == (21, 4)
+    assert grid_shape(_ascent(13), 15) == (15, 4)
+    assert grid_shape(_ascent(13, 15), 17) == (17, 5)
 
 
 def test_swap_phase_checks_keep_the_grid_shape():
+    depth_phase = [("depth", 25, False), ("depth", 27, True), ("depth", 26, False)]
     for sat in (True, False):
-        assert grid_shape(_record("swap", 1, sat, 27, 5), None) == (27, 5)
+        assert grid_shape(_checks(*depth_phase, ("swap", 1, sat)), 27) == (27, 5)
     # the optimum may sit on the grid's last step: no regrowth for swaps
-    assert grid_shape(_record("depth", 66, False, 67, 7), None) == (67, 7)
+    assert grid_shape(_checks(("depth", 65, False), ("depth", 67, True),
+                              ("depth", 66, False)), 67) == (67, 7)
     # but the swap phase inherits a narrowing after a satisfiable depth check
-    assert grid_shape(_record("depth", 15, True, 30, 5), None) == (30, 4)
+    descent = [("depth", b, True) for b in range(30, 15, -2)]
+    optimum = _checks(*descent, ("depth", 14, False), ("depth", 15, True))
+    assert grid_shape(optimum, 15) == (30, 4)
 
 
 # --------------------------------------------------------------------------
