@@ -5,8 +5,9 @@ Provably optimal layout of a circuit onto a device
 Map a small circuit onto a 5-qubit line: find the minimum achievable
 schedule length first, then the minimum number of swaps at that length.
 Every bound is settled by an external SMT solver over bit-vector
-constraints, so the reported optimum comes with an unsatisfiable
-certificate one step below it.
+constraints: the solver refuted the bound one step below each reported
+optimum, unless that optimum is already the floor (the longest dependency
+chain for depth, zero for swaps).
 
 Needs an SMT-LIB2 solver on PATH (``z3 -in`` by default; override with
 the QLAYOUT_SOLVER environment variable).

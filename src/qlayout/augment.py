@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import search
 from .arch import CouplingGraph
-from .backend import DecodeError, Session, SolverConfig, SolverError
+from .backend import Session, SolverConfig
 from .circuit import Circuit, Gate, emit_qasm
 from .encode import DEFAULT_SWAP_DURATION, check_swap_duration
 from .features import (
@@ -394,7 +394,7 @@ def build_corpus(
         session = idle.pop()
         try:
             return label_sample(chunk, graph, solver=session, swap_duration=swap_duration)
-        except (SolverError, search.SearchError, DecodeError, search.InfeasibleError) as exc:
+        except (search.SearchError, search.InfeasibleError) as exc:
             # any other exception is a bug in qlayout and propagates
             log.warning(
                 "%s chunk %d: labeling failed (%s); skipped",

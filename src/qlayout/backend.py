@@ -72,13 +72,15 @@ class DecodeError(ValueError):
 class SolverConfig:
     """A solver command and the wall-clock seconds of one solve: one
     :func:`check`, or all checks of one solve on a :class:`Session`, however
-    many solves its process serves.  A timeout that is not above 0 (or is
-    nan) raises ValueError."""
+    many solves its process serves.  An empty command, or a timeout that is
+    not above 0 (or is nan), raises ValueError."""
 
     command: tuple[str, ...] = tuple(DEFAULT_SOLVER_COMMAND.split())
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
+        if not self.command:
+            raise ValueError("solver command is empty")
         if not self.timeout > 0:
             raise ValueError(f"solver timeout must be above 0 seconds, not {self.timeout}")
 
@@ -543,13 +545,15 @@ def decode_solution(
 ) -> MappingSolution:
     """Turn a model value table into a validated-shape MappingSolution."""
     circuit = ctx.circuit
+    swaps = model_swaps(values, ctx)
     initial_map = tuple(
         int(_value(values, ctx.pos_name(q, 0))) for q in range(circuit.num_qubits)
     )
+    if len(set(initial_map).intersection(range(ctx.graph.num_qubits))) < len(initial_map):
+        raise DecodeError(f"model placement {initial_map} is not on distinct device qubits")
     gate_times = tuple(
         int(_value(values, ctx.time_name(g))) for g in range(len(circuit.gates))
     )
-    swaps = model_swaps(values, ctx)
 
     completions = list(gate_times) + [t for _, t in swaps]
     final_depth = 1 + max(completions) if completions else 0

@@ -6,10 +6,11 @@ the six-feature description), ``augment`` (build a labeled corpus),
 ``validate`` (replay-check a solution file), and ``bench`` (compare
 predictor-seeded and unseeded searches).
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error
-(including a spent ``--timeout`` budget and a ``sat`` answer whose model
-leaves out a value), 4 validation failure, 5 no layout exists (the circuit
-does not fit the device's connected components).
+Exit codes: 0 success, 1 usage error, 2 input error, 3 solver error (a
+failed launch or exit, a spent ``--timeout``, ``unknown`` or an error, a
+refuted bound known satisfiable, or a model that leaves out a value or puts
+two qubits on one physical qubit or off the device), 4 validation failure,
+5 no layout exists (the circuit does not fit the device's components).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .augment import (
     build_corpus,
     load_dataset,
 )
-from .backend import (
-    DEFAULT_TIMEOUT,
-    DecodeError,
-    MappingSolution,
-    SolverConfig,
-    SolverError,
-    validate_solution,
-)
+from .backend import DEFAULT_TIMEOUT, MappingSolution, SolverConfig, validate_solution
 from .circuit import QasmError, emit_qasm, load_qasm
 from .encode import DEFAULT_SWAP_DURATION
 from .features import FEATURE_NAMES, extract_features
@@ -350,7 +344,7 @@ def main(argv=None) -> int:
     except (QasmError, GraphError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, SearchError, DecodeError) as exc:
+    except SearchError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except InfeasibleError as exc:

@@ -38,7 +38,7 @@ scope in a solver session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .arch import CouplingGraph
@@ -84,7 +84,6 @@ class EncodingContext:
     horizon: int                 # exclusive extent of the time grids
     time_bits: int               # width of every gate-time bit vector
     swap_duration: int = DEFAULT_SWAP_DURATION
-    dag_edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         if self.circuit.num_qubits > self.graph.num_qubits:
@@ -97,7 +96,6 @@ class EncodingContext:
         if self.time_bits < 1:
             raise EncodingError("gate-time width must be at least 1 bit")
         check_swap_duration(self.swap_duration)
-        object.__setattr__(self, "dag_edges", tuple(sorted(build_dag(self.circuit).edges)))
 
     @property
     def qubit_bits(self) -> int:
@@ -233,7 +231,7 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
 
     if not start:
         # Dependent gates execute strictly in order.
-        for i, j in ctx.dag_edges:
+        for i, j in sorted(build_dag(ctx.circuit).edges):
             yield f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))"
         # Swaps need a full window: none may complete before duration-1.
         for e in range(len(edges)):

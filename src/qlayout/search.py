@@ -1,12 +1,12 @@
 """Prediction-seeded iterative search for optimal depth, then optimal swaps.
 
 Phase one finds the smallest satisfiable depth bound, from the predicted
-depth with the longest dependency chain as floor.  Phase two fixes the
-optimal depth and finds the smallest swap-count bound, from ``min(predicted
-swaps, swaps in the last satisfiable model)`` with floor zero.  Both run
-the frontier walk of :func:`run_bound_search`: 2-unit steps from the start,
-then one check to close a 2-wide gap, so an exact prediction costs at most
-three checks per phase.
+depth (at most a depth any layout meets) with the longest dependency chain
+as floor.  Phase two fixes the optimal depth and finds the smallest
+swap-count bound, from ``min(predicted swaps, swaps in the last satisfiable
+model)`` with floor zero.  Both run the frontier walk of
+:func:`run_bound_search`: 2-unit steps from the start, then one check to
+close a 2-wide gap, so an exact prediction costs at most three checks each.
 
 Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
 shape, wall time, bytes sent).  That list is the search's only state, and
@@ -21,11 +21,11 @@ solve.  On a gate-time width other than the previous record's, the probe
 loads the context and base as the session's outer scope, streaming the
 base to the solver as it is encoded.  On a deeper grid at the same width
 it extends that scope with the new steps' lines alone, as the encoding is
-prefix-closed.  Each check adds only its bound lines, and a solver
-failure, a failed launch included, becomes a :class:`SearchError` naming
-the phase.  An ascent that a solver refutes at or above a bound known to
-be satisfiable also raises :class:`SearchError`, so a wrong solver cannot
-keep the search running.
+prefix-closed.  Each check adds only its bound lines, and each satisfiable
+model is decoded at once, so a phase's payload is its solution.  A solver
+failure, a failed launch included, or a model that does not decode raises
+:class:`SearchError` naming the phase, as does an ascent refuted at or above
+a bound known to be satisfiable, so a wrong solver cannot keep it running.
 """
 
 from __future__ import annotations
@@ -254,7 +254,8 @@ def solve_optimal(
     change the reported optima.  ``solver`` is a ``backend.SolverConfig``
     (None for the default), which runs this solve in a session of its own,
     or a live ``backend.Session``, which serves it as one of its solves and
-    stays open.  A swap duration below one step raises ValueError.
+    stays open.  Bad arguments raise ValueError, an instance with no layout
+    :class:`InfeasibleError`, and any solver failure :class:`SearchError`.
     """
     check_swap_duration(swap_duration)
     if circuit.num_qubits > graph.num_qubits:
@@ -272,7 +273,7 @@ def solve_optimal(
     checks: list[CheckRecord] = []
 
     def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
-        """One check at a depth bound; the swap phase adds a swap bound."""
+        """One check at a depth bound, plus a swap bound in the swap phase."""
         phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
         shape = grid_shape(checks, depth)
         last = (checks[-1].horizon, checks[-1].time_bits) if checks else (0, 0)
@@ -287,12 +288,14 @@ def solve_optimal(
             if phase == "swap":
                 bounds += encode_swap_bound(ctx, swap_bound)
             result = session.check(bounds, ctx.model_names())
-        except be.SolverError as exc:
+            checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time,
+                                      result.bytes_sent))
+            if not result.sat:
+                return False, None
+            return True, be.decode_solution(result.values, ctx, keep_swap_opcode=keep_swap_opcode)
+        except (be.SolverError, be.DecodeError) as exc:
             raise SearchError(f"{phase} phase failed at bound {bound} (horizon"
                               f" {shape[0]}, {shape[1]} time bits): {exc}") from exc
-        checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time,
-                                  result.bytes_sent))
-        return result.sat, (ctx, result.values) if result.sat else None
 
     # A sequential schedule runs one gate at a time, each after fewer than
     # num_qubits swaps, so this depth is satisfiable on a feasible instance.
@@ -300,21 +303,16 @@ def solve_optimal(
     fresh = solver is None or isinstance(solver, be.SolverConfig)
     try:
         with be.Session(solver) if fresh else solver.solve() as session:
-            depth_outcome = run_bound_search(start, longest_chain(circuit), probe,
-                                             depth_ceiling)
+            depth_outcome = run_bound_search(min(start, depth_ceiling),
+                                             longest_chain(circuit), probe, depth_ceiling)
             best_depth = depth_outcome.optimum
-            depth_ctx, depth_values = depth_outcome.payload
-            swaps_in_model = len(be.model_swaps(depth_values, depth_ctx))
+            swaps_in_model = depth_outcome.payload.swap_count
             predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
             swap_outcome = run_bound_search(
                 min(predicted_swaps, swaps_in_model), 0,
                 lambda bound: probe(best_depth, bound), swaps_in_model,
             )
-            final_ctx, final_values = swap_outcome.payload
-            solution = be.decode_solution(
-                final_values, final_ctx, keep_swap_opcode=keep_swap_opcode
-            )
     except SearchError as exc:
         exc.telemetry = SolveResult(None, None, checks).telemetry()
         raise
-    return SolveResult(best_depth, swap_outcome.optimum, checks, solution)
+    return SolveResult(best_depth, swap_outcome.optimum, checks, swap_outcome.payload)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from qlayout.arch import CouplingGraph
 from qlayout.augment import DEFAULT_KMAX, Dataset
 from qlayout.backend import SolverConfig, check
-from qlayout.circuit import Circuit
+from qlayout.circuit import Circuit, build_dag
 from qlayout.encode import (
     EncodingContext,
     bit_length,
@@ -371,7 +371,7 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
             )
 
     # Dependent gates execute strictly in order.
-    for i, j in ctx.dag_edges:
+    for i, j in sorted(build_dag(ctx.circuit).edges):
         lines.append(f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))")
 
     # Swaps need a full window: none may complete before duration-1.

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import stat
 import time
 
@@ -495,6 +496,16 @@ def test_solver_timeout_must_be_above_zero():
             SolverConfig(timeout=timeout)
 
 
+def test_an_empty_solver_command_is_rejected(monkeypatch):
+    with pytest.raises(ValueError, match="solver command is empty"):
+        SolverConfig(command=())
+    with pytest.raises(ValueError, match="solver command is empty"):
+        SolverConfig.resolve(" ")
+    monkeypatch.setenv(SOLVER_ENV_VAR, " ")
+    with pytest.raises(ValueError, match="solver command is empty"):
+        SolverConfig.resolve()
+
+
 def test_session_accepts_an_unbounded_budget(tmp_path):
     cfg = dataclasses.replace(_line_solver(tmp_path, "unsat"), timeout=math.inf)
     with Session(cfg) as session:
@@ -634,6 +645,24 @@ def test_decode_missing_variable_is_an_error():
     values = _model_for(ctx, pos0=(0, 1), times=(0,))
     del values[ctx.time_name(0)]
     with pytest.raises(DecodeError):
+        decode_solution(values, ctx)
+
+
+@pytest.mark.parametrize("pos0", [(1, 1), (0, 3)])
+def test_decode_rejects_a_placement_that_repeats_or_leaves_the_device(pos0):
+    # line:3 has physical qubits 0 to 2; a 2-bit position can also name 3
+    circuit = make_circuit(2, [("cx", (0, 1))])
+    ctx = build_context(circuit, line_graph(3), horizon=3, time_bits=2)
+    with pytest.raises(DecodeError, match=re.escape(f"placement {pos0} is not on distinct")):
+        decode_solution(_model_for(ctx, pos0=pos0, times=(0,)), ctx)
+
+
+def test_decode_names_a_missing_swap_value_first():
+    circuit = make_circuit(2, [("cx", (0, 1))])
+    ctx = build_context(circuit, line_graph(3), horizon=3, time_bits=2)
+    values = _model_for(ctx, pos0=(0, 1), times=(0,))
+    del values[ctx.pos_name(0, 0)], values[ctx.time_name(0)], values[ctx.swap_name(1, 2)]
+    with pytest.raises(DecodeError, match="swp_e1_t2"):
         decode_solution(values, ctx)
 
 

@@ -200,6 +200,16 @@ def test_map_solver_launch_failure_is_a_solver_error(bell_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("in_env", [False, True])
+def test_map_with_an_empty_solver_command_is_an_input_error(
+        bell_path, monkeypatch, capsys, in_env):
+    if in_env:
+        monkeypatch.setenv("QLAYOUT_SOLVER", " ")
+    solving = [] if in_env else ["--solver", " "]
+    assert main(["map", bell_path, "--arch", "line:2", *solving]) == 2
+    assert "solver command is empty" in capsys.readouterr().err
+
+
 def test_map_model_missing_values_is_a_solver_error(bell_path, tmp_path, capsys):
     # "sat" without a model is the solver's failure, not bad input
     cfg = _script_solver(tmp_path, """while read -r line; do

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from qlayout import backend as be
+from qlayout import search
 from qlayout.arch import CouplingGraph, line_graph
 from qlayout.circuit import make_circuit
 from qlayout.encode import bit_length
@@ -476,10 +477,11 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
 
 def test_initial_extent_uses_small_step_below_threshold(scripted):
     # below the old padding threshold of 50 the first grid ends at the
-    # predicted bound; the descent below it keeps that grid
+    # predicted bound; the descent below it keeps that grid (a chain of 5
+    # on line:3 is satisfiable at 5 * (1 + 3 * 3) = 50, so 48 is no clamp)
     fake = scripted([("sat", 2), "unsat", "unsat",            # 48 S, 46 U, 47 U
                      ("sat", 2), "unsat", "unsat"])           # 2 S, 0 U, 1 U
-    result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(48))
+    result = solve_optimal(_chain(5), line_graph(3), depth_model=_Const(48))
     assert (result.optimal_depth, result.optimal_swaps) == (48, 2)
     assert [fake.shape(i) for i in range(6)] == [(48, 6)] * 6
     assert result.resize_events == []
@@ -489,9 +491,10 @@ def test_initial_extent_uses_small_step_below_threshold(scripted):
 def test_initial_extent_uses_large_step_at_threshold(scripted):
     # above the old padding threshold of 50 the first grid likewise ends at
     # the predicted bound, and narrowing after the satisfiable check changes
-    # nothing, so the base is sent once
+    # nothing, so the base is sent once (a chain of 6 on line:3 is
+    # satisfiable at 6 * (1 + 3 * 3) = 60, so 60 is no clamp)
     fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
-    result = solve_optimal(_chain(1), line_graph(3), depth_model=_Const(60))
+    result = solve_optimal(_chain(6), line_graph(3), depth_model=_Const(60))
     assert (result.optimal_depth, result.optimal_swaps) == (60, 0)
     assert [fake.shape(i) for i in range(4)] == [(60, 6)] * 4
     assert result.resize_events == []
@@ -570,6 +573,23 @@ def test_depth_prediction_above_floor_starts_there(scripted):
     result = solve_optimal(_chain(5), line_graph(3), depth_model=_Const(9))
     assert [b for b, _ in result.depth_history] == [9, 7, 5]
     assert result.optimal_depth == 5
+
+
+def test_depth_prediction_above_the_ceiling_starts_at_the_ceiling(scripted, monkeypatch):
+    # 2 gates on line:2 fit a sequential schedule of 2 * (1 + 3 * 2) = 14
+    # steps, so a prediction of 10**6 starts there, on a 14-step grid
+    build_context = search.build_context
+
+    def capped(circuit, graph, horizon, *rest):
+        assert horizon <= 14, f"a {horizon}-step grid"   # fail fast, not encode it
+        return build_context(circuit, graph, horizon, *rest)
+
+    monkeypatch.setattr(search, "build_context", capped)
+    fake = scripted([("sat", 0)] * 8)
+    result = solve_optimal(_chain(2), line_graph(2), depth_model=_Const(10**6))
+    assert result.depth_history == [(b, True) for b in range(14, 1, -2)]
+    assert (result.checks[0].horizon, fake.shape(0)) == (14, (14, 4))
+    assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
 
 
 def test_predictors_receive_the_feature_vector(scripted):
@@ -709,15 +729,16 @@ def test_swap_phase_failure_surfaces_as_search_error(scripted):
 
 
 def test_solver_death_in_the_swap_phase_is_a_search_error(tmp_path):
-    # a real session: satisfiable at the floor with no swap in the model,
-    # then the solver exits on the first swap-phase check
+    # a real session: satisfiable at the floor with no swap in the model
+    # and the qubits on physical qubits 0 and 1, then the solver exits on
+    # the first swap-phase check
     pid_file = tmp_path / "pid"
     cfg = _script_solver(tmp_path, f"""echo $$ > {pid_file}
 checks=0
 while read -r line; do
   case "$line" in
     "(check-sat)") checks=$((checks + 1)); [ $checks -ge 2 ] && exit 7; echo sat ;;
-    "(get-value ("*) echo "$line" | {_ECHO_MODEL} ;;
+    "(get-value ("*) echo "$line" | {_ECHO_MODEL} | sed 's/pos_q0_t0 #b1/pos_q0_t0 #b0/' ;;
   esac
 done""")
     with pytest.raises(SearchError, match="swap phase failed") as info:
