@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import heapq
 import json
 import logging
 import math
@@ -27,13 +28,7 @@ from .arch import CouplingGraph
 from .backend import Session, SolverConfig
 from .circuit import Circuit, Gate, emit_qasm
 from .encode import DEFAULT_SWAP_DURATION, check_swap_duration
-from .features import (
-    FEATURE_NAMES,
-    FeatureVector,
-    extract_features,
-    format_float,
-    ordered_sum,
-)
+from .features import FEATURE_NAMES, FeatureVector, extract_features, format_float
 
 log = logging.getLogger(__name__)
 
@@ -129,15 +124,22 @@ def gate_allocation(circuit: Circuit, plan: ChunkPlan) -> list[Circuit]:
 def _standardize(rows: Sequence[tuple[float, ...]]) -> list[tuple[float, ...]] | None:
     """Z-score each column; returns None when every row is identical.
 
-    Equal rows share one scaled tuple.
+    Equal rows share one scaled tuple.  Means and variances add left to
+    right, as ``features.ordered_sum`` does, in loops inlined for speed.
     """
-    cols = list(zip(*rows))
     n = len(rows)
-    means = [ordered_sum(c) / n for c in cols]
+    means = []
     stds = []
-    for c, m in zip(cols, means):
-        var = ordered_sum((v - m) ** 2 for v in c) / n
-        stds.append(math.sqrt(var))
+    for c in zip(*rows):
+        total = 0.0
+        for v in c:
+            total += v
+        m = total / n
+        total = 0.0
+        for v in c:
+            total += (v - m) ** 2
+        means.append(m)
+        stds.append(math.sqrt(total / n))
     if all(s == 0.0 for s in stds):
         return None
     scaled: dict[tuple, tuple[float, ...]] = {}
@@ -169,18 +171,22 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
 
     Samples with equal z-scored rows share every distance, so distances are
     measured between distinct rows only, and removals never change one.
-    Each distinct row is ranked once per call: its distances to the rows
-    that still have samples are sorted, and it keeps the prefix that holds
-    its first k_max + 1 samples and every tie at the last distance.  A
-    round walks that prefix past rows whose samples have all gone; a row
-    is ranked again, over the survivors, only when removals leave its
-    prefix fewer than n + 1 samples.  Everything past a prefix is strictly
-    farther than its last row, so the walk finds the same neighbors as a
-    full sort.  Time grows with the square of the number G of distinct
-    rows, memory with G times the prefix length.  The first n + 1 samples
-    nearest to a row decide all of its samples: one that is among the
-    first n has the other n as neighbors, and every other sample the
-    first n.
+    Each distinct row is ranked once per call into the prefix that holds
+    its first k_max + 1 samples and every tie at the last distance.  A row
+    with more than k_max samples measures nothing: they are its prefix, at
+    distance 0, and every other row is strictly farther.  Any other row
+    measures its distances to the rows that still have samples and sorts
+    only those within its (k_max + 1)-th smallest distance; each of those
+    rows holds a sample, so the prefix lies within that cut.  A round walks
+    a prefix past rows whose samples have all gone; a row is ranked again,
+    over the survivors, only when removals leave its prefix fewer than
+    n + 1 samples.  Everything past a prefix is strictly farther than its
+    last row, so the walk finds the same neighbors as a full sort.  Time
+    grows with the number G of distinct rows times the number of rows with
+    at most k_max samples, memory with G times the prefix length.  The
+    first n + 1 samples nearest to a row decide all of its samples: one
+    that is among the first n has the other n as neighbors, and every
+    other sample the first n.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, not {k_max}")
@@ -197,13 +203,19 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
     rows = list(groups)
     members = list(groups.values())  # each row's surviving samples, ascending
 
-    def rank(point, live: list[int], points: list) -> list[tuple[float, int]]:
+    def rank(p: int, live: list[int], points: list) -> list[tuple[float, int]]:
         """(distance, row) for the rows ``live``, at ``points``, nearest to
-        ``point``."""
-        dists = list(map(math.dist, repeat(point), points))
+        row ``p``."""
+        if len(members[p]) > k_max:  # its own samples come first
+            return [(0.0, p)]
+        dists = list(map(math.dist, repeat(rows[p]), points))
+        # each live row holds a sample, so k_max + 1 rows hold the prefix
+        cut = heapq.nsmallest(k_max + 1, dists)[-1]
+        order = [o for o, d in enumerate(dists) if d <= cut]
+        order.sort(key=dists.__getitem__)
         prefix: list[tuple[float, int]] = []
         count = 0
-        for o in sorted(range(len(live)), key=dists.__getitem__):
+        for o in order:
             if count > k_max and dists[o] != prefix[-1][0]:
                 break
             prefix.append((dists[o], live[o]))
@@ -235,7 +247,7 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
         for p in live:
             near = nearest(ranked[p], n)
             if len(near) <= n:  # not ranked yet, or emptied by removals
-                ranked[p] = rank(rows[p], live, points)
+                ranked[p] = rank(p, live, points)
                 near = nearest(ranked[p], n)
             head = [j for _, j in near[: n + 1]]
             first = head[:n]

@@ -86,9 +86,12 @@ class SolverConfig:
 
     @staticmethod
     def resolve(command: Optional[str] = None, timeout: float = DEFAULT_TIMEOUT) -> "SolverConfig":
-        """Priority: explicit command, then $QLAYOUT_SOLVER, then ``z3 -in``."""
-        text = command or os.environ.get(SOLVER_ENV_VAR) or DEFAULT_SOLVER_COMMAND
-        return SolverConfig(command=tuple(shlex.split(text)), timeout=timeout)
+        """Priority: explicit command, then $QLAYOUT_SOLVER, then ``z3 -in``.
+
+        An explicit command is used even when empty, and so rejected."""
+        if command is None:
+            command = os.environ.get(SOLVER_ENV_VAR) or DEFAULT_SOLVER_COMMAND
+        return SolverConfig(command=tuple(shlex.split(command)), timeout=timeout)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,17 @@ nodes smaller than two samples, or at zero spread (all labels equal).
 Trees serialize to a plain JSON document and report per-feature
 importances as normalized spread reductions.
 
-Split search screens, then confirms.  Each node adds up the labels as
-exact integers per distinct feature value, which ranks every threshold of
-every feature by its exact squared deviation in O(n log n) per feature.
-Only thresholds within a proven rounding band of the best one get the O(n)
-float loss, usually one per node, so the chosen split and its loss are
-those of evaluating the float loss of every threshold, which is quadratic.
+Split search screens, then confirms.  ``fit`` groups the samples by
+feature row once and keeps each distinct row's count, sum and sum of
+squares of its labels as exact integers; a row's samples all take the
+same path down the tree, so these stats split between the children with
+the rows.  Each node adds them up per distinct feature value, which ranks
+every threshold of every feature by its exact squared deviation in
+O(G log G) per feature for a node's G distinct rows.  Only thresholds
+within a proven rounding band of the best one get the O(n) float loss over
+the node's n samples, usually one per node, so the chosen split and its
+loss are those of evaluating the float loss of every threshold, which is
+quadratic.
 """
 
 from __future__ import annotations
@@ -123,24 +128,43 @@ def _exact(labels: Sequence[float]) -> list[int]:
     return exact
 
 
-def _screen(rows, exact: Sequence[int], feature: int) -> list[tuple[float, float]]:
-    """(threshold, scaled sum of squared deviations) for each candidate.
-
-    One pass adds up count, sum and sum of squares of the exact labels for
-    each distinct value; walking the sorted values then gives each side's
-    exact SSE as (k*Q - S*S) / k, rounded only by the final divisions.  The
-    result is the split's SSE times the square of ``_exact``'s scale.
-    """
-    sums: dict = {}
+def _group(rows, exact: Sequence[int]) -> list[tuple]:
+    """(row, count, sum, sum of squares, largest magnitude) of the exact
+    labels of each distinct row, in order of first appearance."""
+    stats: dict = {}
     for row, a in zip(rows, exact):
-        v = row[feature]
-        acc = sums.get(v)
+        acc = stats.get(row)
         if acc is None:
-            sums[v] = [1, a, a * a]
+            stats[row] = [1, a, a * a, abs(a)]
         else:
             acc[0] += 1
             acc[1] += a
             acc[2] += a * a
+            if abs(a) > acc[3]:
+                acc[3] = abs(a)
+    return [(row, *acc) for row, acc in stats.items()]
+
+
+def _screen(groups, feature: int) -> list[tuple[float, float]]:
+    """(threshold, scaled sum of squared deviations) for each candidate.
+
+    One pass over the node's distinct rows (``_group``) adds up count, sum
+    and sum of squares of the exact labels for each distinct value; walking
+    the sorted values then gives each side's exact SSE as (k*Q - S*S) / k,
+    rounded only by the final divisions.  The sums are integers, so they do
+    not depend on the order of the rows.  The result is the split's SSE
+    times the square of ``_exact``'s scale.
+    """
+    sums: dict = {}
+    for row, c, sv, qv, _ in groups:
+        v = row[feature]
+        acc = sums.get(v)
+        if acc is None:
+            sums[v] = [c, sv, qv]
+        else:
+            acc[0] += c
+            acc[1] += sv
+            acc[2] += qv
     values = sorted(sums)
     n, s_all, q_all = map(sum, zip(*sums.values()))
     k = s = q = 0
@@ -165,7 +189,7 @@ def _split_loss(rows, labels, feature: int, threshold: float) -> float:
     return (len(left) * _mse(left) + len(right) * _mse(right)) / len(rows)
 
 
-def _best_split(rows, labels, exact, features) -> Optional[SplitCandidate]:
+def _best_split(rows, labels, groups, features) -> Optional[SplitCandidate]:
     """The split ``_split_loss`` ranks first, confirming only near-minimal ones.
 
     Candidates go in (feature, threshold) order, and a later one wins only
@@ -188,11 +212,11 @@ def _best_split(rows, labels, exact, features) -> Optional[SplitCandidate]:
     underflows or overflows.  Candidates outside the band can neither be
     the minimum nor tie it.
     """
-    screened = [(f, t, e) for f in features for t, e in _screen(rows, exact, f)]
+    screened = [(f, t, e) for f in features for t, e in _screen(groups, f)]
     if not screened:
         return None
     n = len(rows)
-    scale = 2.0 * (n + 2) * 2.0 ** -53 * max(map(abs, exact))
+    scale = 2.0 * (n + 2) * 2.0 ** -53 * max(g[4] for g in groups)
     band = (min(e for _, _, e in screened) + n * scale * scale) * (1.0 + (n + 16) * 2.0 ** -50)
     best: Optional[SplitCandidate] = None
     for f, threshold, e in screened:
@@ -211,21 +235,23 @@ def best_split(
     Candidate thresholds are midpoints between consecutive distinct sorted
     values; a row goes left when its value is <= the threshold.  The loss
     is the size-weighted mean of the sides' ``_mse``, and the first
-    threshold with the lowest loss wins.  An exact integer screen costs
-    O(n log n); only thresholds within a proven rounding band of the
-    screened minimum get the O(n) float loss, usually one or a few.
+    threshold with the lowest loss wins.  An exact integer screen over the
+    distinct rows costs O(G log G); only thresholds within a proven
+    rounding band of the screened minimum get the O(n) float loss, usually
+    one or a few.
     """
-    return _best_split(rows, labels, _exact(labels), (feature,))
+    groups = _group([tuple(row) for row in rows], _exact(labels))
+    return _best_split(rows, labels, groups, (feature,))
 
 
-def _grow(rows, labels, exact, depth: int, max_depth: int) -> TreeNode:
+def _grow(rows, labels, groups, depth: int, max_depth: int) -> TreeNode:
     node = TreeNode(
         sample_count=len(labels), node_mse=_mse(labels), prediction=_mean(labels)
     )
     if depth >= max_depth or len(labels) < 2 or min(labels) == max(labels):
         return node
     # ties: lowest loss, feature index, threshold
-    chosen = _best_split(rows, labels, exact, range(len(rows[0])))
+    chosen = _best_split(rows, labels, groups, range(len(rows[0])))
     if chosen is None:
         return node
     f, s = chosen.feature_index, chosen.threshold
@@ -233,9 +259,9 @@ def _grow(rows, labels, exact, depth: int, max_depth: int) -> TreeNode:
     right_idx = [i for i, row in enumerate(rows) if row[f] > s]
     node.split = chosen
     node.left = _grow([rows[i] for i in left_idx], [labels[i] for i in left_idx],
-                      [exact[i] for i in left_idx], depth + 1, max_depth)
+                      [g for g in groups if g[0][f] <= s], depth + 1, max_depth)
     node.right = _grow([rows[i] for i in right_idx], [labels[i] for i in right_idx],
-                       [exact[i] for i in right_idx], depth + 1, max_depth)
+                       [g for g in groups if g[0][f] > s], depth + 1, max_depth)
     return node
 
 
@@ -248,13 +274,12 @@ class RegressionTree:
 
     def predict(self, features) -> int:
         """Integer prediction: walk the tree, round the leaf mean half-up."""
-        row = features.as_tuple() if isinstance(features, FeatureVector) else tuple(features)
+        row = features.as_tuple() if isinstance(features, FeatureVector) else features
         node = self.root
-        while not node.is_leaf:
-            if row[node.split.feature_index] <= node.split.threshold:
-                node = node.left
-            else:
-                node = node.right
+        split = node.split
+        while split is not None:
+            node = node.left if row[split.feature_index] <= split.threshold else node.right
+            split = node.split
         return max(0, math.floor(node.prediction + 0.5))
 
     def feature_importance(self) -> list[float]:
@@ -321,7 +346,11 @@ def fit(
     feature_names: tuple[str, ...] = FEATURE_NAMES,
 ) -> RegressionTree:
     """Grow a tree on feature rows and numeric labels, all finite floats;
-    each row holds one value per name in ``feature_names``."""
+    each row holds one value per name in ``feature_names``.
+
+    The samples are grouped by row once (``_group``): split screening works
+    on the distinct rows, and each child takes the groups on its side.
+    """
     if not rows:
         raise ValueError("cannot fit a regression tree on an empty dataset")
     if len(rows) != len(labels):
@@ -340,7 +369,7 @@ def fit(
             finite = False
         if not finite:
             raise ValueError(f"sample {i} is not finite: {row} -> {label}")
-    root = _grow(rows, labels, _exact(labels), 0, max_depth)
+    root = _grow(rows, labels, _group(rows, _exact(labels)), 0, max_depth)
     return RegressionTree(
         root=root, target=target, max_depth=max_depth, feature_names=feature_names
     )

@@ -2,6 +2,8 @@
 and corpus builds that share solver sessions."""
 
 import dataclasses
+import hashlib
+import json
 import logging
 import math
 import random
@@ -10,6 +12,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from qlayout.augment import (
 from qlayout.backend import SolverConfig
 from qlayout.circuit import build_dag, make_circuit
 from qlayout.features import FeatureVector, extract_features
+from qlayout.regressor import fit
 from qlayout.search import SearchError
 
 from .conftest import random_circuit
@@ -155,11 +159,7 @@ def test_refine_rejects_k_max_below_one(k_max):
         allknn_refine(ds, k_max=k_max)
 
 
-def test_refine_measures_each_distinct_row_pair_once(monkeypatch):
-    # 60 samples over 12 distinct rows, all of one label: nothing is ever
-    # removed, so no row is ranked a second time in rounds 2 and 3.
-    rows = [(i % 4, i % 3) for i in range(60)]
-    distinct = len(set(rows))
+def _count_distances(monkeypatch) -> Counter:
     calls = Counter()
     dist = math.dist
 
@@ -168,9 +168,33 @@ def test_refine_measures_each_distinct_row_pair_once(monkeypatch):
         return dist(p, q)
 
     monkeypatch.setattr(math, "dist", counting)
+    return calls
+
+
+def test_refine_measures_no_distance_from_a_row_with_more_than_k_max_samples(monkeypatch):
+    # 60 samples over 12 distinct rows of 5 samples each, all of one label:
+    # with k_max = 3 each row's own samples are its nearest, so no distance
+    # is measured in any round.
+    rows = [(i % 4, i % 3) for i in range(60)]
+    assert set(Counter(rows).values()) == {5}
+    calls = _count_distances(monkeypatch)
     out = allknn_refine(_toy_dataset(rows, [1] * 60), k_max=3)
     assert len(out.samples) == 60
-    assert calls["dist"] == distinct ** 2 == 144
+    assert calls["dist"] == 0
+
+
+def test_refine_measures_each_small_row_against_each_row_once(monkeypatch):
+    # Distinct rows with 1, 2, 3, 4, 5, 1, 2 and 6 samples, all of one
+    # label: nothing is removed, so each row with at most k_max = 3 samples
+    # is ranked once, against every distinct row, and no other row is.
+    sizes = [1, 2, 3, 4, 5, 1, 2, 6]
+    rows = [(g, g % 3) for g, size in enumerate(sizes) for _ in range(size)]
+    random.Random(7).shuffle(rows)
+    calls = _count_distances(monkeypatch)
+    out = allknn_refine(_toy_dataset(rows, [1] * len(rows)), k_max=3)
+    assert len(out.samples) == len(rows)
+    small = sum(1 for size in sizes if size <= 3)
+    assert calls["dist"] == small * len(sizes) == 40
 
 
 def test_refine_all_same_label_unchanged():
@@ -252,6 +276,12 @@ def _random_table(rng, kind, n):
             tuple(rng.randint(0, 2) if c < dims else 0 for c in range(6))
             for _ in range(n)
         ]
+    elif kind == "mixed":  # groups of equal rows, some above k_max samples
+        rows = []
+        while len(rows) < n:
+            row = tuple(rng.randint(0, 3) for _ in range(6))
+            rows += [row] * rng.randint(1, 6)
+        rng.shuffle(rows)
     else:
         rows = [tuple(rng.uniform(0, 10) for _ in range(6)) for _ in range(n)]
     samples = [
@@ -260,17 +290,43 @@ def _random_table(rng, kind, n):
     return Dataset("depth", samples)
 
 
-@pytest.mark.parametrize("kind", ["duplicates", "lattice", "distinct"])
+@pytest.mark.parametrize("kind", ["duplicates", "lattice", "distinct", "mixed"])
 def test_refine_matches_the_per_point_search(kind):
     # Duplicate rows share distances; lattice rows also put distinct rows at
     # equal distances, so a tie can cut across several groups of equal rows.
+    # Mixed tables hold rows with at most k_max samples, which measure their
+    # distances, beside rows with more, which measure none.
     rng = random.Random(f"allknn-{kind}")
+    sizes = Counter()
     for _ in range(40):
         ds = _random_table(rng, kind, rng.randint(4, 60))
+        counts = Counter(s.features for s in ds.samples).values()
         for kmax in (1, 2, 3):
             got = [s.source for s in allknn_refine(ds, kmax).samples]
             want = [s.source for s in allknn_per_point(ds, kmax).samples]
             assert got == want
+            sizes.update(c > kmax for c in counts)
+    if kind == "mixed":
+        assert sizes[True] > 100 and sizes[False] > 100
+
+
+def test_refine_fit_and_predict_reproduce_the_train_tables_in_the_manifest():
+    # The committed benchmark tables (2,000 rows over 270 distinct feature
+    # rows each) and the outputs their generator recorded for them.
+    data = Path(__file__).resolve().parents[1] / "qbench" / "data"
+    manifest = json.loads((data / "manifest.json").read_text())
+    for target, want in manifest["train"].items():
+        table = load_dataset(data / f"train_{target}.csv", target)
+        refined = allknn_refine(table)
+        tree = fit(refined.rows(), refined.labels(), target=target)
+        predictions = [tree.predict(row) for row in table.rows()]
+        assert len(refined.samples) == want["refined_rows"]
+        assert _sha256(tree.to_json()) == want["tree_sha256"]
+        assert _sha256(json.dumps(predictions)) == want["predictions_sha256"]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_refine_takes_equidistant_neighbors_in_index_order():

@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from qlayout import backend
 from qlayout.circuit import parse_qasm
 from qlayout.cli import main
 from qlayout.features import FEATURE_NAMES
@@ -208,6 +209,16 @@ def test_map_with_an_empty_solver_command_is_an_input_error(
     solving = [] if in_env else ["--solver", " "]
     assert main(["map", bell_path, "--arch", "line:2", *solving]) == 2
     assert "solver command is empty" in capsys.readouterr().err
+
+
+def test_map_with_an_explicit_empty_solver_ignores_the_environment(
+        bell_path, monkeypatch, capsys):
+    monkeypatch.setenv("QLAYOUT_SOLVER", "/no/such/solver")
+    launched = []
+    monkeypatch.setattr(backend.Session, "_start", lambda self: launched.append(self))
+    assert main(["map", bell_path, "--arch", "line:2", "--solver", ""]) == 2
+    assert "solver command is empty" in capsys.readouterr().err
+    assert launched == []
 
 
 def test_map_model_missing_values_is_a_solver_error(bell_path, tmp_path, capsys):
