@@ -107,9 +107,12 @@ _VALUE_RE = re.compile(
     r"\(\s*([A-Za-z0-9_]+)\s+(#b[01]+|#x[0-9a-fA-F]+|true|false)\s*\)"
 )
 
-# Reply tokens: whitespace, a string literal, a quoted symbol, a
-# parenthesis, or an atom.  An unterminated string or symbol matches nothing.
-_REPLY_TOKEN = re.compile(r'\s+|"(?:[^"]|"")*"|\|[^|]*\||[()]|[^\s()"|]+')
+# A reply's first token: a string literal, a quoted symbol, a parenthesis or
+# an atom, after any whitespace; an unterminated string or symbol matches
+# nothing.  Inside parentheses only parentheses, strings and quoted symbols
+# count, and a lone quote or bar starts an unterminated one.
+_FIRST_TOKEN = re.compile(r'\s*("(?:[^"]|"")*"|\|[^|]*\||[()]|[^\s()"|]+)')
+_NESTED_TOKEN = re.compile(r'[()]|"(?:[^"]|"")*"|\|[^|]*\||["|]')
 _ERROR_RE = re.compile(r"\(\s*error\b")
 
 
@@ -133,24 +136,24 @@ def _next_reply(text: str, pos: int) -> Optional[tuple[str, int]]:
     A reply is an atom followed by whitespace or a balanced parenthesized
     expression; None means the text ends before one is complete.
     """
-    depth, begin = 0, None
-    while True:
-        match = _REPLY_TOKEN.match(text, pos)
-        if match is None:
-            return None
-        token, end = match.group(), match.end()
-        if token[0].isspace():
-            pos = end
-            continue
-        if begin is None:
-            begin = pos
+    first = _FIRST_TOKEN.match(text, pos)
+    if first is None:
+        return None
+    token, (begin, end) = first.group(1), first.span(1)
+    if token != "(":
+        return (token, end) if end < len(text) or token == ")" else None
+    depth = 0
+    for match in _NESTED_TOKEN.finditer(text, begin):
+        token = match.group()
         if token == "(":
             depth += 1
         elif token == ")":
             depth -= 1
-        if depth <= 0 and (token == ")" or end < len(text)):
-            return text[begin:end], end
-        pos = end
+            if not depth:
+                return text[begin:match.end()], match.end()
+        elif len(token) == 1:
+            return None
+    return None
 
 
 def _verdict(reply: str) -> Optional[bool]:
@@ -534,9 +537,9 @@ def model_swaps(
     """(edge, completion time) of every true swap indicator, edge-major."""
     return tuple(
         (edge, t)
-        for e, edge in enumerate(ctx.graph.edges)
-        for t in range(ctx.horizon)
-        if _value(values, ctx.swap_name(e, t)) is True
+        for edge, row in zip(ctx.graph.edges, ctx.swap_names)
+        for t, name in enumerate(row[:ctx.horizon])
+        if _value(values, name) is True
     )
 
 
@@ -549,14 +552,10 @@ def decode_solution(
     """Turn a model value table into a validated-shape MappingSolution."""
     circuit = ctx.circuit
     swaps = model_swaps(values, ctx)
-    initial_map = tuple(
-        int(_value(values, ctx.pos_name(q, 0))) for q in range(circuit.num_qubits)
-    )
+    initial_map = tuple(int(_value(values, row[0])) for row in ctx.pos_names)
     if len(set(initial_map).intersection(range(ctx.graph.num_qubits))) < len(initial_map):
         raise DecodeError(f"model placement {initial_map} is not on distinct device qubits")
-    gate_times = tuple(
-        int(_value(values, ctx.time_name(g))) for g in range(len(circuit.gates))
-    )
+    gate_times = tuple(int(_value(values, name)) for name in ctx.time_names)
 
     completions = list(gate_times) + [t for _, t in swaps]
     final_depth = 1 + max(completions) if completions else 0

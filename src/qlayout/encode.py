@@ -33,12 +33,15 @@ models over the declared variables unchanged:
 * ``blk_q{q}_t{t}`` — logical qubit q sits on a busy physical qubit at t.
 
 Definitions live in the base, ahead of their first use, so they share its
-scope in a solver session.
+scope in a solver session.  Each :class:`EncodingContext` builds the names
+of its variables and of the ``at``/``exec`` literals, and its bit-vector
+constants, once, in tables that the encoders and the decoder read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .arch import CouplingGraph
@@ -64,10 +67,6 @@ def bit_length(value: int) -> int:
 
 def _bv(value: int, width: int) -> str:
     return "#b" + format(value, f"0{width}b")
-
-
-def _define(name: str, body: str) -> str:
-    return f"(define-fun {name} () Bool {body})"
 
 
 def _any(terms: list[str]) -> str:
@@ -114,52 +113,67 @@ class EncodingContext:
         """Largest time-step count expressible in gate-time equalities."""
         return min(self.horizon, 1 << self.time_bits)
 
-    def pos_name(self, q: int, t: int) -> str:
-        return f"pos_q{q}_t{t}"
+    # Name and literal tables, built once per context and only read; name
+    # grids are indexed [q][t], [e][t], [g], [q][t][p] and [g][t].
 
-    def swap_name(self, e: int, t: int) -> str:
-        return f"swp_e{e}_t{t}"
+    @cached_property
+    def pos_names(self) -> list[list[str]]:
+        return [[f"pos_q{q}_t{t}" for t in range(self.horizon)]
+                for q in range(self.circuit.num_qubits)]
 
-    def time_name(self, g: int) -> str:
-        return f"time_g{g}"
+    @cached_property
+    def swap_names(self) -> list[list[str]]:
+        return [[f"swp_e{e}_t{t}" for t in range(self.swap_extent)]
+                for e in range(len(self.graph.edges))]
 
-    def at_name(self, q: int, t: int, p: int) -> str:
-        return f"at_q{q}_t{t}_p{p}"
+    @cached_property
+    def time_names(self) -> list[str]:
+        return [f"time_g{g}" for g in range(len(self.circuit.gates))]
 
-    def exec_name(self, g: int, t: int) -> str:
-        return f"exec_g{g}_t{t}"
+    @cached_property
+    def at_names(self) -> list[list[list[str]]]:
+        return [[[f"at_q{q}_t{t}_p{p}" for p in range(self.graph.num_qubits)]
+                 for t in range(self.horizon)] for q in range(self.circuit.num_qubits)]
 
-    def busy_name(self, p: int, t: int) -> str:
-        return f"busy_p{p}_t{t}"
+    @cached_property
+    def exec_names(self) -> list[list[str]]:
+        return [[f"exec_g{g}_t{t}" for t in range(self.representable_times)]
+                for g in range(len(self.circuit.gates))]
 
-    def blocked_name(self, q: int, t: int) -> str:
-        return f"blk_q{q}_t{t}"
+    @cached_property
+    def qubit_literals(self) -> list[str]:
+        """Of each physical qubit, then of the qubit count."""
+        return [_bv(p, self.qubit_bits) for p in range(self.graph.num_qubits + 1)]
+
+    @cached_property
+    def time_literals(self) -> list[str]:
+        """Of each step up to the horizon that the gate-time width holds."""
+        return [_bv(t, self.time_bits) for t in range(min(self.horizon + 1, 1 << self.time_bits))]
+
+    @cached_property
+    def incident_edges(self) -> list[list[int]]:
+        return [self.graph.edges_at(p) for p in range(self.graph.num_qubits)]
+
+    @cached_property
+    def touching_edges(self) -> list[list[int]]:
+        return [self.graph.edges_touching(k) for k in range(len(self.graph.edges))]
 
     def variables(self, start: int = 0) -> list[tuple[str, str]]:
         """(name, sort) pairs of the steps from ``start`` on, in declaration
         order."""
-        out = []
-        for q in range(self.circuit.num_qubits):
-            for t in range(start, self.horizon):
-                out.append((self.pos_name(q, t), f"(_ BitVec {self.qubit_bits})"))
+        pos_sort, time_sort = f"(_ BitVec {self.qubit_bits})", f"(_ BitVec {self.time_bits})"
         first_swap = start + self.swap_duration - 1 if start else 0
-        for e in range(len(self.graph.edges)):
-            for t in range(first_swap, self.swap_extent):
-                out.append((self.swap_name(e, t), "Bool"))
-        if not start:
-            for g in range(len(self.circuit.gates)):
-                out.append((self.time_name(g), f"(_ BitVec {self.time_bits})"))
-        return out
+        return [*((name, pos_sort) for row in self.pos_names for name in row[start:]),
+                *((name, "Bool") for row in self.swap_names for name in row[first_swap:]),
+                *((name, time_sort) for name in (() if start else self.time_names))]
 
+    @cached_property
     def model_names(self) -> list[str]:
         """The variables a decoded model reads: positions at step 0, swaps
         completing before the horizon, and gate times."""
-        return [
-            *(self.pos_name(q, 0) for q in range(self.circuit.num_qubits)),
-            *(self.swap_name(e, t) for e in range(len(self.graph.edges))
-              for t in range(self.horizon)),
-            *(self.time_name(g) for g in range(len(self.circuit.gates))),
-        ]
+        return [*(row[0] for row in self.pos_names),
+                *(name for row in self.swap_names for name in row[:self.horizon]),
+                *self.time_names]
 
 
 def build_context(
@@ -188,34 +202,27 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     as they are built, so a solver session can take the first ones while
     the rest are encoded.
     """
-    nq = ctx.circuit.num_qubits
-    nphys = ctx.graph.num_qubits
-    qb = ctx.qubit_bits
-    edges = ctx.graph.edges
-    dur = ctx.swap_duration
-    horizon = ctx.horizon
-    steps = ctx.representable_times
-    at = ctx.at_name
+    nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
+    dur, horizon, steps = ctx.swap_duration, ctx.horizon, ctx.representable_times
+    pos, swp, at, run = ctx.pos_names, ctx.swap_names, ctx.at_names, ctx.exec_names
+    literal, incident = ctx.qubit_literals, ctx.incident_edges
 
     # Mapping validity: positions inside the device, distinct per step.
-    phys_limit = None if nphys == (1 << qb) else _bv(nphys, qb)
     for t in range(start, horizon):
-        if phys_limit is not None:
-            for q in range(nq):
-                yield f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))"
+        if nphys < 1 << ctx.qubit_bits:
+            for row in pos:
+                yield f"(assert (bvult {row[t]} {literal[nphys]}))"
         if nq > 1:
-            names = " ".join(ctx.pos_name(q, t) for q in range(nq))
-            yield f"(assert (distinct {names}))"
+            yield f"(assert (distinct {' '.join(row[t] for row in pos)}))"
 
     for q in range(nq):
         for t in range(start, horizon):
-            pos = ctx.pos_name(q, t)
+            name, row = pos[q][t], at[q][t]
             for p in range(nphys):
-                yield _define(at(q, t, p), f"(= {pos} {_bv(p, qb)})")
-    for g in ctx.circuit.gates:
+                yield f"(define-fun {row[p]} () Bool (= {name} {literal[p]}))"
+    for g, name in enumerate(ctx.time_names):
         for t in range(start, steps):
-            yield _define(ctx.exec_name(g.id, t),
-                          f"(= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})")
+            yield f"(define-fun {run[g][t]} () Bool (= {name} {ctx.time_literals[t]}))"
 
     # Two-qubit gates execute on device edges.
     for g in ctx.circuit.gates:
@@ -223,67 +230,59 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
             continue
         q1, q2 = g.qubits
         for t in range(start, steps):
-            placements = " ".join(
-                f"(and {at(q1, t, a)} {at(q2, t, b)}) (and {at(q1, t, b)} {at(q2, t, a)})"
-                for a, b in edges
-            )
-            yield f"(assert (=> {ctx.exec_name(g.id, t)} (or {placements})))"
+            at1, at2 = at[q1][t], at[q2][t]
+            placements = " ".join(f"(and {at1[a]} {at2[b]}) (and {at1[b]} {at2[a]})"
+                                  for a, b in edges)
+            yield f"(assert (=> {run[g.id][t]} (or {placements})))"
 
     if not start:
         # Dependent gates execute strictly in order.
+        time = ctx.time_names
         for i, j in sorted(build_dag(ctx.circuit).edges):
-            yield f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))"
+            yield f"(assert (bvult {time[i]} {time[j]}))"
         # Swaps need a full window: none may complete before duration-1.
-        for e in range(len(edges)):
-            for t in range(dur - 1):
-                yield f"(assert (not {ctx.swap_name(e, t)}))"
+        for row in swp:
+            for name in row[:dur - 1]:
+                yield f"(assert (not {name}))"
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
     for t in range(start + dur - 1, ctx.swap_extent):
-        for k in range(len(edges)):
-            others = [ctx.swap_name(k, tt) for tt in range(t - dur + 1, t)]
-            others += [
-                ctx.swap_name(kk, tt)
-                for kk in ctx.graph.edges_touching(k)
-                for tt in range(t - dur + 1, t + 1)
-            ]
+        for k, row in enumerate(swp):
+            others = row[t - dur + 1:t]
+            for kk in ctx.touching_edges[k]:
+                others += swp[kk][t - dur + 1:t + 1]
             if others:
-                yield f"(assert (=> {ctx.swap_name(k, t)} (not {_any(others)})))"
+                yield f"(assert (=> {row[t]} (not {_any(others)})))"
 
     # Swap windows block gates on the swapped physical qubits: a gate may
     # not execute at t while one of its qubits sits on a busy qubit.
-    busy = [p for p in range(nphys) if ctx.graph.edges_at(p)]
+    busy = [p for p in range(nphys) if incident[p]]
     if busy:
         for p in busy:
             for t in range(start, steps):
-                window = range(max(t, dur - 1), t + dur)
-                yield _define(ctx.busy_name(p, t), _any([
-                    ctx.swap_name(k, tt) for k in ctx.graph.edges_at(p) for tt in window
-                ]))
+                window = slice(max(t, dur - 1), t + dur)
+                swaps = [name for k in incident[p] for name in swp[k][window]]
+                yield f"(define-fun busy_p{p}_t{t} () Bool {_any(swaps)})"
         for q in range(nq):
             for t in range(start, steps):
-                yield _define(ctx.blocked_name(q, t), _any([
-                    f"(and {at(q, t, p)} {ctx.busy_name(p, t)})" for p in busy
-                ]))
+                spots = [f"(and {at[q][t][p]} busy_p{p}_t{t})" for p in busy]
+                yield f"(define-fun blk_q{q}_t{t} () Bool {_any(spots)})"
         for g in ctx.circuit.gates:
             for t in range(start, steps):
-                blocked = _any([ctx.blocked_name(q, t) for q in g.qubits])
-                yield f"(assert (not (and {ctx.exec_name(g.id, t)} {blocked})))"
+                blocked = _any([f"blk_q{q}_t{t}" for q in g.qubits])
+                yield f"(assert (not (and {run[g.id][t]} {blocked})))"
 
     # Mapping evolves exactly through completed swaps.
     for t in range(max(start - 1, 0), horizon - 1):
+        leave = [f"(not {_any([swp[k][t] for k in ks])})" if ks else None for ks in incident]
         for q in range(nq):
+            now, after = at[q][t], at[q][t + 1]
             for p in range(nphys):
-                incident = [ctx.swap_name(k, t) for k in ctx.graph.edges_at(p)]
-                if incident:
-                    stay = f"(and (not {_any(incident)}) {at(q, t, p)})"
-                else:
-                    stay = at(q, t, p)
-                yield f"(assert (=> {stay} {at(q, t + 1, p)}))"
+                stay = f"(and {leave[p]} {now[p]})" if leave[p] else now[p]
+                yield f"(assert (=> {stay} {after[p]}))"
             for k, (a, b) in enumerate(edges):
-                sw = ctx.swap_name(k, t)
-                yield f"(assert (=> (and {sw} {at(q, t, a)}) {at(q, t + 1, b)}))"
-                yield f"(assert (=> (and {sw} {at(q, t, b)}) {at(q, t + 1, a)}))"
+                yield f"(assert (=> (and {swp[k][t]} {now[a]}) {after[b]}))"
+                yield f"(assert (=> (and {swp[k][t]} {now[b]}) {after[a]}))"
 
 
 def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
@@ -294,14 +293,10 @@ def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
             f"depth bound {depth_bound} exceeds time horizon {ctx.horizon};"
             " resize the context first"
         )
-    lines = []
-    if depth_bound < (1 << ctx.time_bits):
-        limit = _bv(depth_bound, ctx.time_bits)
-        for g in range(len(ctx.circuit.gates)):
-            lines.append(f"(assert (bvult {ctx.time_name(g)} {limit}))")
-    for e in range(len(ctx.graph.edges)):
-        for t in range(depth_bound, ctx.swap_extent):
-            lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
+    limit = ctx.time_literals[depth_bound] if depth_bound < 1 << ctx.time_bits else None
+    lines = [f"(assert (bvult {name} {limit}))" for name in ctx.time_names] if limit else []
+    for row in ctx.swap_names:
+        lines += [f"(assert (not {name}))" for name in row[depth_bound:]]
     return lines
 
 
@@ -310,11 +305,7 @@ def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
     zero-extended adder tree; a depth bound forces the later ones false."""
     if swap_bound < 0:
         raise EncodingError("swap bound must be nonnegative")
-    all_swaps = [
-        ctx.swap_name(e, t)
-        for e in range(len(ctx.graph.edges))
-        for t in range(ctx.horizon)
-    ]
+    all_swaps = [name for row in ctx.swap_names for name in row[:ctx.horizon]]
     if not all_swaps or swap_bound >= len(all_swaps):
         return []
     if swap_bound == 0:
@@ -348,5 +339,5 @@ def emit_script(ctx: EncodingContext, fragments: list[list[str]]) -> str:
     for fragment in fragments:
         lines.extend(fragment)
     lines.append("(check-sat)")
-    lines.append(value_query(ctx.model_names()))
+    lines.append(value_query(ctx.model_names))
     return "\n".join(lines) + "\n"

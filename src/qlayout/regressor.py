@@ -128,6 +128,13 @@ def _exact(labels: Sequence[float]) -> list[int]:
     return exact
 
 
+def _finite(values) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _group(rows, exact: Sequence[int]) -> list[tuple]:
     """(row, count, sum, sum of squares, largest magnitude) of the exact
     labels of each distinct row, in order of first appearance."""
@@ -359,17 +366,15 @@ def fit(
         raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     rows = [tuple(r) for r in rows]
     labels = list(labels)
-    for i, (row, label) in enumerate(zip(rows, labels)):
-        if len(row) != len(feature_names):
-            raise ValueError(f"sample {i} has {len(row)} features, but feature_names"
-                             f" has {len(feature_names)}: {row}")
-        try:
-            finite = all(map(math.isfinite, row)) and math.isfinite(label)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"sample {i} is not finite: {row} -> {label}")
-    root = _grow(rows, labels, _group(rows, _exact(labels)), 0, max_depth)
+    groups = _group(rows, _exact(labels)) if _finite(labels) else []
+    if not (groups and all(len(g[0]) == len(feature_names) and _finite(g[0]) for g in groups)):
+        for i, (row, label) in enumerate(zip(rows, labels)):
+            if len(row) != len(feature_names):
+                raise ValueError(f"sample {i} has {len(row)} features, but feature_names"
+                                 f" has {len(feature_names)}: {row}")
+            if not _finite((*row, label)):
+                raise ValueError(f"sample {i} is not finite: {row} -> {label}")
+    root = _grow(rows, labels, groups, 0, max_depth)
     return RegressionTree(
         root=root, target=target, max_depth=max_depth, feature_names=feature_names
     )

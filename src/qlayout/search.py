@@ -272,12 +272,16 @@ def solve_optimal(
 
     checks: list[CheckRecord] = []
 
+    @lru_cache(maxsize=1)   # checks on one grid shape share its context and name tables
+    def context(horizon: int, time_bits: int):
+        return build_context(circuit, graph, horizon, time_bits, swap_duration)
+
     def probe(depth: int, swap_bound: Optional[int] = None) -> tuple[bool, object]:
         """One check at a depth bound, plus a swap bound in the swap phase."""
         phase, bound = ("depth", depth) if swap_bound is None else ("swap", swap_bound)
         shape = grid_shape(checks, depth)
         last = (checks[-1].horizon, checks[-1].time_bits) if checks else (0, 0)
-        ctx = build_context(circuit, graph, *shape, swap_duration)
+        ctx = context(*shape)
         try:
             if shape != last:
                 # a deeper grid at the same width needs only its new steps
@@ -287,7 +291,7 @@ def solve_optimal(
             bounds = encode_depth_bound(ctx, depth)
             if phase == "swap":
                 bounds += encode_swap_bound(ctx, swap_bound)
-            result = session.check(bounds, ctx.model_names())
+            result = session.check(bounds, ctx.model_names)
             checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time,
                                       result.bytes_sent))
             if not result.sat:

@@ -348,9 +348,9 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
     for t in range(ctx.horizon):
         if phys_limit is not None:
             for q in range(nq):
-                lines.append(f"(assert (bvult {ctx.pos_name(q, t)} {phys_limit}))")
+                lines.append(f"(assert (bvult {ctx.pos_names[q][t]} {phys_limit}))")
         if nq > 1:
-            names = " ".join(ctx.pos_name(q, t) for q in range(nq))
+            names = " ".join(ctx.pos_names[q][t] for q in range(nq))
             lines.append(f"(assert (distinct {names}))")
 
     # Two-qubit gates execute on device edges.
@@ -362,56 +362,56 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
             placements = []
             for a, b in edges:
                 pa, pb = _bv(a, qb), _bv(b, qb)
-                p1, p2 = ctx.pos_name(q1, t), ctx.pos_name(q2, t)
+                p1, p2 = ctx.pos_names[q1][t], ctx.pos_names[q2][t]
                 placements.append(f"(and (= {p1} {pa}) (= {p2} {pb}))")
                 placements.append(f"(and (= {p1} {pb}) (= {p2} {pa}))")
             lines.append(
-                f"(assert (=> (= {ctx.time_name(g.id)} {_bv(t, ctx.time_bits)})"
+                f"(assert (=> (= {ctx.time_names[g.id]} {_bv(t, ctx.time_bits)})"
                 f" (or {' '.join(placements)})))"
             )
 
     # Dependent gates execute strictly in order.
     for i, j in sorted(build_dag(ctx.circuit).edges):
-        lines.append(f"(assert (bvult {ctx.time_name(i)} {ctx.time_name(j)}))")
+        lines.append(f"(assert (bvult {ctx.time_names[i]} {ctx.time_names[j]}))")
 
     # Swaps need a full window: none may complete before duration-1.
     for e in range(len(edges)):
         for t in range(min(dur - 1, ctx.horizon)):
-            lines.append(f"(assert (not {ctx.swap_name(e, t)}))")
+            lines.append(f"(assert (not {ctx.swap_names[e][t]}))")
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
     for t in range(dur - 1, ctx.horizon):
         for k in range(len(edges)):
-            me = ctx.swap_name(k, t)
+            me = ctx.swap_names[k][t]
             for tt in range(t - dur + 1, t):
-                lines.append(f"(assert (not (and {me} {ctx.swap_name(k, tt)})))")
+                lines.append(f"(assert (not (and {me} {ctx.swap_names[k][tt]})))")
             for kk in ctx.graph.edges_touching(k):
                 for tt in range(t - dur + 1, t + 1):
-                    lines.append(f"(assert (not (and {me} {ctx.swap_name(kk, tt)})))")
+                    lines.append(f"(assert (not (and {me} {ctx.swap_names[kk][tt]})))")
 
     # Swap windows block gates on the swapped physical qubits.
     for t in range(dur - 1, ctx.horizon):
         for k, (a, b) in enumerate(edges):
             pa, pb = _bv(a, qb), _bv(b, qb)
-            me = ctx.swap_name(k, t)
+            me = ctx.swap_names[k][t]
             for g in ctx.circuit.gates:
                 for tt in range(t - dur + 1, min(t + 1, ctx.representable_times)):
                     on_edge = " ".join(
-                        f"(= {ctx.pos_name(q, tt)} {p})"
+                        f"(= {ctx.pos_names[q][tt]} {p})"
                         for q in g.qubits
                         for p in (pa, pb)
                     )
                     lines.append(
-                        f"(assert (=> (and (= {ctx.time_name(g.id)}"
+                        f"(assert (=> (and (= {ctx.time_names[g.id]}"
                         f" {_bv(tt, ctx.time_bits)}) (or {on_edge})) (not {me})))"
                     )
 
     # Mapping evolves exactly through completed swaps.
     for t in range(ctx.horizon - 1):
         for q in range(nq):
-            now, nxt = ctx.pos_name(q, t), ctx.pos_name(q, t + 1)
+            now, nxt = ctx.pos_names[q][t], ctx.pos_names[q][t + 1]
             for p in range(nphys):
-                incident = [ctx.swap_name(k, t) for k in ctx.graph.edges_at(p)]
+                incident = [ctx.swap_names[k][t] for k in ctx.graph.edges_at(p)]
                 pv = _bv(p, qb)
                 if incident:
                     stay = f"(and (not (or {' '.join(incident)})) (= {now} {pv}))"
@@ -419,7 +419,7 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
                     stay = f"(= {now} {pv})"
                 lines.append(f"(assert (=> {stay} (= {nxt} {pv})))")
             for k, (a, b) in enumerate(edges):
-                sw = ctx.swap_name(k, t)
+                sw = ctx.swap_names[k][t]
                 pa, pb = _bv(a, qb), _bv(b, qb)
                 lines.append(
                     f"(assert (=> (and {sw} (= {now} {pa})) (= {nxt} {pb})))"
@@ -646,7 +646,7 @@ def linear_scan_solve(
         1
         for e in range(len(ctx.graph.edges))
         for t in range(ctx.horizon)
-        if values[ctx.swap_name(e, t)] is True
+        if values[ctx.swap_names[e][t]] is True
     )
     while count > 0:
         target = count - 1
@@ -666,7 +666,7 @@ def linear_scan_solve(
             1
             for e in range(len(ctx.graph.edges))
             for t in range(ctx.horizon)
-            if result.values[ctx.swap_name(e, t)] is True
+            if result.values[ctx.swap_names[e][t]] is True
         )
     return depth, count, checks
 

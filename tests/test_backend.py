@@ -21,6 +21,7 @@ from qlayout.backend import (
     SolverOutputError,
     SolverTimeoutError,
     Session,
+    _next_reply,
     _parse_literal,
     _VALUE_RE,
     check,
@@ -50,6 +51,19 @@ def test_value_regex_tolerates_whitespace():
     out = "sat\n((pos_q0_t0 #b010))\n(( swp_e1_t3   true ))\n((time_g0 #x0a))\n"
     found = dict(_VALUE_RE.findall(out))
     assert found == {"pos_q0_t0": "#b010", "swp_e1_t3": "true", "time_g0": "#x0a"}
+
+
+def test_next_reply_waits_for_a_complete_reply():
+    reply = '((error "a)b" "c""d") (|x y| #b01) (|)| |(|))'
+    text = "sat\n " + reply
+    for end in range(4, len(text)):             # every proper prefix of the reply
+        assert _next_reply(text[:end], 3) is None, text[:end]
+    assert _next_reply(text, 0) == ("sat", 3)
+    assert _next_reply(text, 3) == (reply, len(text))
+    assert _next_reply(text + "\nunsat\n", 3) == (reply, len(text))
+    assert _next_reply("sat", 0) is None            # an atom ends at whitespace
+    assert _next_reply('(echo "a) b)', 0) is None  # an unterminated string
+    assert _next_reply("(a |b) c)", 0) is None       # an unterminated symbol
 
 
 def test_solver_config_resolution_priority(monkeypatch):
@@ -584,12 +598,12 @@ def _model_for(ctx, *, pos0, times, true_swaps=()):
     values = {}
     for q in range(ctx.circuit.num_qubits):
         for t in range(ctx.horizon):
-            values[ctx.pos_name(q, t)] = pos0[q]
+            values[ctx.pos_names[q][t]] = pos0[q]
     for e in range(len(ctx.graph.edges)):
         for t in range(ctx.horizon):
-            values[ctx.swap_name(e, t)] = (e, t) in true_swaps
+            values[ctx.swap_names[e][t]] = (e, t) in true_swaps
     for g, t in enumerate(times):
-        values[ctx.time_name(g)] = t
+        values[ctx.time_names[g]] = t
     return values
 
 
@@ -643,7 +657,7 @@ def test_decode_missing_variable_is_an_error():
     circuit = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(circuit, line_graph(2), horizon=3, time_bits=2)
     values = _model_for(ctx, pos0=(0, 1), times=(0,))
-    del values[ctx.time_name(0)]
+    del values[ctx.time_names[0]]
     with pytest.raises(DecodeError):
         decode_solution(values, ctx)
 
@@ -661,7 +675,7 @@ def test_decode_names_a_missing_swap_value_first():
     circuit = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(circuit, line_graph(3), horizon=3, time_bits=2)
     values = _model_for(ctx, pos0=(0, 1), times=(0,))
-    del values[ctx.pos_name(0, 0)], values[ctx.time_name(0)], values[ctx.swap_name(1, 2)]
+    del values[ctx.pos_names[0][0]], values[ctx.time_names[0]], values[ctx.swap_names[1][2]]
     with pytest.raises(DecodeError, match="swp_e1_t2"):
         decode_solution(values, ctx)
 
@@ -671,7 +685,7 @@ def test_model_swaps_reads_true_indicators_edge_major():
     ctx = build_context(circuit, line_graph(3), horizon=5, time_bits=3)
     values = _model_for(ctx, pos0=(0, 1), times=(0,), true_swaps={(1, 2), (0, 4)})
     assert model_swaps(values, ctx) == (((0, 1), 4), ((1, 2), 2))
-    del values[ctx.swap_name(1, 0)]
+    del values[ctx.swap_names[1][0]]
     with pytest.raises(DecodeError, match="swp_e1_t0"):
         model_swaps(values, ctx)
 

@@ -1,5 +1,6 @@
 """Constraint encoding: variable shapes, script structure, solver semantics."""
 
+import hashlib
 import io
 import random
 import re
@@ -13,6 +14,7 @@ import pytest
 from qlayout.arch import grid_graph, line_graph, qx2, resolve_graph
 from qlayout.backend import check, decode_solution, validate_solution
 from qlayout.circuit import Circuit, make_circuit
+from qlayout.corpus import circuit_names, load_bundled
 from qlayout.encode import (
     EncodingError,
     bit_length,
@@ -22,6 +24,7 @@ from qlayout.encode import (
     encode_base,
     encode_depth_bound,
     encode_swap_bound,
+    value_query,
 )
 
 from . import refsolver
@@ -256,10 +259,70 @@ def test_extension_lines_start_at_their_step():
     assert "(define-fun busy_p0_t4 () Bool (or swp_e0_t4 swp_e0_t5 swp_e0_t6))" in extension
     # the mapping evolves from the old grid's last step into the new one
     assert "(assert (=> (and swp_e0_t3 at_q0_t3_p0) at_q0_t4_p1))" in extension
-    assert ctx.model_names() == [
+    assert ctx.model_names == [
         "pos_q0_t0", "pos_q1_t0", *(f"swp_e{e}_t{t}" for e in (0, 1) for t in range(5)),
         "time_g0", "time_g1",
     ]
+
+
+# --------------------------------------------------------------------------
+# The solver input is pinned byte for byte
+# --------------------------------------------------------------------------
+
+# (horizon, gate-time width, swap duration): a width that covers the
+# horizon, one narrower than it, a wide one, and one-step swaps.
+_PINNED_SHAPES = ((3, 2, 3), (6, 2, 3), (9, 4, 3), (5, 3, 1))
+
+# Byte count and SHA-256 of each part of the encoder's output over
+# _pinned_parts' cases: a change here is a change to what every solver is
+# sent, so only a deliberate change of the encoding may update them.
+_PINNED = {
+    "declarations": (711640, "98403495275d1d0deeec2c3d574392e2b9c6b14b5b87372c3a4e81b486f1b327"),
+    "base": (13297665, "028bd7a28a8f2d011f770d0bb27d352052d8cafe86a30b83d6f1280935b2a0d9"),
+    "extension_declarations": (
+        206896, "f7ecb171bd290c61cf62e4c0f50c90d48e879ae671cb0fcb71f11533620f71bf"),
+    "extension_base": (
+        5252805, "996c68f843c452649d9083b2b16b05093f7e07e7f150db15add7f2670c32926d"),
+    "depth_bound": (171458, "1521d8b441d47a2634e3e4a31ad767d0e0104ae5fbbc657ae8f3a49c480a9d3f"),
+    "swap_bound_0": (240350, "c423e292afce41d67443666a755f747bd2128a16165782a1adacc6dc68289e61"),
+    "swap_bound_1": (400615, "1d17b00c8b909153bc1d81a71e1aaa690cd1e600246e79beefe1ae6f3be43ab5"),
+    "swap_bound_2": (400615, "55bb0e1d9bed2b6bcfa474fb9fd7d98f54983b7bc237a72b50081c9b12e303f3"),
+    "value_query": (133852, "c9ec3b590c5fd757fab104a65e4edf73c4a2c6e4efc0ca02785f17103e9d6f57"),
+}
+
+
+def _pinned_parts() -> dict[str, list[str]]:
+    """Every encoder output over the bundled circuits of at most 5 qubits on
+    four devices and the pinned shapes, one list of lines per part."""
+    parts: dict[str, list[str]] = {}
+    for spec in ("qx2", "line:5", "ring:5", "grid:2x3"):
+        graph = resolve_graph(spec)
+        for name in circuit_names():
+            circuit = load_bundled(name)
+            if circuit.num_qubits > 5:
+                continue
+            for horizon, bits, duration in _PINNED_SHAPES:
+                ctx = build_context(circuit, graph, horizon, bits, duration)
+                grown = horizon // 2 + 1
+                for part, lines in (
+                    ("declarations", declarations(ctx)),
+                    ("base", encode_base(ctx)),
+                    ("extension_declarations", declarations(ctx, grown)),
+                    ("extension_base", encode_base(ctx, grown)),
+                    ("depth_bound", encode_depth_bound(ctx, horizon - 1)),
+                    *((f"swap_bound_{b}", encode_swap_bound(ctx, b)) for b in (0, 1, 2)),
+                    ("value_query", [value_query(ctx.model_names)]),
+                ):
+                    parts.setdefault(part, []).extend(lines)
+    return parts
+
+
+def test_encoder_output_is_pinned():
+    found = {}
+    for part, lines in _pinned_parts().items():
+        text = "".join(line + "\n" for line in lines).encode()
+        found[part] = (len(text), hashlib.sha256(text).hexdigest())
+    assert found == _PINNED
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +345,7 @@ def _look_ahead_false(ctx) -> list[str]:
     """The one premise under which the compact base must match the pairwise
     one: the swaps completing at or past the horizon, which the pairwise
     base does not declare, are false, as every depth bound asserts."""
-    return [f"(assert (not {ctx.swap_name(k, t)}))"
+    return [f"(assert (not {ctx.swap_names[k][t]}))"
             for k in range(len(ctx.graph.edges))
             for t in range(ctx.horizon, ctx.swap_extent)]
 
@@ -293,12 +356,12 @@ def _schedule_values(ctx, schedule) -> dict:
     last = len(schedule.placements) - 1
     for q in range(ctx.circuit.num_qubits):
         for t in range(ctx.horizon):
-            values[ctx.pos_name(q, t)] = (schedule.placements[min(t, last)][q], ctx.qubit_bits)
+            values[ctx.pos_names[q][t]] = (schedule.placements[min(t, last)][q], ctx.qubit_bits)
     for k, edge in enumerate(ctx.graph.edges):
         for t in range(ctx.swap_extent):
-            values[ctx.swap_name(k, t)] = (edge, t) in schedule.swaps
+            values[ctx.swap_names[k][t]] = (edge, t) in schedule.swaps
     for g, t in schedule.gate_times.items():
-        values[ctx.time_name(g)] = (t, ctx.time_bits)
+        values[ctx.time_names[g]] = (t, ctx.time_bits)
     return values
 
 
@@ -415,7 +478,7 @@ def test_adder_tree_popcount_matches_naive_count():
     width = n_indicators.bit_length()
     for _ in range(100):
         env = {
-            ctx.swap_name(e, t): rng.random() < 0.4
+            ctx.swap_names[e][t]: rng.random() < 0.4
             for e in range(len(ctx.graph.edges))
             for t in range(ctx.horizon)
         }

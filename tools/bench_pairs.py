@@ -9,10 +9,12 @@ run length (BENCHMARK.json's ``run_seconds`` unless ``--seconds`` is
 given), the two sides taking turns to go first.  The output holds, for every
 end-to-end metric that BENCHMARK.json lists, both sides' median and
 quartiles, every run's value and the number of pairs in which CHANGE was
-better.  Then one ``--trace 1`` run per side gives the per-layer rows
-named by ``--layers``, in seconds and, for timings, also in units of that
-run's reference task (``*_ref``).  Runs go one at a time, so the two sides
-never compete for the CPU.
+better.  It also holds every run's solver work per solve (the report's
+``counts``), so equal checks, launches and script bytes per solve on both
+sides show up as equal numbers.  Then one ``--trace 1`` run per side gives
+the per-layer rows named by ``--layers``, in seconds and, for timings, also
+in units of that run's reference task (``*_ref``).  Runs go one at a
+time, so the two sides never compete for the CPU.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ def main(argv=None) -> int:
         "all_correct": all(r["correct"] for side in sides for r in runs[side]),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in sides},
         "end_to_end": end_to_end,
+        "counts": {side: [r["report"].get("counts", {}) for r in runs[side]] for side in sides},
         "per_layer": {"seed": args.seed, "reference_task_s": ref, "rows": per_layer},
         "solver_rows": solver,
     }
