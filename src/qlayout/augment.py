@@ -7,6 +7,10 @@ current budget, and a trailing partial chunk survives only if it contains at
 least one two-qubit gate.  Every chunk is then renumbered so qubits appear
 as 0..k-1 in first-appearance order, which decouples the sample from the
 parent circuit's labeling.
+
+A dataset CSV row is a sample's features, then its label and source.
+``features.py`` owns the feature columns, their types and their text form;
+this module adds only the label (an int) and the source (free text).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .arch import CouplingGraph
 from .backend import Session, SolverConfig
 from .circuit import Circuit, Gate, emit_qasm
 from .encode import DEFAULT_SWAP_DURATION, check_swap_duration
-from .features import FEATURE_NAMES, FeatureVector, extract_features, format_float
+from .features import FEATURE_NAMES, FEATURE_TYPES, FeatureVector, extract_features, parse_numbers
 
 log = logging.getLogger(__name__)
 
@@ -272,8 +276,8 @@ def allknn_refine(dataset: Dataset, k_max: int = DEFAULT_KMAX) -> Dataset:
 # CSV dataset serialization
 # --------------------------------------------------------------------------
 
-_CSV_HEADER = list(FEATURE_NAMES) + ["label", "source"]
-_FLOAT_FEATURES = ("operation_density", "entanglement_variance")
+_CSV_HEADER = [*FEATURE_NAMES, "label", "source"]
+_CSV_NUMBERS = (*FEATURE_TYPES, int)  # the types of every column but source
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -281,32 +285,13 @@ def save_dataset(dataset: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for s in dataset.samples:
-            row = []
-            for name in FEATURE_NAMES:
-                v = getattr(s.features, name)
-                row.append(format_float(v) if isinstance(v, float) else v)
-            row.append(s.label)
-            row.append(s.source)
-            writer.writerow(row)
-
-
-def _bad_field(row: list[str]) -> Optional[str]:
-    """What makes ``row`` not a sample: its length or its first bad number."""
-    if len(row) != len(_CSV_HEADER):
-        return f"{len(row)} fields, expected {len(_CSV_HEADER)}"
-    for column, text in zip(_CSV_HEADER[:-1], row):
-        convert = float if column in _FLOAT_FEATURES else int
-        try:
-            if math.isfinite(convert(text)):
-                continue
-        except (ValueError, OverflowError):
-            pass
-        return f"column {column}: {text!r} is not a finite number"
+            writer.writerow([*s.features.to_text(), s.label, s.source])
 
 
 def load_dataset(path, target: str = "depth") -> Dataset:
     """Read a dataset CSV; a row that is not a sample raises ValueError."""
     samples = []
+    parsed: dict[tuple[str, ...], tuple[FeatureVector, int]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != _CSV_HEADER:
@@ -315,17 +300,16 @@ def load_dataset(path, target: str = "depth") -> Dataset:
             if not row:  # a blank line
                 continue
             try:
-                depth, width, qubit_depth, density, pairs, variance, label, source = row
-                fv = FeatureVector(int(depth), int(width), int(qubit_depth),
-                                   float(density), int(pairs), float(variance))
-                label = int(label)
-                # an int beyond the float range makes isfinite overflow
-                finite = all(map(math.isfinite, (*fv.as_tuple(), label)))
-            except (ValueError, OverflowError):
-                finite = False
-            if not finite:
-                raise ValueError(f"{path}: line {reader.line_num}, {_bad_field(row)}")
-            samples.append(Sample(fv, label, source))
+                if len(row) != len(_CSV_HEADER):
+                    raise ValueError(f"{len(row)} fields, expected {len(_CSV_HEADER)}")
+                numbers = tuple(row[:-1])
+                sample = parsed.get(numbers)
+                if sample is None:  # rows that share their numbers share one parse
+                    *features, label = parse_numbers(_CSV_HEADER, _CSV_NUMBERS, numbers)
+                    sample = parsed[numbers] = FeatureVector(*features), label
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}, {exc}") from None
+            samples.append(Sample(*sample, row[-1]))
     return Dataset(target=target, samples=samples)
 
 

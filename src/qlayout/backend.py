@@ -330,8 +330,7 @@ class Session:
     def _reply(self) -> str:
         """The next complete reply; sends pending text while waiting for it."""
         proc = self._proc or self._start()
-        self._pump(proc, lambda: _next_reply(self._text, self._pos) is not None)
-        found = _next_reply(self._text, self._pos)
+        found = self._pump(proc, lambda: _next_reply(self._text, self._pos))
         if found is None:
             raise self._exit_error(proc)
         reply, self._pos = found
@@ -364,13 +363,15 @@ class Session:
                 self._selector.unregister(proc.stdin)
             self._writing = on
 
-    def _pump(self, proc: subprocess.Popen, done) -> None:
+    def _pump(self, proc: subprocess.Popen, done):
         """Write pending input and read output, in chunks, until ``done()``
-        holds or the output ends.  Once the budget is spent it kills the
-        process instead, even with a reply waiting."""
+        holds or the output ends, and return the last ``done()``.  Once the
+        budget is spent it kills the process instead, even with a reply
+        waiting."""
         while (remaining := self._deadline - time.monotonic()) > 0:
-            if self._ended or done():
-                return
+            # the end of output can complete a final atom, so ask done() first
+            if (found := done()) or self._ended:
+                return found
             # one wait at a time, so an infinite or huge budget cannot
             # overflow the platform's timeout
             self._poll(proc, min(remaining, 3600.0))

@@ -34,8 +34,10 @@ models over the declared variables unchanged:
 
 Definitions live in the base, ahead of their first use, so they share its
 scope in a solver session.  Each :class:`EncodingContext` builds the names
-of its variables and of the ``at``/``exec`` literals, and its bit-vector
-constants, once, in tables that the encoders and the decoder read.
+of its variables and its bit-vector constants once, in tables that the
+encoders and the decoder read.  The ``at``/``exec`` names and the edge
+adjacency are read only while the base is encoded, so ``encode_base``
+builds them itself and frees them once the base is streamed.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class EncodingContext:
         return min(self.horizon, 1 << self.time_bits)
 
     # Name and literal tables, built once per context and only read; name
-    # grids are indexed [q][t], [e][t], [g], [q][t][p] and [g][t].
+    # grids are indexed [q][t], [e][t] and [g].
 
     @cached_property
     def pos_names(self) -> list[list[str]]:
@@ -131,16 +133,6 @@ class EncodingContext:
         return [f"time_g{g}" for g in range(len(self.circuit.gates))]
 
     @cached_property
-    def at_names(self) -> list[list[list[str]]]:
-        return [[[f"at_q{q}_t{t}_p{p}" for p in range(self.graph.num_qubits)]
-                 for t in range(self.horizon)] for q in range(self.circuit.num_qubits)]
-
-    @cached_property
-    def exec_names(self) -> list[list[str]]:
-        return [[f"exec_g{g}_t{t}" for t in range(self.representable_times)]
-                for g in range(len(self.circuit.gates))]
-
-    @cached_property
     def qubit_literals(self) -> list[str]:
         """Of each physical qubit, then of the qubit count."""
         return [_bv(p, self.qubit_bits) for p in range(self.graph.num_qubits + 1)]
@@ -149,14 +141,6 @@ class EncodingContext:
     def time_literals(self) -> list[str]:
         """Of each step up to the horizon that the gate-time width holds."""
         return [_bv(t, self.time_bits) for t in range(min(self.horizon + 1, 1 << self.time_bits))]
-
-    @cached_property
-    def incident_edges(self) -> list[list[int]]:
-        return [self.graph.edges_at(p) for p in range(self.graph.num_qubits)]
-
-    @cached_property
-    def touching_edges(self) -> list[list[int]]:
-        return [self.graph.edges_touching(k) for k in range(len(self.graph.edges))]
 
     def variables(self, start: int = 0) -> list[tuple[str, str]]:
         """(name, sort) pairs of the steps from ``start`` on, in declaration
@@ -204,8 +188,13 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     """
     nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
     dur, horizon, steps = ctx.swap_duration, ctx.horizon, ctx.representable_times
-    pos, swp, at, run = ctx.pos_names, ctx.swap_names, ctx.at_names, ctx.exec_names
-    literal, incident = ctx.qubit_literals, ctx.incident_edges
+    pos, swp, literal = ctx.pos_names, ctx.swap_names, ctx.qubit_literals
+    # name grids [q][t][p] and [g][t], and edges by qubit and by edge
+    at = [[[f"at_q{q}_t{t}_p{p}" for p in range(nphys)] for t in range(horizon)]
+          for q in range(nq)]
+    run = [[f"exec_g{g}_t{t}" for t in range(steps)] for g in range(len(ctx.circuit.gates))]
+    incident = [ctx.graph.edges_at(p) for p in range(nphys)]
+    touching = [ctx.graph.edges_touching(k) for k in range(len(edges))]
 
     # Mapping validity: positions inside the device, distinct per step.
     for t in range(start, horizon):
@@ -249,7 +238,7 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     for t in range(start + dur - 1, ctx.swap_extent):
         for k, row in enumerate(swp):
             others = row[t - dur + 1:t]
-            for kk in ctx.touching_edges[k]:
+            for kk in touching[k]:
                 others += swp[kk][t - dur + 1:t + 1]
             if others:
                 yield f"(assert (=> {row[t]} (not {_any(others)})))"

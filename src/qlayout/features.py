@@ -4,24 +4,23 @@ The features: longest dependency chain (circuit depth before mapping),
 circuit width, maximum per-qubit gate count, operation density (gate
 occupancy of the depth x width grid), two-qubit gate count, and a
 log-compressed variance of the per-qubit two-qubit-gate load.
+
+This module owns the feature row.  The fields of :class:`FeatureVector`
+declare each feature's name, type and column, once; ``FEATURE_NAMES``
+follows from them.  The row has one text form, ints in decimal and floats
+at 9 significant digits, which both the dataset CSV and ``to_json`` write,
+and one parser, :func:`parse_numbers`, which reads it back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Sequence, get_type_hints
 
 from .circuit import Circuit, longest_chain
-
-FEATURE_NAMES = (
-    "circuit_depth",
-    "circuit_width",
-    "max_qubit_depth",
-    "operation_density",
-    "two_qubit_gate_count",
-    "entanglement_variance",
-)
 
 
 @dataclass(frozen=True)
@@ -35,24 +34,42 @@ class FeatureVector:
 
     def as_tuple(self) -> tuple[float, ...]:
         """The six features in ``FEATURE_NAMES`` order."""
-        return (
-            self.circuit_depth,
-            self.circuit_width,
-            self.max_qubit_depth,
-            self.operation_density,
-            self.two_qubit_gate_count,
-            self.entanglement_variance,
-        )
+        return _columns(self)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
+        return dict(zip(FEATURE_NAMES, self.as_tuple()))
+
+    def to_text(self) -> list[str]:
+        """The row's text form: ints in decimal, floats by :func:`format_float`."""
+        return [format_float(v) if isinstance(v, float) else str(v) for v in self.as_tuple()]
 
     def to_json(self) -> str:
-        out = {}
-        for name in FEATURE_NAMES:
-            v = getattr(self, name)
-            out[name] = float(format_float(v)) if isinstance(v, float) else v
-        return json.dumps(out, indent=2)
+        """A JSON object of the features as their text form reads back."""
+        values = (convert(text) for convert, text in zip(FEATURE_TYPES, self.to_text()))
+        return json.dumps(dict(zip(FEATURE_NAMES, values)), indent=2)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+FEATURE_TYPES = tuple(get_type_hints(FeatureVector)[name] for name in FEATURE_NAMES)
+_columns = attrgetter(*FEATURE_NAMES)
+
+
+def parse_numbers(columns: Sequence[str], types: Sequence[type], texts: Sequence[str]) -> list:
+    """Each text converted by its column's type, such as a dataset row by
+    ``FEATURE_TYPES``; a ValueError names the first column whose text is
+    not a finite number of that type."""
+    values = []
+    for column, convert, text in zip(columns, types, texts):
+        try:
+            value = convert(text)
+            # an int beyond the float range makes isfinite overflow
+            if math.isfinite(value):
+                values.append(value)
+                continue
+        except (ValueError, OverflowError):
+            pass
+        raise ValueError(f"column {column}: {text!r} is not a finite number")
+    return values
 
 
 def ordered_sum(values) -> float:

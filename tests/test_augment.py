@@ -381,6 +381,8 @@ def test_dataset_csv_round_trip(tmp_path):
     )
     path = tmp_path / "ds.csv"
     save_dataset(ds, path)
+    row = ",".join([*extract_features(c).to_text(), "2", "seed:sample_0000"])
+    assert path.read_text().splitlines()[1] == row
     back = load_dataset(path, target="swaps")
     assert back.target == "swaps"
     assert len(back.samples) == 1
@@ -389,13 +391,20 @@ def test_dataset_csv_round_trip(tmp_path):
     assert s.source == "seed:sample_0000"
     assert s.features.as_tuple()[:3] == extract_features(c).as_tuple()[:3]
     assert abs(s.features.operation_density - extract_features(c).operation_density) < 1e-8
+    assert [type(v) for v in (*s.features.as_tuple(), s.label)] == [
+        int, int, int, float, int, float, int]
 
 
 @pytest.mark.parametrize("column, value", [
+    ("circuit_depth", "2.5"),
+    ("circuit_width", "2.5"),
+    ("max_qubit_depth", "2.5"),
     ("operation_density", "nan"),
+    ("two_qubit_gate_count", "2.5"),
+    ("entanglement_variance", "nan"),
     ("operation_density", "inf"),
     ("entanglement_variance", "-inf"),
-    ("circuit_depth", "2.5"),
+    ("label", "2.5"),
     ("label", ""),
     pytest.param("circuit_depth", "1" + "0" * 400, id="circuit_depth-1e400"),
     pytest.param("label", "-1" + "0" * 400, id="label--1e400"),
@@ -407,6 +416,13 @@ def test_load_dataset_rejects_a_missing_or_non_finite_number(tmp_path, column, v
     path.write_text("\n".join(",".join(r) for r in (
         _CSV_HEADER, good.values(), bad.values(), good.values())) + "\n")
     with pytest.raises(ValueError, match=f"line 3, column {column}: '{value}'"):
+        load_dataset(path)
+
+
+def test_load_dataset_names_the_first_bad_column_of_a_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(_CSV_HEADER) + "\n3,2,3,nan,1.5,0.3,x,s0\n")
+    with pytest.raises(ValueError, match="line 2, column operation_density: 'nan'"):
         load_dataset(path)
 
 

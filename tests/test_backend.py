@@ -134,6 +134,11 @@ def test_check_raises_on_unknown_verdict(tmp_path):
         check("(check-sat)\n", cfg)
 
 
+def test_check_takes_a_final_verdict_that_only_the_end_of_output_completes(tmp_path):
+    cfg = _script_solver(tmp_path, "cat > /dev/null; printf unsat")
+    assert check("(check-sat)\n", cfg).sat is False
+
+
 def test_check_raises_on_timeout(tmp_path):
     cfg = dataclasses.replace(_script_solver(tmp_path, "exec sleep 30"), timeout=0.3)
     with pytest.raises(SolverTimeoutError):

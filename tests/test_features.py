@@ -132,6 +132,13 @@ def test_feature_vector_json_round_trip():
     assert math.isclose(doc["operation_density"], fv.operation_density, abs_tol=1e-8)
 
 
+def test_json_holds_what_the_text_form_reads_back_as():
+    fv = FeatureVector(7, 3, 5, 2 / 3, 4, 1.0)
+    assert fv.to_text() == ["7", "3", "5", "0.666666667", "4", "1"]
+    assert json.loads(fv.to_json()) == dict(zip(FEATURE_NAMES, (7, 3, 5, 0.666666667, 4, 1.0)))
+    assert '"entanglement_variance": 1.0' in fv.to_json()
+
+
 def test_as_tuple_order_matches_names():
     fv = extract_features(load_bundled("ghz_n4"))
     assert fv.as_tuple() == tuple(getattr(fv, n) for n in FEATURE_NAMES)

@@ -198,6 +198,14 @@ def _table(rng, kind):
     if kind == "twins":  # equal columns: ties across features
         base = [(float(rng.randint(0, 5)), rng.choice((0.1, 0.2, 0.3))) for _ in range(n)]
         rows = [(a, b, a, b, a, 1.0) for a, b in base]
+    elif kind == "adjacent":  # each column holds v or the next float up
+        pairs = []
+        while len(pairs) < 6:
+            v = rng.uniform(0, 9)
+            up = math.nextafter(v, math.inf)
+            if (v + up) / 2 == v:  # the threshold between them is v, a row value
+                pairs.append((v, up))
+        rows = [tuple(rng.choice(pair) for pair in pairs) for _ in range(n)]
     elif kind == "repeats":  # many samples per distinct row
         n = rng.randint(2, 300)
         base = [tuple(float(rng.randint(0, 6)) for _ in range(6))
@@ -215,13 +223,14 @@ def _table(rng, kind):
         "huge": lambda: rng.choice((1e100, 3e100, -2e99)),
         "unscreened": lambda: rng.choice((1e-150, 1e150, 0.5)),
         "repeats": lambda: rng.choice((float(rng.randint(0, 12)), 0.1, 0.3, 0.7, 1e8 + 0.1)),
+        "adjacent": lambda: float(rng.randint(0, 12)),
     }[kind]
     return rows, [pick() for _ in range(n)]
 
 
 @pytest.mark.parametrize("kind", [
     "integers", "tenths", "decimals", "twins", "offset", "tiny", "huge", "unscreened",
-    "repeats",
+    "repeats", "adjacent",
 ])
 def test_fit_matches_the_per_threshold_search(kind):
     rng = random.Random(f"split-{kind}")
