@@ -39,6 +39,7 @@ from .backend import (
     ValidationReport,
     check,
     decode_solution,
+    render_circuit,
     validate_solution,
 )
 from .circuit import (
@@ -84,7 +85,7 @@ __all__ = [
     "save_dataset",
     "CheckResult", "MappingSolution", "SolverConfig", "SolverError",
     "SolverExitError", "SolverOutputError", "SolverTimeoutError",
-    "ValidationReport", "check", "decode_solution", "validate_solution",
+    "ValidationReport", "check", "decode_solution", "render_circuit", "validate_solution",
     "Circuit", "DependencyDag", "Gate", "QasmError", "build_dag", "emit_qasm",
     "load_qasm", "longest_chain", "make_circuit", "parse_qasm",
     "EncodingContext", "EncodingError", "build_context", "emit_script",

@@ -16,8 +16,10 @@ solver's input, so it also serves a solver that answers only at end of
 input.  Both treat an ``(error ...)`` reply before the verdict as a
 solver failure.
 
-Decoded solutions are replay-validated without consulting the solver or the
-script, so encoder and solver bugs cannot vouch for themselves.
+A model decodes to a schedule; :func:`render_circuit` alone draws the
+physical circuit of one.  Solutions are replay-validated without consulting
+the solver or the script, so encoder and solver bugs cannot vouch for
+themselves.
 """
 
 from __future__ import annotations
@@ -448,14 +450,15 @@ class Session:
 
 @dataclass(frozen=True)
 class MappingSolution:
-    """A decoded layout: initial placement, schedules, and the physical circuit."""
+    """A layout: initial placement, schedules, and the physical circuit that
+    :func:`render_circuit` drew from them, or None if none was drawn."""
 
     initial_map: tuple[int, ...]                 # logical index -> physical index
     gate_times: tuple[int, ...]
     swaps: tuple[tuple[tuple[int, int], int], ...]  # ((a, b), completion time)
     final_depth: int
     swap_count: int
-    mapped_circuit: Circuit
+    mapped_circuit: Circuit | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -467,7 +470,7 @@ class MappingSolution:
         }
 
     @staticmethod
-    def from_dict(doc: dict, mapped_circuit: Circuit | None = None) -> "MappingSolution":
+    def from_dict(doc: dict) -> "MappingSolution":
         """Inverse of :meth:`to_dict`; a ValueError names a malformed field."""
         if not isinstance(doc, dict):
             raise ValueError(f"solution is a JSON {type(doc).__name__}, not an object")
@@ -484,7 +487,6 @@ class MappingSolution:
             swaps=field("swaps", lambda s: tuple(((int(a), int(b)), int(t)) for (a, b), t in s)),
             final_depth=field("final_depth", int),
             swap_count=field("swap_count", int),
-            mapped_circuit=mapped_circuit or Circuit(num_qubits=1, gates=()),
         )
 
 
@@ -544,55 +546,45 @@ def model_swaps(
     )
 
 
-def decode_solution(
-    values: dict[str, int | bool],
-    ctx: EncodingContext,
-    *,
-    keep_swap_opcode: bool = False,
-) -> MappingSolution:
-    """Turn a model value table into a validated-shape MappingSolution."""
-    circuit = ctx.circuit
+def decode_solution(values: dict[str, int | bool], ctx: EncodingContext) -> MappingSolution:
+    """Turn a model value table into a schedule, with no circuit drawn.  A
+    placement that repeats a device qubit or leaves the device raises
+    :class:`DecodeError`, so every decoded schedule can be rendered."""
     swaps = model_swaps(values, ctx)
     initial_map = tuple(int(_value(values, row[0])) for row in ctx.pos_names)
     if len(set(initial_map).intersection(range(ctx.graph.num_qubits))) < len(initial_map):
         raise DecodeError(f"model placement {initial_map} is not on distinct device qubits")
     gate_times = tuple(int(_value(values, name)) for name in ctx.time_names)
-
-    completions = list(gate_times) + [t for _, t in swaps]
-    final_depth = 1 + max(completions) if completions else 0
-
-    mapped_gates: list[Gate] = []
-
-    def add(name: str, qubits: tuple[int, ...], params=()):
-        mapped_gates.append(Gate(len(mapped_gates), name, qubits, params))
-
-    events: list[tuple[int, int, object]] = []  # (time, order-class, payload)
-    for g, t in zip(circuit.gates, gate_times):
-        events.append((t, 0, g))
-    for edge, t in swaps:
-        events.append((t, 1, edge))
-    maps = _maps_at(initial_map, swaps, gate_times)
-    for t, kind, payload in sorted(events, key=lambda e: (e[0], e[1])):
-        if kind == 0:
-            g: Gate = payload
-            add(g.name, tuple(maps[t][q] for q in g.qubits), g.params)
-        elif keep_swap_opcode:
-            add("swap", payload)
-        else:
-            a, b = payload
-            add("cx", (a, b))
-            add("cx", (b, a))
-            add("cx", (a, b))
-
-    mapped = Circuit(num_qubits=ctx.graph.num_qubits, gates=tuple(mapped_gates))
     return MappingSolution(
         initial_map=initial_map,
         gate_times=gate_times,
         swaps=swaps,
-        final_depth=final_depth,
+        final_depth=1 + max(chain(gate_times, (t for _, t in swaps)), default=-1),
         swap_count=len(swaps),
-        mapped_circuit=mapped,
     )
+
+
+def render_circuit(circuit: Circuit, graph: CouplingGraph, solution: MappingSolution, *,
+                   keep_swap_opcode: bool = False) -> Circuit:
+    """The physical circuit of a schedule, in step order: each gate of
+    ``circuit`` on the device qubits the map holds at its step, gates of one
+    step in program order, then the swaps completing at that step, in
+    schedule order, as three CNOTs or, with ``keep_swap_opcode``, one
+    ``swap`` gate."""
+    maps = _maps_at(solution.initial_map, solution.swaps, solution.gate_times)
+    steps = sorted(chain(((t, 0, i) for i, t in enumerate(solution.gate_times)),
+                         ((t, 1, i) for i, (_, t) in enumerate(solution.swaps))))
+    ops: list[tuple] = []
+    for t, is_swap, i in steps:
+        if not is_swap:
+            g = circuit.gates[i]
+            ops.append((g.name, tuple(maps[t][q] for q in g.qubits), g.params))
+        else:
+            a, b = solution.swaps[i][0]
+            ops += ([("swap", (a, b))] if keep_swap_opcode
+                    else [("cx", (a, b)), ("cx", (b, a)), ("cx", (a, b))])
+    return Circuit(num_qubits=graph.num_qubits,
+                   gates=tuple(Gate(i, *op) for i, op in enumerate(ops)))
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .augment import (
     build_corpus,
     load_dataset,
 )
-from .backend import DEFAULT_TIMEOUT, MappingSolution, SolverConfig, validate_solution
+from .backend import (DEFAULT_TIMEOUT, MappingSolution, SolverConfig, render_circuit,
+                      validate_solution)
 from .circuit import QasmError, emit_qasm, load_qasm
 from .encode import DEFAULT_SWAP_DURATION
 from .features import FEATURE_NAMES, extract_features
@@ -174,7 +175,6 @@ def _cmd_map(args) -> int:
         swap_model=_load_model(args.swap_model, "swaps"),
         solver=_solver_config(args),
         swap_duration=args.swap_duration,
-        keep_swap_opcode=args.keep_swap_opcode,
     )
     report = validate_solution(circuit, graph, result.solution, args.swap_duration)
     doc = result.telemetry()
@@ -183,7 +183,9 @@ def _cmd_map(args) -> int:
     if args.telemetry:
         Path(args.telemetry).write_text(json.dumps(doc, indent=2) + "\n")
     if args.output:
-        Path(args.output).write_text(emit_qasm(result.solution.mapped_circuit))
+        mapped = (render_circuit(circuit, graph, result.solution, keep_swap_opcode=True)
+                  if args.keep_swap_opcode else result.solution.mapped_circuit)
+        Path(args.output).write_text(emit_qasm(mapped))
     print(json.dumps(
         {k: doc[k] for k in ("optimal_depth", "optimal_swaps",
                              "depth_checks", "swap_checks")},

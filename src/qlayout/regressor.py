@@ -112,14 +112,12 @@ def _exact(labels: Sequence[float]) -> list[int]:
 
     Every finite float is a / 2**e exactly (``float.as_integer_ratio``), so
     scaling all of them by the largest 2**e gives integers whose sums and
-    squares carry no rounding.  Outside the range in which ``_best_split``
-    derives its band (a label that is not finite, a denominator above
+    squares carry no rounding.  The labels must be finite.  Outside the
+    range in which ``_best_split`` derives its band (a denominator above
     2**300, where a squared deviation could underflow, or sums of squares
     too large for a float) every label maps to 0: all candidates then
     screen alike and each gets its float loss.
     """
-    if not all(map(math.isfinite, labels)):
-        return [0] * len(labels)
     ratios = [float(y).as_integer_ratio() for y in labels]
     shift = max(d.bit_length() for _, d in ratios)
     exact = [a << (shift - d.bit_length()) for a, d in ratios]
@@ -133,6 +131,11 @@ def _finite(values) -> bool:
         return all(map(math.isfinite, values))
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _require_finite(i: int, row: tuple, label) -> None:
+    if not _finite((*row, label)):
+        raise ValueError(f"sample {i} is not finite: {row} -> {label}")
 
 
 def _group(rows, exact: Sequence[int]) -> list[tuple]:
@@ -245,9 +248,12 @@ def best_split(
     threshold with the lowest loss wins.  An exact integer screen over the
     distinct rows costs O(G log G); only thresholds within a proven
     rounding band of the screened minimum get the O(n) float loss, usually
-    one or a few.
+    one or a few.  A value that is not finite raises ValueError, as in fit.
     """
-    groups = _group([tuple(row) for row in rows], _exact(labels))
+    rows = [tuple(row) for row in rows]
+    for i, sample in enumerate(zip(rows, labels)):
+        _require_finite(i, *sample)
+    groups = _group(rows, _exact(labels))
     return _best_split(rows, labels, groups, (feature,))
 
 
@@ -372,8 +378,7 @@ def fit(
             if len(row) != len(feature_names):
                 raise ValueError(f"sample {i} has {len(row)} features, but feature_names"
                                  f" has {len(feature_names)}: {row}")
-            if not _finite((*row, label)):
-                raise ValueError(f"sample {i} is not finite: {row} -> {label}")
+            _require_finite(i, row, label)
     root = _grow(rows, labels, groups, 0, max_depth)
     return RegressionTree(
         root=root, target=target, max_depth=max_depth, feature_names=feature_names

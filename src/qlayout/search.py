@@ -22,16 +22,17 @@ loads the context and base as the session's outer scope, streaming the
 base to the solver as it is encoded.  On a deeper grid at the same width
 it extends that scope with the new steps' lines alone, as the encoding is
 prefix-closed.  Each check adds only its bound lines, and each satisfiable
-model is decoded at once, so a phase's payload is its solution.  A solver
-failure, a failed launch included, or a model that does not decode raises
-:class:`SearchError` naming the phase, as does an ascent refuted at or above
-a bound known to be satisfiable, so a wrong solver cannot keep it running.
+model is decoded at once, so a phase's payload is its schedule; only the
+one returned is drawn.  A solver failure, a failed launch included, or a
+model that does not decode raises :class:`SearchError` naming the phase,
+as does an ascent refuted at or above a bound known to be satisfiable, so
+a wrong solver cannot keep it running.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional
@@ -221,20 +222,16 @@ class SolveResult:
                 "checks": [asdict(c) for c in self.checks]}
 
 
+def _drawn(circuit: Circuit, graph: CouplingGraph, solution: be.MappingSolution):
+    """``solution`` with its physical circuit drawn."""
+    return replace(solution, mapped_circuit=be.render_circuit(circuit, graph, solution))
+
+
 def _trivial_solution(circuit: Circuit, graph: CouplingGraph) -> SolveResult:
     """Circuits without two-qubit gates: schedule greedily, map identically."""
-    times = tuple(d - 1 for d in gate_depths(circuit))
-    depth = longest_chain(circuit)
-    mapped = Circuit(num_qubits=graph.num_qubits, gates=circuit.gates)
-    solution = be.MappingSolution(
-        initial_map=tuple(range(circuit.num_qubits)),
-        gate_times=times,
-        swaps=(),
-        final_depth=depth,
-        swap_count=0,
-        mapped_circuit=mapped,
-    )
-    return SolveResult(optimal_depth=depth, optimal_swaps=0, solution=solution)
+    depth, times = longest_chain(circuit), tuple(d - 1 for d in gate_depths(circuit))
+    solution = be.MappingSolution(tuple(range(circuit.num_qubits)), times, (), depth, 0)
+    return SolveResult(depth, 0, solution=_drawn(circuit, graph, solution))
 
 
 def solve_optimal(
@@ -245,7 +242,6 @@ def solve_optimal(
     *,
     solver: be.SolverConfig | be.Session | None = None,
     swap_duration: int = DEFAULT_SWAP_DURATION,
-    keep_swap_opcode: bool = False,
 ) -> SolveResult:
     """Optimal (depth, swap count) for a circuit on a device, with telemetry.
 
@@ -254,8 +250,10 @@ def solve_optimal(
     change the reported optima.  ``solver`` is a ``backend.SolverConfig``
     (None for the default), which runs this solve in a session of its own,
     or a live ``backend.Session``, which serves it as one of its solves and
-    stays open.  Bad arguments raise ValueError, an instance with no layout
-    :class:`InfeasibleError`, and any solver failure :class:`SearchError`.
+    stays open.  The returned solution alone has its physical circuit drawn,
+    swaps as three CNOTs.  Bad arguments raise ValueError, an instance with
+    no layout :class:`InfeasibleError`, and any solver failure
+    :class:`SearchError`.
     """
     check_swap_duration(swap_duration)
     if circuit.num_qubits > graph.num_qubits:
@@ -296,7 +294,7 @@ def solve_optimal(
                                       result.bytes_sent))
             if not result.sat:
                 return False, None
-            return True, be.decode_solution(result.values, ctx, keep_swap_opcode=keep_swap_opcode)
+            return True, be.decode_solution(result.values, ctx)
         except (be.SolverError, be.DecodeError) as exc:
             raise SearchError(f"{phase} phase failed at bound {bound} (horizon"
                               f" {shape[0]}, {shape[1]} time bits): {exc}") from exc
@@ -319,4 +317,5 @@ def solve_optimal(
     except SearchError as exc:
         exc.telemetry = SolveResult(None, None, checks).telemetry()
         raise
-    return SolveResult(best_depth, swap_outcome.optimum, checks, swap_outcome.payload)
+    return SolveResult(best_depth, swap_outcome.optimum, checks,
+                       _drawn(circuit, graph, swap_outcome.payload))

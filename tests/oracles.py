@@ -161,7 +161,9 @@ def _mse(values):
 
 
 def best_split_per_threshold(rows, labels, feature):
-    """The split search that ``regressor.best_split`` replaced, kept verbatim.
+    """The split search that ``regressor.best_split`` replaced, kept verbatim
+    but for one fix: a midpoint that rounds up to the larger value leaves the
+    right side empty, and is skipped, as ``regressor._screen`` skips it.
 
     Every candidate threshold rebuilds both sides and evaluates ``_mse`` on
     them, so the search is quadratic in the rows.
@@ -175,6 +177,8 @@ def best_split_per_threshold(rows, labels, feature):
         threshold = (lo + hi) / 2.0
         left = [y for row, y in zip(rows, labels) if row[feature] <= threshold]
         right = [y for row, y in zip(rows, labels) if row[feature] > threshold]
+        if not right:
+            continue
         loss = (len(left) * _mse(left) + len(right) * _mse(right)) / n
         if best is None or loss < best.loss:
             best = SplitCandidate(feature_index=feature, threshold=threshold, loss=loss)

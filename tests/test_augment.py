@@ -506,6 +506,50 @@ def test_build_corpus_rejects_a_swap_duration_below_one_step_before_labeling(
     assert not (tmp_path / "out").exists()
 
 
+def _counting_labels(monkeypatch) -> list:
+    """Label each chunk without a solver: the trivial layout's result, with
+    made-up optima that cycle with the call count.  Returns the chunks
+    labeled."""
+    labeled = []
+
+    def label(circuit, graph, **kwargs):
+        labeled.append(circuit)
+        k = len(labeled)
+        return dataclasses.replace(search._trivial_solution(circuit, graph),
+                                   optimal_depth=k % 3, optimal_swaps=k % 2)
+
+    monkeypatch.setattr(augment, "label_sample", label)
+    return labeled
+
+
+def test_build_corpus_writes_the_refined_datasets(tmp_path, monkeypatch):
+    rng = random.Random(7)
+    inputs = [(f"c{i}", random_circuit(rng, max_qubits=4, min_gates=6)) for i in range(12)]
+
+    def build(out: str, refine: bool):
+        _counting_labels(monkeypatch)
+        return build_corpus(inputs, [ChunkPlan((2, 3))], line_graph(4), tmp_path / out,
+                            kmax=2, refine=refine)
+
+    plain = build("plain", refine=False)
+    refined = build("refined", refine=True)
+    for dataset, name in zip(plain, ("depth_dataset.csv", "swaps_dataset.csv")):
+        save_dataset(allknn_refine(dataset, 2), tmp_path / name)
+        assert (tmp_path / "refined" / name).read_text() == (tmp_path / name).read_text()
+    assert 2 < len(refined[0].samples) < len(plain[0].samples)
+
+
+def test_build_corpus_skips_a_chunk_wider_than_the_device(tmp_path, monkeypatch, caplog):
+    labeled = _counting_labels(monkeypatch)
+    wide = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 1))])
+    with caplog.at_level(logging.WARNING, logger="qlayout.augment"):
+        depth_ds, _ = build_corpus([("wide", wide)], [ChunkPlan((2,))], line_graph(2),
+                                   tmp_path, refine=False)
+    assert "wide chunk 0: 3 qubits exceed device line:2; skipped" in caplog.text
+    assert [c.num_qubits for c in labeled] == [2]          # chunk 1 only
+    assert [s.source for s in depth_ds.samples] == ["wide:sample_0000"]
+
+
 # --------------------------------------------------------------------------
 # build_corpus: one solver session per labeling worker
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from qlayout.backend import (
     check,
     decode_solution,
     model_swaps,
+    render_circuit,
     replay,
     validate_solution,
     VIOLATION_KINDS,
@@ -625,7 +626,10 @@ def test_decode_expands_swaps_and_remaps_later_gates():
     assert sol.swaps == (((0, 1), 2),)
     assert sol.final_depth == 4
     assert sol.swap_count == 1
-    names = [(g.name, g.qubits) for g in sol.mapped_circuit.gates]
+    assert sol.mapped_circuit is None            # the decoder draws no circuit
+    mapped = render_circuit(circuit, graph, sol)
+    assert mapped.num_qubits == 3
+    names = [(g.name, g.qubits) for g in mapped.gates]
     assert names == [
         ("cx", (0, 1)),
         ("cx", (0, 1)),
@@ -641,8 +645,8 @@ def test_decode_keep_swap_opcode():
     ctx = build_context(circuit, graph, horizon=5, time_bits=3)
     edge12 = graph.edges.index((1, 2))
     values = _model_for(ctx, pos0=(0, 1), times=(0,), true_swaps={(edge12, 4)})
-    sol = decode_solution(values, ctx, keep_swap_opcode=True)
-    assert [(g.name, g.qubits) for g in sol.mapped_circuit.gates] == [
+    mapped = render_circuit(circuit, graph, decode_solution(values, ctx), keep_swap_opcode=True)
+    assert [(g.name, g.qubits) for g in mapped.gates] == [
         ("cx", (0, 1)),
         ("swap", (1, 2)),
     ]
@@ -653,9 +657,9 @@ def test_decode_orders_gate_before_swap_at_same_step():
     graph = line_graph(2)
     ctx = build_context(circuit, graph, horizon=4, time_bits=2)
     values = _model_for(ctx, pos0=(0, 1), times=(3,), true_swaps={(0, 3)})
-    sol = decode_solution(values, ctx)
-    assert [g.name for g in sol.mapped_circuit.gates] == ["h", "cx", "cx", "cx"]
-    assert sol.mapped_circuit.gates[0].qubits == (0,)   # pre-swap placement
+    mapped = render_circuit(circuit, graph, decode_solution(values, ctx))
+    assert [g.name for g in mapped.gates] == ["h", "cx", "cx", "cx"]
+    assert mapped.gates[0].qubits == (0,)   # pre-swap placement
 
 
 def test_decode_missing_variable_is_an_error():
@@ -700,7 +704,7 @@ def test_decode_empty_circuit_has_zero_depth():
     ctx = build_context(circuit, line_graph(2), horizon=1, time_bits=1)
     sol = decode_solution(_model_for(ctx, pos0=(0, 1), times=()), ctx)
     assert sol.final_depth == 0
-    assert sol.mapped_circuit.gates == ()
+    assert render_circuit(circuit, line_graph(2), sol).gates == ()
 
 
 def test_solution_round_trips_through_dict():
@@ -708,12 +712,24 @@ def test_solution_round_trips_through_dict():
     ctx = build_context(circuit, line_graph(3), horizon=5, time_bits=3)
     values = _model_for(ctx, pos0=(1, 2), times=(0,), true_swaps={(0, 4)})
     sol = decode_solution(values, ctx)
-    clone = MappingSolution.from_dict(sol.to_dict())
-    assert clone.initial_map == sol.initial_map
-    assert clone.gate_times == sol.gate_times
-    assert clone.swaps == sol.swaps
-    assert clone.final_depth == sol.final_depth
-    assert clone.swap_count == sol.swap_count
+    assert MappingSolution.from_dict(sol.to_dict()) == sol   # neither has a circuit drawn
+
+
+def test_render_draws_in_step_order_and_program_order_within_a_step():
+    circuit = make_circuit(3, [("h", (0,)), ("rz", (2,), ("0.5",)), ("x", (1,)), ("cx", (0, 1))])
+    graph = line_graph(3)
+    sol = MappingSolution(initial_map=(2, 1, 0), gate_times=(1, 0, 1, 5),
+                          swaps=(((1, 2), 4), ((0, 1), 2)), final_depth=6, swap_count=2)
+    mapped = render_circuit(circuit, graph, sol, keep_swap_opcode=True)
+    # q0 starts on 2; (0,1)@2 moves q2 to 1, then (1,2)@4 moves it to 2 and q0 to 1
+    assert [(g.id, g.name, g.qubits, g.params) for g in mapped.gates] == [
+        (0, "rz", (0,), ("0.5",)),
+        (1, "h", (2,), ()),
+        (2, "x", (1,), ()),
+        (3, "swap", (0, 1), ()),
+        (4, "swap", (1, 2), ()),
+        (5, "cx", (1, 0), ()),
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import json
 import shlex
+import threading
 
 import pytest
 
 from qlayout import backend
+from qlayout.backend import MappingSolution
 from qlayout.circuit import parse_qasm
 from qlayout.cli import main
+from qlayout.search import CheckRecord, SolveResult
 from qlayout.features import FEATURE_NAMES
 
 from .test_backend import _script_solver
@@ -250,6 +253,21 @@ done""")
                  "--solver", " ".join(cfg.command)])
     assert code == 3
     assert "refuted bound 14, but bound 14 is known satisfiable" in capsys.readouterr().err
+
+
+def test_map_exits_4_when_the_solution_fails_validation(bell_path, tmp_path, monkeypatch,
+                                                         capsys):
+    # the reported depth disagrees with the schedule, which ends at step 2
+    wrong = MappingSolution(initial_map=(0, 1), gate_times=(0, 1), swaps=(),
+                            final_depth=3, swap_count=0)
+    monkeypatch.setattr("qlayout.cli.solve_optimal",
+                        lambda circuit, graph, **kwargs: SolveResult(3, 0, solution=wrong))
+    telemetry = tmp_path / "telemetry.json"
+    code = main(["map", bell_path, "--arch", "line:2", "--telemetry", str(telemetry)])
+    assert code == 4
+    assert ("validation FAILED: totals: reported depth 3 but schedule ends at 2"
+            in capsys.readouterr().err)
+    assert json.loads(telemetry.read_text())["validation"]["ok"] is False
 
 
 _SOLUTION = {"initial_map": [0, 1], "gate_times": [0, 1], "swaps": [],
@@ -524,3 +542,42 @@ def test_bench_compares_seeded_and_unseeded(bell_path, tmp_path, models,
     row = lines[1].split(",")
     assert row[1:3] == ["2", "0"]                  # same optimum both ways
     assert "total checks:" in captured.err
+
+
+def _solver_free_bench(monkeypatch, seeded_depth: int) -> list[threading.Thread]:
+    """Patch the CLI's solve: optimum (2, 0) unseeded and (seeded_depth, 0)
+    with a depth model, one check each.  Returns the thread of each solve."""
+    threads = []
+
+    def solve(circuit, graph, depth_model=None, swap_model=None, **kwargs):
+        threads.append(threading.current_thread())
+        depth = seeded_depth if depth_model else 2
+        return SolveResult(depth, 0, [CheckRecord("depth", depth, True, depth, 2, 0.5)])
+
+    monkeypatch.setattr("qlayout.cli.solve_optimal", solve)
+    return threads
+
+
+def test_bench_with_two_jobs_keeps_the_input_order(tmp_path, models, monkeypatch, capsys):
+    threads = _solver_free_bench(monkeypatch, seeded_depth=2)
+    paths = []
+    for name, text in (("bell", BELL), ("ghz4", GHZ4), ("triangle", TRIANGLE)):
+        paths.append(str(tmp_path / f"{name}.qasm"))
+        (tmp_path / f"{name}.qasm").write_text(text)
+    code = main(["bench", *paths, "--arch", "line:4", "--jobs", "2",
+                 "--depth-model", models["depth"], "--swap-model", models["swaps"]])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == paths
+    assert len(threads) == 6 and threading.main_thread() not in threads
+
+
+def test_bench_exits_4_when_seeding_changes_an_optimum(bell_path, tmp_path, models,
+                                                       monkeypatch, capsys):
+    _solver_free_bench(monkeypatch, seeded_depth=3)
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", bell_path, "--arch", "line:2", "--output", str(out_csv),
+                 "--depth-model", models["depth"], "--swap-model", models["swaps"]])
+    assert code == 4
+    assert f"error: optima changed under seeding for {[bell_path]}" in capsys.readouterr().err
+    assert out_csv.read_text().splitlines()[1].startswith(f"{bell_path},2,0,1,0,1,0,")

@@ -132,10 +132,13 @@ def test_fit_does_not_split_equal_labels_on_rounding_noise():
     ([(1.0, 0.0), (2.0, 0.0)], [1.0, math.nan]),
     ([(1.0, 0.0), (2.0, 0.0)], [2.0, -math.inf]),
     ([(1.0, 0.0), (10**400, 0.0)], [1.0, 2.0]),
+    ([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0, math.nan, 3.0]),
 ])
 def test_fit_rejects_non_finite_rows_and_labels(rows, labels):
     with pytest.raises(ValueError, match="sample 1 is not finite"):
         fit(rows, labels, feature_names=("a", "b"))
+    with pytest.raises(ValueError, match="sample 1 is not finite"):
+        best_split(rows, labels, 0)
 
 
 def test_node_statistics_add_left_to_right():
@@ -199,12 +202,9 @@ def _table(rng, kind):
         base = [(float(rng.randint(0, 5)), rng.choice((0.1, 0.2, 0.3))) for _ in range(n)]
         rows = [(a, b, a, b, a, 1.0) for a, b in base]
     elif kind == "adjacent":  # each column holds v or the next float up
-        pairs = []
-        while len(pairs) < 6:
-            v = rng.uniform(0, 9)
-            up = math.nextafter(v, math.inf)
-            if (v + up) / 2 == v:  # the threshold between them is v, a row value
-                pairs.append((v, up))
+        # the midpoint rounds to v or to the next float up: a threshold equal
+        # to the upper value leaves the right side empty
+        pairs = [(v, math.nextafter(v, math.inf)) for v in (rng.uniform(0, 9) for _ in range(6))]
         rows = [tuple(rng.choice(pair) for pair in pairs) for _ in range(n)]
     elif kind == "repeats":  # many samples per distinct row
         n = rng.randint(2, 300)

@@ -651,6 +651,28 @@ def test_circuit_without_interactions_skips_the_solver(monkeypatch):
     assert sol.gate_times == (0, 0, 1, 0)
     report = be.validate_solution(circuit, line_graph(4), sol)
     assert report.ok
+    # drawn in step order, program order within a step: the same circuit
+    assert sol.mapped_circuit.num_qubits == 4
+    assert [(g.name, g.qubits) for g in sol.mapped_circuit.gates] == [
+        ("h", (0,)), ("x", (1,)), ("rz", (2,)), ("h", (0,)),
+    ]
+
+
+def test_a_solve_draws_only_the_circuit_it_returns(scripted, monkeypatch):
+    drawn, render = [], be.render_circuit
+
+    def counting(circuit, graph, solution, **kwargs):
+        drawn.append(solution)
+        return render(circuit, graph, solution, **kwargs)
+
+    monkeypatch.setattr(be, "render_circuit", counting)
+    # depth 1 satisfiable with one swap; swap bound 1 satisfiable, 0 refuted
+    scripted([("sat", 1), ("sat", 1), "unsat"])
+    circuit, graph = _chain(1), line_graph(3)
+    result = solve_optimal(circuit, graph)
+    assert (result.optimal_depth, result.optimal_swaps) == (1, 1)
+    assert drawn == [dataclasses.replace(result.solution, mapped_circuit=None)]
+    assert result.solution.mapped_circuit == render(circuit, graph, drawn[0])
 
 
 @pytest.mark.parametrize("gates, duration", [

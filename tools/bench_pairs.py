@@ -14,7 +14,9 @@ better.  It also holds every run's solver work per solve (the report's
 sides show up as equal numbers.  Then one ``--trace 1`` run per side gives
 the per-layer rows named by ``--layers``, in seconds and, for timings, also
 in units of that run's reference task (``*_ref``).  Runs go one at a
-time, so the two sides never compete for the CPU.
+time, so the two sides never compete for the CPU.  Last, one line on
+standard error per end-to-end metric gives the verdict: each side's median
+and the pairs CHANGE won.
 """
 
 from __future__ import annotations
@@ -123,6 +125,10 @@ def main(argv=None) -> int:
         "solver_rows": solver,
     }
     args.output.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, row in end_to_end.items():
+        print(f"{name}: base {row['base']['median']:.6g} change {row['change']['median']:.6g}"
+              f" {row['unit']} (median), change better in {row['change_better_pairs']}"
+              f"/{args.pairs} pairs", file=sys.stderr)
     return 0
 
 
