@@ -2,8 +2,9 @@
 
 Contents: :class:`Gate`, :class:`Circuit`, :class:`DependencyDag`, an
 OpenQASM 2.0 subset parser (:func:`parse_qasm`), the matching emitter
-(:func:`emit_qasm`), dependency-DAG construction (:func:`build_dag`) and
-the longest-dependency-chain metric (:func:`longest_chain`).
+(:func:`emit_qasm`), dependency-DAG construction (:func:`build_dag`), the
+longest-dependency-chain metric (:func:`longest_chain`) and each gate's
+chains before and after it (:func:`gate_depths`, :func:`gate_tails`).
 
 The parser covers pre-synthesized circuits only: gate statements of arity
 one or two over previously declared quantum registers.  ``barrier`` and
@@ -114,6 +115,18 @@ def gate_depths(circuit: Circuit) -> list[int]:
             chain_at_qubit[q] = depth
         depths.append(depth)
     return depths
+
+
+def gate_tails(circuit: Circuit) -> list[int]:
+    """Per-gate length of the longest dependency chain after it: the gates
+    that must run at later steps (0 for a gate nothing depends on)."""
+    chain_at_qubit = [0] * circuit.num_qubits
+    tails = [0] * len(circuit.gates)
+    for g in reversed(circuit.gates):
+        tails[g.id] = max(chain_at_qubit[q] for q in g.qubits)
+        for q in g.qubits:
+            chain_at_qubit[q] = tails[g.id] + 1
+    return tails
 
 
 # --------------------------------------------------------------------------

@@ -16,19 +16,31 @@ asserted against it.  Swaps run ``duration - 1`` steps further
 (``swap_extent``), so no swap window is cut off at the horizon; every
 depth bound forces these look-ahead swaps false.
 
-The encoding is prefix-closed in time: no step's lines depend on the
-horizon.  With ``start=h``, ``declarations`` and ``encode_base`` yield only
-the lines of steps h and later (a swap counts at the step its window
-starts, and gate times, dependency order and early swaps at step 0), so
-the base of horizon h plus those lines of a deeper grid of the same
-gate-time width is the deeper grid's base.
+Each gate g is encoded only at the steps of its window,
+``asap(g) <= t < representable_times - tail(g)``, where ``asap`` is
+``gate_depths`` - 1 and ``tail(g)`` (``gate_tails``) is the longest chain
+of gates that must run after g.  Only there does g get an ``exec`` literal,
+an adjacency and a blocking assertion; qubit q gets ``blk`` literals from
+the least asap to ``representable_times`` less the least tail of its gates.
+Under the dependency order and any depth bound at most the horizon, which
+every check asserts, no gate runs outside its window: the base is exact
+under such a bound, and only under it.
+
+The encoding is prefix-closed in time: with ``start=h``, ``declarations``
+and ``encode_base`` yield only the lines that steps h and later own.  A
+swap belongs to the step its window starts; gate times, dependency order
+and early swaps to step 0; g's lines at step t to step ``t + tail(g)``, and
+q's ``blk`` literal at t to t plus that least tail, so an extension also
+carries gate lines of steps below h.  The base of horizon h plus those
+lines of a deeper grid of the same gate-time width is the deeper grid's
+base.
 
 Sub-terms that many assertions share are named once, as nullary
 ``define-fun`` literals, so they add no variables and leave the set of
 models over the declared variables unchanged:
 
 * ``at_q{q}_t{t}_p{p}`` — ``(= pos_q{q}_t{t} p)``;
-* ``exec_g{i}_t{t}`` — ``(= time_g{i} t)``, for each representable step;
+* ``exec_g{i}_t{t}`` — ``(= time_g{i} t)``, for each step of gate i's window;
 * ``busy_p{p}_t{t}`` — some swap on an edge at p has a window covering t;
 * ``blk_q{q}_t{t}`` — logical qubit q sits on a busy physical qubit at t.
 
@@ -47,7 +59,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .arch import CouplingGraph
-from .circuit import Circuit, build_dag
+from .circuit import Circuit, build_dag, gate_depths, gate_tails
 
 DEFAULT_SWAP_DURATION = 3
 
@@ -175,8 +187,8 @@ def declarations(ctx: EncodingContext, start: int = 0) -> list[str]:
 
 
 def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
-    """The instance-defining constraints of the steps from ``start`` on,
-    independent of any bound.
+    """The instance-defining constraints that steps from ``start`` on own,
+    independent of any bound (see the module docstring for gate windows).
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
@@ -189,10 +201,22 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
     dur, horizon, steps = ctx.swap_duration, ctx.horizon, ctx.representable_times
     pos, swp, literal = ctx.pos_names, ctx.swap_names, ctx.qubit_literals
-    # name grids [q][t][p] and [g][t], and edges by qubit and by edge
+
+    def owned(asap: int, tail: int) -> range:
+        """Window steps, from ``asap`` to ``tail`` short of the last one, whose
+        lines (at step t, owned by step t + tail) this call yields."""
+        return range(max(asap, start - tail), steps - tail)
+
+    asap, tail = [d - 1 for d in gate_depths(ctx.circuit)], gate_tails(ctx.circuit)
+    qubit_asap, qubit_tail = [steps] * nq, [steps] * nq   # least over the qubit's gates
+    for g in ctx.circuit.gates:
+        for q in g.qubits:
+            qubit_asap[q] = min(qubit_asap[q], asap[g.id])
+            qubit_tail[q] = min(qubit_tail[q], tail[g.id])
+    # name grids [q][t][p] and [g]{t: name}, and edges by qubit and by edge
     at = [[[f"at_q{q}_t{t}_p{p}" for p in range(nphys)] for t in range(horizon)]
           for q in range(nq)]
-    run = [[f"exec_g{g}_t{t}" for t in range(steps)] for g in range(len(ctx.circuit.gates))]
+    run = [{t: f"exec_g{g}_t{t}" for t in owned(asap[g], tail[g])} for g in range(len(asap))]
     incident = [ctx.graph.edges_at(p) for p in range(nphys)]
     touching = [ctx.graph.edges_touching(k) for k in range(len(edges))]
 
@@ -210,19 +234,19 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
             for p in range(nphys):
                 yield f"(define-fun {row[p]} () Bool (= {name} {literal[p]}))"
     for g, name in enumerate(ctx.time_names):
-        for t in range(start, steps):
-            yield f"(define-fun {run[g][t]} () Bool (= {name} {ctx.time_literals[t]}))"
+        for t, exec_t in run[g].items():
+            yield f"(define-fun {exec_t} () Bool (= {name} {ctx.time_literals[t]}))"
 
     # Two-qubit gates execute on device edges.
     for g in ctx.circuit.gates:
         if not g.is_two_qubit:
             continue
         q1, q2 = g.qubits
-        for t in range(start, steps):
+        for t, exec_t in run[g.id].items():
             at1, at2 = at[q1][t], at[q2][t]
             placements = " ".join(f"(and {at1[a]} {at2[b]}) (and {at1[b]} {at2[a]})"
                                   for a, b in edges)
-            yield f"(assert (=> {run[g.id][t]} (or {placements})))"
+            yield f"(assert (=> {exec_t} (or {placements})))"
 
     if not start:
         # Dependent gates execute strictly in order.
@@ -253,13 +277,13 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
                 swaps = [name for k in incident[p] for name in swp[k][window]]
                 yield f"(define-fun busy_p{p}_t{t} () Bool {_any(swaps)})"
         for q in range(nq):
-            for t in range(start, steps):
+            for t in owned(qubit_asap[q], qubit_tail[q]):
                 spots = [f"(and {at[q][t][p]} busy_p{p}_t{t})" for p in busy]
                 yield f"(define-fun blk_q{q}_t{t} () Bool {_any(spots)})"
         for g in ctx.circuit.gates:
-            for t in range(start, steps):
+            for t, exec_t in run[g.id].items():
                 blocked = _any([f"blk_q{q}_t{t}" for q in g.qubits])
-                yield f"(assert (not (and {run[g.id][t]} {blocked})))"
+                yield f"(assert (not (and {exec_t} {blocked})))"
 
     # Mapping evolves exactly through completed swaps.
     for t in range(max(start - 1, 0), horizon - 1):

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tests/refsolver.py < script.smt2
+    python3 tests/refsolver.py [--stats FILE] < script.smt2
 
 It reads commands on standard input and answers like ``z3 -in``: ``sat`` or
 ``unsat`` for each ``check-sat`` and one ``((name value) ...)`` line for
@@ -33,11 +33,17 @@ matching ``push`` and re-blasts the ones that remain.  Anything else is
 answered with ``(error "...")`` and the exit status is 1; after an error in
 any command but ``get-value``, every ``check-sat`` is answered with an error
 too, never with a verdict on a different script.
+
+With ``--stats FILE``, each ``check-sat`` also appends one JSON line to
+FILE: the conflicts, decisions and propagations (literals taken off the
+trail) of its SAT search, and the clauses and variables it searched over.
+The search is deterministic, so a script gives the same counts every run.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import os
 import re
 import sys
@@ -396,8 +402,10 @@ def _luby(i: int) -> int:
     return (size + 1) // 2
 
 
-def solve(num_vars: int, clauses: list[list[int]]):
+def solve(num_vars: int, clauses: list[list[int]], work: dict | None = None):
     """A model as a list indexed by variable (True/False), or None if unsat.
+    ``work``, if given, gets the search's conflict, decision and
+    propagation counts.
 
     Two watched literals, first-UIP clause learning with non-chronological
     backjumping, activity-ordered decisions with saved phases, and Luby
@@ -416,6 +424,8 @@ def solve(num_vars: int, clauses: list[list[int]]):
     limits: list[int] = []  # trail length at each decision level
     heap = [(0.0, v) for v in range(1, n + 1)]
     bump = 1.0
+    work = {} if work is None else work
+    work.update(conflicts=0, decisions=0, propagations=0)
 
     def assign(lit, why):
         value[lit], value[-lit] = 1, -1
@@ -515,16 +525,20 @@ def solve(num_vars: int, clauses: list[list[int]]):
         if not value[lit]:
             assign(lit, None)
     conflict, head = propagate(0)
+    work["propagations"] += head
     if conflict is not None:
         return None
 
     restarts, conflicts, budget = 0, 0, 100
     while True:
-        conflict, head = propagate(head)
+        conflict, taken = propagate(head)
+        work["propagations"] += taken - head
+        head = taken
         if conflict is not None:
             if not limits:
                 return None
             conflicts += 1
+            work["conflicts"] += 1
             learnt, back_to = analyze(conflict)
             backtrack(back_to)
             head = len(trail)
@@ -543,6 +557,7 @@ def solve(num_vars: int, clauses: list[list[int]]):
         if not heap:
             return [None] + [value[v] == 1 for v in range(1, n + 1)]
         v = heapq.heappop(heap)[1]
+        work["decisions"] += 1
         limits.append(len(trail))
         assign(v * phase[v], None)
 
@@ -562,8 +577,9 @@ def _show(val) -> str:
 class Solver:
     """The command interpreter; one instance serves a whole session."""
 
-    def __init__(self, out):
+    def __init__(self, out, stats=None):
         self.out = out
+        self.stats = stats               # path of the --stats file, or None
         self.frames: list[list] = [[]]   # declarations and assertions per scope
         self.blaster = Blaster()
         self.asserted: list = []
@@ -641,7 +657,12 @@ class Solver:
         if name == "check-sat" and not args:
             if self.lost:
                 raise SmtError("an earlier command failed")
-            self.model = _check(self.blaster, self.asserted)
+            work: dict = {}
+            self.model = _check(self.blaster, self.asserted, work)
+            if self.stats:
+                work.update(clauses=len(self.blaster.clauses), variables=self.blaster.num_vars)
+                with open(self.stats, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(work) + "\n")
             self.reply("sat" if self.model is not None else "unsat")
         elif name == "get-value" and len(args) == 1 and isinstance(args[0], tuple):
             if self.model is None:
@@ -668,10 +689,11 @@ def run(script: str, out) -> int:
     return 1 if solver.failed else 0
 
 
-def serve(infd: int, out) -> int:
+def serve(infd: int, out, stats=None) -> int:
     """Answer commands from ``infd`` as each one arrives, until end of input
-    or ``exit``; 0, or 1 after an error."""
-    solver, reader, pending = Solver(out), Reader(), b""
+    or ``exit``; 0, or 1 after an error.  ``stats`` is a path that each
+    ``check-sat`` appends its search counts to, or None."""
+    solver, reader, pending = Solver(out, stats), Reader(), b""
     while True:
         chunk = os.read(infd, 1 << 16)
         data = pending + chunk
@@ -693,8 +715,8 @@ def serve(infd: int, out) -> int:
             return 1 if solver.failed else 0
 
 
-def _check(blaster: Blaster, asserted: list):
-    assignment = solve(blaster.num_vars, blaster.clauses)
+def _check(blaster: Blaster, asserted: list, work: dict):
+    assignment = solve(blaster.num_vars, blaster.clauses, work)
     if assignment is None:
         return None
     model = {}
@@ -719,4 +741,6 @@ def term_text(sexp) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(serve(sys.stdin.fileno(), sys.stdout))
+    if sys.argv[1:] and (len(sys.argv) != 3 or sys.argv[1] != "--stats"):
+        sys.exit("usage: refsolver.py [--stats FILE] < script.smt2")
+    sys.exit(serve(sys.stdin.fileno(), sys.stdout, sys.argv[2] if sys.argv[1:] else None))

@@ -424,6 +424,10 @@ def test_load_dataset_names_the_first_bad_column_of_a_row(tmp_path):
     path.write_text(",".join(_CSV_HEADER) + "\n3,2,3,nan,1.5,0.3,x,s0\n")
     with pytest.raises(ValueError, match="line 2, column operation_density: 'nan'"):
         load_dataset(path)
+    huge = "1" + "0" * 400  # two ints beyond the float range that cancel out
+    path.write_text(",".join(_CSV_HEADER) + f"\n{huge},-{huge},3,0.5,1,0.3,4,s0\n")
+    with pytest.raises(ValueError, match=f"line 2, column circuit_depth: '{huge}'"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("line, problem", [

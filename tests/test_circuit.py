@@ -11,6 +11,7 @@ from qlayout.circuit import (
     build_dag,
     emit_qasm,
     gate_depths,
+    gate_tails,
     longest_chain,
     make_circuit,
     parse_qasm,
@@ -252,3 +253,18 @@ def test_gate_depths_align_with_longest_chain():
     assert max(depths) == longest_chain(c)
     for (i, j) in build_dag(c).edges:
         assert depths[i] < depths[j]
+
+
+def test_gate_tails_are_the_longest_dag_paths_after_each_gate():
+    assert gate_tails(make_circuit(3, [("h", (0,)), ("cx", (0, 1)), ("x", (2,)),
+                                       ("cx", (1, 2)), ("h", (0,))])) == [2, 1, 1, 0, 0]
+    rng = random.Random(5)
+    for _ in range(20):
+        c = random_circuit(rng, min_gates=1)
+        edges = build_dag(c).edges
+        longest = [0] * len(c.gates)
+        for i in reversed(range(len(c.gates))):   # DAG edges run forward in gate order
+            longest[i] = max((longest[j] + 1 for a, j in edges if a == i), default=0)
+        assert gate_tails(c) == longest
+        depths = gate_depths(c)
+        assert max(d + t for d, t in zip(depths, gate_tails(c))) == longest_chain(c)

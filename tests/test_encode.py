@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import random
 import re
 import shutil
@@ -129,14 +130,20 @@ def test_single_qubit_only_circuit_has_no_adjacency_family():
 
 
 def test_blocking_is_one_assertion_per_gate_and_step():
+    # gates 0 and 1 (tail 1) run at steps 0 to steps - 2, gate 2 (asap 1)
+    # at steps 1 to steps - 1, of the 4, 8 and 9 representable steps
     c = make_circuit(3, [("cx", (0, 1)), ("h", (2,)), ("cx", (1, 2))])
-    for time_bits in (2, 3, 4):
+    for time_bits, count in ((2, 3 + 3 + 3), (3, 7 + 7 + 7), (4, 8 + 8 + 8)):
         ctx = build_context(c, qx2(), 9, time_bits)
         base = list(encode_base(ctx))
         blocking = [ln for ln in base if ln.startswith("(assert (not (and exec_")]
-        assert len(blocking) == 3 * ctx.representable_times
-        assert "(assert (not (and exec_g1_t3 blk_q2_t3)))" in blocking
+        assert len(blocking) == count
+        assert "(assert (not (and exec_g1_t2 blk_q2_t2)))" in blocking
         assert "(assert (not (and exec_g2_t3 (or blk_q1_t3 blk_q2_t3))))" in blocking
+        assert not any("exec_g2_t0" in ln for ln in base)
+        last = ctx.representable_times - 1
+        assert not any(f"exec_g0_t{last} " in ln for ln in base)
+        assert f"(define-fun blk_q2_t{last} " in "\n".join(base)
 
 
 def test_early_swaps_forbidden_by_duration():
@@ -265,6 +272,32 @@ def test_extension_lines_start_at_their_step():
     ]
 
 
+_EXEC = re.compile(r"\(define-fun exec_g(\d+)_t(\d+) ")
+
+
+def _gate_steps(lines) -> set[tuple[int, int]]:
+    """(gate, step) of every ``exec`` literal that ``lines`` define."""
+    return {(int(g), int(t)) for g, t in (m.groups() for m in map(_EXEC.match, lines) if m)}
+
+
+def test_an_extension_carries_gate_lines_of_steps_below_its_start():
+    # one chain of four gates on a 6-step grid: gate g runs at steps g to
+    # g + 2, and its lines at step t belong to step t + 3 - g
+    c = make_circuit(2, [("h", (0,)), ("h", (0,)), ("cx", (0, 1)), ("x", (1,))])
+    ctx = build_context(c, line_graph(2), horizon=6, time_bits=3)
+    for start in (0, 2, 4, 5):
+        extension = list(encode_base(ctx, start))
+        want = {(g, t) for g in range(4) for t in range(g, g + 3) if t + 3 - g >= start}
+        assert _gate_steps(extension) == want
+        blocking = [ln.replace("(assert (not (and ", "(define-fun ") for ln in extension
+                    if ln.startswith("(assert (not (and exec_")]
+        assert _gate_steps(blocking) == want
+        assert any(t < start for _, t in want) == (start > 0)
+    # the two-qubit gate's step-3 adjacency belongs to step 4
+    assert ("(assert (=> exec_g2_t3 (or (and at_q0_t3_p0 at_q1_t3_p1)"
+            " (and at_q0_t3_p1 at_q1_t3_p0))))") in list(encode_base(ctx, 4))
+
+
 # --------------------------------------------------------------------------
 # The solver input is pinned byte for byte
 # --------------------------------------------------------------------------
@@ -278,11 +311,11 @@ _PINNED_SHAPES = ((3, 2, 3), (6, 2, 3), (9, 4, 3), (5, 3, 1))
 # sent, so only a deliberate change of the encoding may update them.
 _PINNED = {
     "declarations": (711640, "98403495275d1d0deeec2c3d574392e2b9c6b14b5b87372c3a4e81b486f1b327"),
-    "base": (13297665, "028bd7a28a8f2d011f770d0bb27d352052d8cafe86a30b83d6f1280935b2a0d9"),
+    "base": (10151417, "9265478e969dd8d2137c7a84feb80eb456ab4212050841ea9a1a6d883e067d70"),
     "extension_declarations": (
         206896, "f7ecb171bd290c61cf62e4c0f50c90d48e879ae671cb0fcb71f11533620f71bf"),
     "extension_base": (
-        5252805, "996c68f843c452649d9083b2b16b05093f7e07e7f150db15add7f2670c32926d"),
+        4515466, "2a759c31e97e427f8eddfc6dbf0ec53b69e55ef5e6f30b3f5da0843b6db09b23"),
     "depth_bound": (171458, "1521d8b441d47a2634e3e4a31ad767d0e0104ae5fbbc657ae8f3a49c480a9d3f"),
     "swap_bound_0": (240350, "c423e292afce41d67443666a755f747bd2128a16165782a1adacc6dc68289e61"),
     "swap_bound_1": (400615, "1d17b00c8b909153bc1d81a71e1aaa690cd1e600246e79beefe1ae6f3be43ab5"),
@@ -341,15 +374,6 @@ def _holds(commands, values) -> bool:
     return True
 
 
-def _look_ahead_false(ctx) -> list[str]:
-    """The one premise under which the compact base must match the pairwise
-    one: the swaps completing at or past the horizon, which the pairwise
-    base does not declare, are false, as every depth bound asserts."""
-    return [f"(assert (not {ctx.swap_names[k][t]}))"
-            for k in range(len(ctx.graph.edges))
-            for t in range(ctx.horizon, ctx.swap_extent)]
-
-
 def _schedule_values(ctx, schedule) -> dict:
     """The declared variables of ``ctx`` set from an oracle schedule."""
     values = {}
@@ -397,7 +421,10 @@ def test_compact_base_agrees_with_pairwise_base(name, circuit, graph):
     # them after a satisfiable check (on line:3, 8 steps of a 10-step grid)
     for time_bits in (bit_length(horizon), bit_length(depth)):
         ctx = build_context(circuit, graph, horizon, time_bits)
-        premise = _look_ahead_false(ctx)
+        # the premise every check asserts: no swap completes at or past the
+        # horizon, where the pairwise base declares none, and no gate runs
+        # outside the window of steps that the compact base encodes it at
+        premise = encode_depth_bound(ctx, ctx.horizon)
         new = refsolver.parse("\n".join([*premise, *encode_base(ctx)]))
         old = refsolver.parse("\n".join([*premise, *encode_base_pairwise(ctx)]))
         valid = _schedule_values(ctx, schedule)
@@ -422,12 +449,50 @@ def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
     new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
     old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))
     script = "\n".join([
-        *declarations(ctx), *definitions, *_look_ahead_false(ctx),
+        *declarations(ctx), *definitions, *encode_depth_bound(ctx, ctx.horizon),
         f"(assert (not (= (and {old_body}) (and {new_body}))))", "(check-sat)",
     ])
     out = io.StringIO()
     refsolver.run(script + "\n", out)
     assert out.getvalue() == "unsat\n"
+
+
+# --------------------------------------------------------------------------
+# Gate windows: outside its window, a gate is refuted at every step
+# --------------------------------------------------------------------------
+
+WINDOW_CASES = [
+    # (name, circuit, device, swap-free): the interaction path 0-1-2 fits
+    # line:3 as it is, so there a gate can run at every step of its window
+    ("path", make_circuit(3, [("h", (0,)), ("cx", (0, 1)), ("cx", (1, 2)), ("h", (2,)),
+                              ("x", (0,))]), line_graph(3), True),
+    ("triangle", make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))]),
+     line_graph(3), False),
+]
+
+
+def test_a_gate_is_refuted_at_every_step_outside_its_window():
+    # on a full-width grid, and on a narrow one whose last representable
+    # step lies below the horizon
+    for (name, circuit, graph, swap_free), (horizon, time_bits) in itertools.product(
+            WINDOW_CASES, ((7, 3), (7, 2))):
+        ctx = build_context(circuit, graph, horizon, time_bits)
+        base = list(encode_base(ctx))
+        kept = _gate_steps(base)
+        steps = [(g, t) for g in range(len(circuit.gates)) for t in range(ctx.representable_times)]
+        assert kept < set(steps)
+        script = [*declarations(ctx), *base, *encode_depth_bound(ctx, horizon)]
+        for g, t in steps:
+            script += ["(push 1)", f"(assert (= {ctx.time_names[g]} {ctx.time_literals[t]}))",
+                       "(check-sat)", "(pop 1)"]
+        out = io.StringIO()
+        assert refsolver.run("\n".join(script) + "\n", out) == 0
+        sat = dict(zip(steps, (verdict == "sat" for verdict in out.getvalue().split())))
+        for step in steps:
+            if step not in kept:
+                assert not sat[step], (name, time_bits, step)
+            elif swap_free:
+                assert sat[step], (name, time_bits, step)
 
 
 # --------------------------------------------------------------------------

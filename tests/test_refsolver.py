@@ -4,7 +4,11 @@ enumeration, so the tests that run on it where z3 is absent can trust it."""
 import dataclasses
 import io
 import itertools
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,8 +329,37 @@ def test_cdcl_refutes_the_pigeonhole_principle():
         for p in range(pigeons)
         for q in range(p + 1, pigeons)
     ]
-    assert refsolver.solve(pigeons * holes, clauses) is None
+    work = {}
+    assert refsolver.solve(pigeons * holes, clauses, work) is None
+    assert work["conflicts"] > 0 and work["decisions"] >= work["conflicts"]
+    assert work["propagations"] > work["decisions"]
     assert refsolver.solve(pigeons * holes, clauses[1:]) is not None
+
+
+def test_stats_file_gets_one_record_per_check_and_the_answers_stay(tmp_path):
+    script = (
+        "(declare-const x (_ BitVec 3))\n(declare-const y (_ BitVec 3))\n"
+        "(assert (bvult x y))\n(check-sat)\n(push 1)\n(assert (bvult y x))\n"
+        "(check-sat)\n(pop 1)\n(check-sat)\n(get-value (x y))\n"
+    )
+    command = [sys.executable, str(Path(refsolver.__file__))]
+    plain = subprocess.run(command, input=script, capture_output=True, text=True, check=True)
+    records = []
+    for run in (1, 2):
+        stats = tmp_path / f"stats{run}.jsonl"
+        out = subprocess.run([*command, "--stats", str(stats)], input=script,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == plain.stdout
+        records.append(stats.read_text())
+    assert records[0] == records[1]                # the counts repeat exactly
+    lines = [json.loads(line) for line in records[0].splitlines()]
+    assert len(lines) == 3
+    assert all(list(r) == ["conflicts", "decisions", "propagations", "clauses", "variables"]
+               for r in lines)
+    assert lines[0] == lines[2]                    # the same clauses after the pop
+    assert lines[1]["clauses"] > lines[0]["clauses"]
+    bad = subprocess.run([*command, "--stats"], input=script, capture_output=True, text=True)
+    assert bad.returncode != 0 and "usage" in bad.stderr
 
 
 def test_unsupported_input_gets_an_error_and_no_verdict():

@@ -1,0 +1,35 @@
+"""``tools/solver_work.py``: reference-solver counts per check, and their
+comparison between two runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "solver_work.py"
+INSTANCES = ["bell_n2@line:2", "grover_n2@line:3"]
+
+
+def _run(*args):
+    subprocess.run([sys.executable, str(TOOL), *args, *INSTANCES], check=True,
+                   capture_output=True, text=True, timeout=300)
+
+
+def test_a_run_compared_with_itself_shows_no_change(tmp_path):
+    # that two runs write the same bytes is checked by CI's "Solver-work counts repeat" step
+    first, compared = tmp_path / "a.json", tmp_path / "b.json"
+    _run("--output", str(first))
+    side = json.loads(first.read_text())
+    assert side["instances"] == INSTANCES
+    for result in side["results"].values():
+        assert result["checks"] and all(
+            set(check) >= {"phase", "bound", "sat", "conflicts", "propagations", "clauses"}
+            for check in result["checks"])
+        assert result["totals"]["conflicts"] == sum(c["conflicts"] for c in result["checks"])
+
+    _run("--compare", str(first), "--output", str(compared))
+    doc = json.loads(compared.read_text())
+    assert doc["base"] == doc["change"] == {key: side[key] for key in ("results", "totals")}
+    assert doc["comparison"]["optima_equal"]
+    assert doc["comparison"]["unmatched_checks"] == 0
+    assert doc["comparison"]["more_conflicts"] == []
