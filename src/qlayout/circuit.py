@@ -251,17 +251,17 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
 
 
-def emit_qasm(circuit: Circuit, register: str = "q") -> str:
-    """Emit the circuit as OpenQASM 2.0 over one flat register.
+def emit_qasm(circuit: Circuit) -> str:
+    """Emit the circuit as OpenQASM 2.0 over one flat register, ``q``.
 
     Round-trip property: ``parse_qasm(emit_qasm(c))`` equals ``c`` up to the
     flattening of register names.
     """
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    lines.append(f"qreg {register}[{max(circuit.num_qubits, 1)}];")
+    lines.append(f"qreg q[{max(circuit.num_qubits, 1)}];")
     for g in circuit.gates:
         params = f"({','.join(g.params)})" if g.params else ""
-        operands = ",".join(f"{register}[{q}]" for q in g.qubits)
+        operands = ",".join(f"q[{q}]" for q in g.qubits)
         lines.append(f"{g.name}{params} {operands};")
     return "\n".join(lines) + "\n"
 

@@ -67,6 +67,18 @@ def _at_least(low: int):
     return integer
 
 
+def _budget_list(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers of at least 1, blank fields
+    skipped, and at least one of them."""
+    try:
+        budgets = tuple(_at_least(1)(field) for field in text.split(",") if field.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    if not budgets:
+        raise argparse.ArgumentTypeError("no budget given")
+    return budgets
+
+
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin"
                    " (default: $QLAYOUT_SOLVER or 'z3 -in')")
@@ -102,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("inputs", nargs="+", help="OpenQASM 2.0 seed files")
     p.add_argument("--arch", required=True)
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--b-list", required=True,
+    p.add_argument("--b-list", type=_budget_list, required=True,
                    help="comma-separated chunk-size budgets, cycled (e.g. 3,5,7)")
     p.add_argument("--two-qubit-only", action="store_true",
                    help="drop single-qubit gates before chunking")
@@ -208,12 +220,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    try:
-        budgets = tuple(int(b) for b in args.b_list.split(",") if b.strip())
-    except ValueError:
-        print(f"error: bad --b-list {args.b_list!r}", file=sys.stderr)
-        return EXIT_USAGE
-    plan = ChunkPlan(budgets=budgets, two_qubit_only=args.two_qubit_only)
+    plan = ChunkPlan(budgets=args.b_list, two_qubit_only=args.two_qubit_only)
     inputs = [(path, load_qasm(path)) for path in args.inputs]
     graph = resolve_graph(args.arch)
     solver = SolverConfig.resolve(args.solver, timeout=args.timeout_per_sample)

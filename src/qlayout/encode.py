@@ -26,9 +26,9 @@ Under the dependency order and any depth bound at most the horizon, which
 every check asserts, no gate runs outside its window: the base is exact
 under such a bound, and only under it.
 
-The encoding is prefix-closed in time: with ``start=h``, ``declarations``
-and ``encode_base`` yield only the lines that steps h and later own.  A
-swap belongs to the step its window starts; gate times, dependency order
+The encoding is prefix-closed in time: ``encode_base(ctx, h)`` declares
+the variables that steps h and later own, then yields the lines they own.
+A swap belongs to the step its window starts; gate times, dependency order
 and early swaps to step 0; g's lines at step t to step ``t + tail(g)``, and
 q's ``blk`` literal at t to t plus that least tail, so an extension also
 carries gate lines of steps below h.  The base of horizon h plus those
@@ -113,8 +113,7 @@ class EncodingContext:
     @property
     def qubit_bits(self) -> int:
         """Width of each position variable: ceil(log2 |P|), at least 1."""
-        n = self.graph.num_qubits
-        return max(1, (n - 1).bit_length() if n > 1 else 1)
+        return max(1, (self.graph.num_qubits - 1).bit_length())
 
     @property
     def swap_extent(self) -> int:
@@ -154,15 +153,6 @@ class EncodingContext:
         """Of each step up to the horizon that the gate-time width holds."""
         return [_bv(t, self.time_bits) for t in range(min(self.horizon + 1, 1 << self.time_bits))]
 
-    def variables(self, start: int = 0) -> list[tuple[str, str]]:
-        """(name, sort) pairs of the steps from ``start`` on, in declaration
-        order."""
-        pos_sort, time_sort = f"(_ BitVec {self.qubit_bits})", f"(_ BitVec {self.time_bits})"
-        first_swap = start + self.swap_duration - 1 if start else 0
-        return [*((name, pos_sort) for row in self.pos_names for name in row[start:]),
-                *((name, "Bool") for row in self.swap_names for name in row[first_swap:]),
-                *((name, time_sort) for name in (() if start else self.time_names))]
-
     @cached_property
     def model_names(self) -> list[str]:
         """The variables a decoded model reads: positions at step 0, swaps
@@ -182,13 +172,10 @@ def build_context(
     return EncodingContext(circuit, graph, horizon, time_bits, swap_duration)
 
 
-def declarations(ctx: EncodingContext, start: int = 0) -> list[str]:
-    return [f"(declare-const {name} {sort})" for name, sort in ctx.variables(start)]
-
-
 def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
-    """The instance-defining constraints that steps from ``start`` on own,
-    independent of any bound (see the module docstring for gate windows).
+    """Declarations of the variables that steps from ``start`` on own, then
+    the instance-defining constraints they own, independent of any bound
+    (see the module docstring for gate windows).
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
@@ -201,6 +188,15 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
     dur, horizon, steps = ctx.swap_duration, ctx.horizon, ctx.representable_times
     pos, swp, literal = ctx.pos_names, ctx.swap_names, ctx.qubit_literals
+
+    # Declarations: a swap belongs to the step its window starts, and step 0
+    # also owns the swaps completing before a full window and every gate time.
+    pos_sort, time_sort = f"(_ BitVec {ctx.qubit_bits})", f"(_ BitVec {ctx.time_bits})"
+    yield from (f"(declare-const {name} {pos_sort})" for row in pos for name in row[start:])
+    first_swap = start + dur - 1 if start else 0
+    yield from (f"(declare-const {name} Bool)" for row in swp for name in row[first_swap:])
+    times = () if start else ctx.time_names
+    yield from (f"(declare-const {name} {time_sort})" for name in times)
 
     def owned(asap: int, tail: int) -> range:
         """Window steps, from ``asap`` to ``tail`` short of the last one, whose
@@ -345,12 +341,9 @@ def value_query(names) -> str:
 
 
 def emit_script(ctx: EncodingContext, fragments: list[list[str]]) -> str:
-    """Assemble a complete solver script: declarations, constraint
-    fragments, the satisfiability query, and one value query for the
-    variables a decoded model reads."""
-    lines = [*PREAMBLE, *declarations(ctx)]
-    for fragment in fragments:
-        lines.extend(fragment)
-    lines.append("(check-sat)")
-    lines.append(value_query(ctx.model_names))
+    """Assemble a complete solver script: the preamble, the fragments, the
+    first being ``encode_base(ctx)``, the satisfiability query, and one
+    value query for the variables a decoded model reads."""
+    lines = [*PREAMBLE, *(line for fragment in fragments for line in fragment),
+             "(check-sat)", value_query(ctx.model_names)]
     return "\n".join(lines) + "\n"

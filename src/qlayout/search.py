@@ -18,8 +18,8 @@ far, or of the horizon while none is.
 
 One probe serves both phases, and one solver session serves the whole
 solve.  On a gate-time width other than the previous record's, the probe
-loads the context and base as the session's outer scope, streaming the
-base to the solver as it is encoded.  On a deeper grid at the same width
+loads the base, declarations first, as the session's outer scope,
+streaming it to the solver as encoded.  On a deeper grid at the same width
 it extends that scope with the new steps' lines alone, as the encoding is
 prefix-closed.  Each check adds only its bound lines, and each satisfiable
 model is decoded at once, so a phase's payload is its schedule; only the
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Optional
 
 from . import backend as be
@@ -45,7 +44,6 @@ from .encode import (  # noqa: F401 - emit_script stays for qbench/spans.py
     bit_length,
     build_context,
     check_swap_duration,
-    declarations,
     emit_script,
     encode_base,
     encode_depth_bound,
@@ -284,8 +282,7 @@ def solve_optimal(
             if shape != last:
                 # a deeper grid at the same width needs only its new steps
                 start = last[0] if last[1] == shape[1] else 0
-                lines = chain(declarations(ctx, start), encode_base(ctx, start))
-                (session.extend if start else session.load)(lines)
+                (session.extend if start else session.load)(encode_base(ctx, start))
             bounds = encode_depth_bound(ctx, depth)
             if phase == "swap":
                 bounds += encode_swap_bound(ctx, swap_bound)

@@ -479,11 +479,18 @@ def test_augment_refuses_a_directory_with_an_earlier_corpus(bell_path, tmp_path,
     assert not (tmp_path / "launched").exists()
 
 
-def test_augment_rejects_bad_budget_list(tmp_path):
+@pytest.mark.parametrize("b_list", ["x,y", "0", "", "3,-1"])
+def test_augment_rejects_bad_budget_list(tmp_path, capsys, b_list):
     seed = tmp_path / "bell.qasm"
     seed.write_text(BELL)
-    assert main(["augment", str(seed), "--arch", "line:2",
-                 "--out", str(tmp_path / "c"), "--b-list", "x,y"]) == 1
+    try:
+        status = main(["augment", str(seed), "--arch", "line:2",
+                       "--out", str(tmp_path / "c"), "--b-list", b_list])
+    except SystemExit as exc:       # a usage error, raised by the parser
+        status = exc.code
+    assert status == 1
+    assert "--b-list" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("command, option, value, code", [

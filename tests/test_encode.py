@@ -8,7 +8,6 @@ import re
 import shutil
 import subprocess
 from collections import Counter
-from itertools import chain
 
 import pytest
 
@@ -20,7 +19,6 @@ from qlayout.encode import (
     EncodingError,
     bit_length,
     build_context,
-    declarations,
     emit_script,
     encode_base,
     encode_depth_bound,
@@ -36,6 +34,12 @@ from .oracles import brute_force_optimum, brute_force_schedule, encode_base_pair
 # --------------------------------------------------------------------------
 
 
+def _declared(ctx, start: int = 0) -> list[str]:
+    """The leading ``declare-const`` lines of ``encode_base(ctx, start)``."""
+    return list(itertools.takewhile(lambda ln: ln.startswith("(declare-const "),
+                                    encode_base(ctx, start)))
+
+
 def test_bit_length_is_floor_log2_plus_one():
     assert bit_length(0) == 1
     assert bit_length(1) == 1
@@ -46,7 +50,7 @@ def test_bit_length_is_floor_log2_plus_one():
 def test_variable_grid_shapes_on_qx2():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, qx2(), horizon=4, time_bits=5)
-    decls = declarations(ctx)
+    decls = _declared(ctx)
     pos = [d for d in decls if d.startswith("(declare-const pos_")]
     swp = [d for d in decls if d.startswith("(declare-const swp_")]
     tim = [d for d in decls if d.startswith("(declare-const time_")]
@@ -63,7 +67,9 @@ def test_declaration_count_formula():
     for graph, horizon in [(line_graph(4), 7), (qx2(), 5)]:
         ctx = build_context(c, graph, horizon, time_bits=4)
         expected = 3 * horizon + len(graph.edges) * (horizon + 2) + 3
-        assert len(declarations(ctx)) == expected
+        assert len(_declared(ctx)) == expected
+        # no declaration follows the first constraint
+        assert sum(ln.startswith("(declare-const ") for ln in encode_base(ctx)) == expected
 
 
 def test_context_rejects_bad_shapes():
@@ -214,9 +220,8 @@ def _grown_grids():
                     h2 = rng.randint(h + 1, 10)
                     small, big = (build_context(circuit, graph, x, bits, duration)
                                   for x in (h, h2))
-                    yield (list(chain(declarations(small), encode_base(small))),
-                           list(chain(declarations(big, h), encode_base(big, h))),
-                           list(chain(declarations(big), encode_base(big))))
+                    yield (list(encode_base(small)), list(encode_base(big, h)),
+                           list(encode_base(big)))
 
 
 def test_a_base_plus_its_extension_is_the_deeper_base():
@@ -255,7 +260,7 @@ def test_a_grown_base_names_every_symbol_before_its_first_use():
 def test_extension_lines_start_at_their_step():
     c = make_circuit(2, [("cx", (0, 1)), ("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), horizon=5, time_bits=3, swap_duration=3)
-    assert declarations(ctx, 4) == [
+    assert _declared(ctx, 4) == [
         "(declare-const pos_q0_t4 (_ BitVec 2))", "(declare-const pos_q1_t4 (_ BitVec 2))",
         "(declare-const swp_e0_t6 Bool)", "(declare-const swp_e1_t6 Bool)",
     ]
@@ -310,12 +315,9 @@ _PINNED_SHAPES = ((3, 2, 3), (6, 2, 3), (9, 4, 3), (5, 3, 1))
 # _pinned_parts' cases: a change here is a change to what every solver is
 # sent, so only a deliberate change of the encoding may update them.
 _PINNED = {
-    "declarations": (711640, "98403495275d1d0deeec2c3d574392e2b9c6b14b5b87372c3a4e81b486f1b327"),
-    "base": (10151417, "9265478e969dd8d2137c7a84feb80eb456ab4212050841ea9a1a6d883e067d70"),
-    "extension_declarations": (
-        206896, "f7ecb171bd290c61cf62e4c0f50c90d48e879ae671cb0fcb71f11533620f71bf"),
+    "base": (10863057, "19e48c960007ed39b30119c32978c67a0a7a19e2e46e001b317e1beb79bc4bc7"),
     "extension_base": (
-        4515466, "2a759c31e97e427f8eddfc6dbf0ec53b69e55ef5e6f30b3f5da0843b6db09b23"),
+        4722362, "c67faa0bbd7ed812205dfc757c084d5133239be56ac5d03b2100a51b60ce2de6"),
     "depth_bound": (171458, "1521d8b441d47a2634e3e4a31ad767d0e0104ae5fbbc657ae8f3a49c480a9d3f"),
     "swap_bound_0": (240350, "c423e292afce41d67443666a755f747bd2128a16165782a1adacc6dc68289e61"),
     "swap_bound_1": (400615, "1d17b00c8b909153bc1d81a71e1aaa690cd1e600246e79beefe1ae6f3be43ab5"),
@@ -338,9 +340,7 @@ def _pinned_parts() -> dict[str, list[str]]:
                 ctx = build_context(circuit, graph, horizon, bits, duration)
                 grown = horizon // 2 + 1
                 for part, lines in (
-                    ("declarations", declarations(ctx)),
                     ("base", encode_base(ctx)),
-                    ("extension_declarations", declarations(ctx, grown)),
                     ("extension_base", encode_base(ctx, grown)),
                     ("depth_bound", encode_depth_bound(ctx, horizon - 1)),
                     *((f"swap_bound_{b}", encode_swap_bound(ctx, b)) for b in (0, 1, 2)),
@@ -364,12 +364,13 @@ def test_encoder_output_is_pinned():
 
 
 def _holds(commands, values) -> bool:
-    """Truth of a parsed base under ``values``, definitions evaluated in order."""
+    """Truth of a parsed base under ``values``, definitions evaluated in order;
+    declarations are passed over."""
     model = dict(values)
     for cmd in commands:
         if cmd[0] == "define-fun":
             model[cmd[1]] = refsolver.evaluate(cmd[4], model)
-        elif refsolver.evaluate(cmd[1], model) is not True:
+        elif cmd[0] == "assert" and refsolver.evaluate(cmd[1], model) is not True:
             return False
     return True
 
@@ -389,9 +390,10 @@ def _schedule_values(ctx, schedule) -> dict:
     return values
 
 
-def _mutations(ctx, values):
-    """Every assignment that differs from ``values`` in one variable."""
-    for name, sort in ctx.variables():
+def _mutations(commands, values):
+    """Every assignment that differs from ``values`` in one variable that
+    the parsed ``commands`` declare."""
+    for _, name, sort in (cmd for cmd in commands if cmd[0] == "declare-const"):
         if sort == "Bool":
             yield {**values, name: not values[name]}
             continue
@@ -430,7 +432,7 @@ def test_compact_base_agrees_with_pairwise_base(name, circuit, graph):
         valid = _schedule_values(ctx, schedule)
         assert _holds(new, valid) and _holds(old, valid)
         verdicts = set()
-        for values in _mutations(ctx, valid):
+        for values in _mutations(new, valid):
             verdict = _holds(new, values)
             assert verdict == _holds(old, values), (name, time_bits, values)
             verdicts.add(verdict)
@@ -445,11 +447,11 @@ def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
     depth, _ = brute_force_schedule(circuit, graph)
     ctx = build_context(circuit, graph, depth + 1, bit_length(depth + 1))
     new = list(encode_base(ctx))
-    definitions = [ln for ln in new if ln.startswith("(define-fun ")]
+    symbols = [ln for ln in new if ln.startswith(("(declare-const ", "(define-fun "))]
     new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
     old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))
     script = "\n".join([
-        *declarations(ctx), *definitions, *encode_depth_bound(ctx, ctx.horizon),
+        *symbols, *encode_depth_bound(ctx, ctx.horizon),
         f"(assert (not (= (and {old_body}) (and {new_body}))))", "(check-sat)",
     ])
     out = io.StringIO()
@@ -481,7 +483,7 @@ def test_a_gate_is_refuted_at_every_step_outside_its_window():
         kept = _gate_steps(base)
         steps = [(g, t) for g in range(len(circuit.gates)) for t in range(ctx.representable_times)]
         assert kept < set(steps)
-        script = [*declarations(ctx), *base, *encode_depth_bound(ctx, horizon)]
+        script = [*base, *encode_depth_bound(ctx, horizon)]
         for g, t in steps:
             script += ["(push 1)", f"(assert (= {ctx.time_names[g]} {ctx.time_literals[t]}))",
                        "(check-sat)", "(pop 1)"]
