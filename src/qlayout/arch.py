@@ -4,6 +4,10 @@ Contents: :class:`CouplingGraph` plus built-in generators (``line_graph``,
 ``ring_graph``, ``grid_graph``, ``qx2``), a JSON file loader
 (:func:`load_graph`) and a name resolver (:func:`resolve_graph`) used by the
 command line (``qx2``, ``line:5``, ``ring:5``, ``grid:2x3``, or a file path).
+
+Each graph computes its device analysis once, on first use, in three tables:
+``incident`` (edges per qubit), ``touching`` (edges sharing a qubit, per
+edge) and ``components`` (component sizes).
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 def component_sizes(n: int, pairs) -> list[int]:
@@ -45,9 +50,6 @@ class CouplingGraph:
     name: str
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
-    _incident: dict[int, tuple[int, ...]] = field(   # qubit -> edge indices
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -65,30 +67,31 @@ class CouplingGraph:
             seen.add(key)
             canon.append(key)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        incident: dict[int, list[int]] = {p: [] for p in range(self.num_qubits)}
-        for k, (a, b) in enumerate(self.edges):
-            incident[a].append(k)
-            incident[b].append(k)
-        object.__setattr__(
-            self, "_incident", {p: tuple(ks) for p, ks in incident.items()}
-        )
-        if len(component_sizes(self.num_qubits, self.edges)) > 1:
+        if len(self.components) > 1:
             warnings.warn(f"coupling graph {self.name!r} is not connected", stacklevel=2)
 
-    def neighbors(self, p: int) -> frozenset[int]:
-        return frozenset(q for k in self._incident[p] for q in self.edges[k] if q != p)
+    # Not fields, so equality and hashing ignore them; racing threads compute equal tuples.
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """For each physical qubit, the indices of its edges, ascending."""
+        return tuple(tuple(k for k, e in enumerate(self.edges) if p in e)
+                     for p in range(self.num_qubits))
+
+    @cached_property
+    def touching(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the other edges sharing a physical qubit with it, ascending."""
+        return tuple(tuple(sorted(set(self.incident[a] + self.incident[b]) - {k}))
+                     for k, (a, b) in enumerate(self.edges))
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """Sizes of the connected components, largest first."""
+        return tuple(component_sizes(self.num_qubits, self.edges))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return a != b and any(b in self.edges[k] for k in self._incident.get(a, ()))
-
-    def edges_touching(self, edge_index: int) -> list[int]:
-        """Indices of other edges sharing a physical qubit with this edge, ascending."""
-        a, b = self.edges[edge_index]
-        return sorted(set(self._incident[a] + self._incident[b]) - {edge_index})
-
-    def edges_at(self, p: int) -> list[int]:
-        """Indices of edges incident to physical qubit ``p``, ascending."""
-        return list(self._incident[p])
+        """Whether an edge joins ``a`` and ``b``; False for a qubit off the device."""
+        return (a != b and 0 <= a < self.num_qubits
+                and any(b in self.edges[k] for k in self.incident[a]))
 
 
 def line_graph(n: int) -> CouplingGraph:
@@ -129,16 +132,24 @@ def qx2() -> CouplingGraph:
 
 
 def load_graph(path) -> CouplingGraph:
-    """Load a graph file: JSON {"name", "num_qubits", "edges": [[a,b],...]}."""
+    """Load a graph file: JSON {"name", "num_qubits", "edges": [[a,b],...]},
+    the qubit count and every endpoint a JSON integer."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}: not valid JSON ({exc})") from None
+
+    def integer(field: str, value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{field} must be an integer, not {value!r}")
+        return value
+
     try:
         name = str(doc.get("name", str(path)))
-        num_qubits = int(doc["num_qubits"])
-        edges = tuple((int(a), int(b)) for a, b in doc["edges"])
+        num_qubits = integer("num_qubits", doc["num_qubits"])
+        edges = tuple((integer(f"edges[{i}]", a), integer(f"edges[{i}]", b))
+                      for i, (a, b) in enumerate(doc["edges"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # or not an object
         raise GraphError(f"{path}: bad graph schema ({exc})") from None
     return CouplingGraph(name, num_qubits, edges)

@@ -67,6 +67,17 @@ def _at_least(low: int):
     return integer
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a number of seconds above 0 (``inf`` included)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:               # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be above 0, not {text}")
+    return value
+
+
 def _budget_list(text: str) -> tuple[int, ...]:
     """An argparse type: comma-separated integers of at least 1, blank fields
     skipped, and at least one of them."""
@@ -82,10 +93,10 @@ def _budget_list(text: str) -> tuple[int, ...]:
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin"
                    " (default: $QLAYOUT_SOLVER or 'z3 -in')")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+    p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                    help="wall-clock seconds per solve, all of its checks together"
                    " (above 0)")
-    p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION,
+    p.add_argument("--swap-duration", type=_at_least(1), default=DEFAULT_SWAP_DURATION,
                    help="time steps one swap occupies (default 3)")
 
 
@@ -122,13 +133,13 @@ def build_parser() -> _Parser:
                    help="nearest-neighbor refinement rounds (default 3)")
     p.add_argument("--no-refine", action="store_true",
                    help="skip nearest-neighbor refinement")
-    p.add_argument("--timeout-per-sample", type=float, default=DEFAULT_TIMEOUT,
+    p.add_argument("--timeout-per-sample", type=_seconds, default=DEFAULT_TIMEOUT,
                    help="wall-clock seconds per sample, all of its checks together"
                    " (above 0), though one solver process labels many samples")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel labeling workers, one solver process each")
     p.add_argument("--solver")
-    p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION)
+    p.add_argument("--swap-duration", type=_at_least(1), default=DEFAULT_SWAP_DURATION)
 
     p = sub.add_parser("train", help="fit a regression tree on a dataset CSV")
     p.add_argument("dataset", help="CSV produced by augment")
@@ -146,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", required=True)
     p.add_argument("--solution", required=True,
                    help="telemetry JSON from `map` (or a bare solution object)")
-    p.add_argument("--swap-duration", type=int, default=DEFAULT_SWAP_DURATION)
+    p.add_argument("--swap-duration", type=_at_least(1), default=DEFAULT_SWAP_DURATION)
 
     p = sub.add_parser("bench", help="compare seeded vs unseeded search telemetry")
     p.add_argument("inputs", nargs="+")
@@ -243,9 +254,6 @@ def _cmd_augment(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.dataset, target=args.target)
-    if not dataset.samples:
-        print(f"error: {args.dataset} holds no samples", file=sys.stderr)
-        return EXIT_INPUT
     tree = fit(
         dataset.rows(), dataset.labels(), target=args.target, max_depth=args.max_depth
     )

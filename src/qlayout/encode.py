@@ -47,9 +47,9 @@ models over the declared variables unchanged:
 Definitions live in the base, ahead of their first use, so they share its
 scope in a solver session.  Each :class:`EncodingContext` builds the names
 of its variables and its bit-vector constants once, in tables that the
-encoders and the decoder read.  The ``at``/``exec`` names and the edge
-adjacency are read only while the base is encoded, so ``encode_base``
-builds them itself and frees them once the base is streamed.
+encoders and the decoder read.  The ``at``/``exec`` names are read only
+while the base is encoded, so ``encode_base`` builds them itself and frees
+them once the base is streamed.
 """
 
 from __future__ import annotations
@@ -209,12 +209,11 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
         for q in g.qubits:
             qubit_asap[q] = min(qubit_asap[q], asap[g.id])
             qubit_tail[q] = min(qubit_tail[q], tail[g.id])
-    # name grids [q][t][p] and [g]{t: name}, and edges by qubit and by edge
+    # name grids [q][t][p] and [g]{t: name}
     at = [[[f"at_q{q}_t{t}_p{p}" for p in range(nphys)] for t in range(horizon)]
           for q in range(nq)]
     run = [{t: f"exec_g{g}_t{t}" for t in owned(asap[g], tail[g])} for g in range(len(asap))]
-    incident = [ctx.graph.edges_at(p) for p in range(nphys)]
-    touching = [ctx.graph.edges_touching(k) for k in range(len(edges))]
+    incident, touching = ctx.graph.incident, ctx.graph.touching
 
     # Mapping validity: positions inside the device, distinct per step.
     for t in range(start, horizon):

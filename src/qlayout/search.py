@@ -78,7 +78,7 @@ def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
     """
     two_qubit = (g.qubits for g in circuit.gates if g.is_two_qubit)
     groups = [n for n in component_sizes(circuit.num_qubits, two_qubit) if n > 1]
-    rooms = tuple(component_sizes(graph.num_qubits, graph.edges))
+    rooms = graph.components
 
     @lru_cache(maxsize=None)
     def fits(i: int, rooms: tuple[int, ...]) -> bool:

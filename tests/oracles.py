@@ -389,7 +389,7 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
             me = ctx.swap_names[k][t]
             for tt in range(t - dur + 1, t):
                 lines.append(f"(assert (not (and {me} {ctx.swap_names[k][tt]})))")
-            for kk in ctx.graph.edges_touching(k):
+            for kk in ctx.graph.touching[k]:
                 for tt in range(t - dur + 1, t + 1):
                     lines.append(f"(assert (not (and {me} {ctx.swap_names[kk][tt]})))")
 
@@ -415,7 +415,7 @@ def encode_base_pairwise(ctx: EncodingContext) -> list[str]:
         for q in range(nq):
             now, nxt = ctx.pos_names[q][t], ctx.pos_names[q][t + 1]
             for p in range(nphys):
-                incident = [ctx.swap_names[k][t] for k in ctx.graph.edges_at(p)]
+                incident = [ctx.swap_names[k][t] for k in ctx.graph.incident[p]]
                 pv = _bv(p, qb)
                 if incident:
                     stay = f"(and (not (or {' '.join(incident)})) (= {now} {pv}))"

@@ -1,6 +1,9 @@
 """Coupling-graph models: construction rules, topologies, loading."""
 
 import json
+import re
+import sys
+import threading
 import warnings
 
 import pytest
@@ -80,30 +83,66 @@ def test_neighbors_and_edge_indexing(spec):
     # precomputed lookups agree with scans of the edge list, in ascending
     # index order (the encoder emits assertions in this order)
     g = resolve_graph(spec)
-    if spec == "qx2":
-        assert g.neighbors(2) == frozenset({0, 1, 3, 4})
+    assert len(g.incident) == g.num_qubits and len(g.touching) == len(g.edges)
     for p in range(g.num_qubits):
-        assert g.edges_at(p) == [k for k, e in enumerate(g.edges) if p in e]
-        assert g.neighbors(p) == {q for e in g.edges if p in e for q in e} - {p}
+        assert g.incident[p] == tuple(k for k, e in enumerate(g.edges) if p in e)
         for q in range(-1, g.num_qubits + 1):
             assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in g.edges)
             assert g.has_edge(q, p) == g.has_edge(p, q)
     for k, (a, b) in enumerate(g.edges):
-        assert g.edges_touching(k) == [
+        assert g.touching[k] == tuple(
             j for j, e in enumerate(g.edges) if j != k and {a, b} & set(e)
-        ]
+        )
+
+
+@pytest.mark.parametrize("spec", ["qx2", "grid:2x3"])
+def test_device_tables_are_computed_once_and_leave_equality_alone(spec):
+    g = resolve_graph(spec)
+    assert g.incident is g.incident and g.touching is g.touching
+    assert g.components is g.components
+    new = CouplingGraph(g.name, g.num_qubits, g.edges)
+    assert g == new and hash(g) == hash(new)
+    assert g != CouplingGraph("other", g.num_qubits, g.edges)
+
+
+def test_threads_that_race_to_fill_the_tables_read_equal_ones():
+    # the tables take no lock of their own: a thread that loses the race to
+    # fill one must still read the same tuples
+    ref = grid_graph(4, 5)
+    expected = (ref.incident, ref.touching, ref.components)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g, seen = grid_graph(4, 5), []
+            barrier = threading.Barrier(8)
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append((g.incident, g.touching, g.components))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_disconnected_graph_warns_but_loads():
     with pytest.warns(UserWarning):
-        CouplingGraph("split", 4, ((0, 1), (2, 3)))
+        g = CouplingGraph("split", 5, ((0, 1), (2, 3), (3, 4)))
+    assert g.components == (3, 2)
 
 
 def test_connected_graphs_load_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for graph in (qx2(), line_graph(5), grid_graph(2, 3), CouplingGraph("one", 1, ())):
-            assert component_sizes(graph.num_qubits, graph.edges) == [graph.num_qubits]
+            assert graph.components == (graph.num_qubits,)
 
 
 def test_component_sizes_are_largest_first():
@@ -119,6 +158,20 @@ def test_load_graph_round_trip(tmp_path):
     g = load_graph(path)
     assert g.name == "pair"
     assert g.edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"num_qubits": 3.9, "edges": [[0, 1], [1, 2]]}, "num_qubits"),
+    ({"num_qubits": "3", "edges": [[0, 1], [1, 2]]}, "num_qubits"),
+    ({"num_qubits": True, "edges": []}, "num_qubits"),
+    ({"num_qubits": 3, "edges": [[0, 1.7], [1, 2]]}, "edges[0]"),
+])
+def test_load_graph_accepts_only_json_integers(tmp_path, doc, field):
+    # int() would truncate 3.9 and 1.7 and parse "3" and true
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match=rf"bad graph schema \({re.escape(field)} "):
+        load_graph(path)
 
 
 def test_load_graph_rejects_self_loop(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line interface: flows, file outputs, and exit codes."""
 
 import json
+import math
 import shlex
 import threading
 
@@ -9,7 +10,7 @@ import pytest
 from qlayout import backend
 from qlayout.backend import MappingSolution
 from qlayout.circuit import parse_qasm
-from qlayout.cli import main
+from qlayout.cli import build_parser, main
 from qlayout.search import CheckRecord, SolveResult
 from qlayout.features import FEATURE_NAMES
 
@@ -133,8 +134,10 @@ def test_predict_without_models_is_a_usage_error(bell_path):
 def test_train_on_empty_table_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(FEATURE_NAMES + ("label", "source")) + "\n")
-    assert main(["train", str(path), "--target", "depth",
-                 "--output", str(tmp_path / "m.json")]) == 2
+    out = tmp_path / "m.json"
+    assert main(["train", str(path), "--target", "depth", "--output", str(out)]) == 2
+    assert "empty dataset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_rejects_wrong_header(tmp_path):
@@ -293,17 +296,21 @@ def test_validate_rejects_a_malformed_solution(bell_path, tmp_path, capsys, doc,
     assert "bad input" in err and field in err
 
 
-@pytest.mark.parametrize("duration, code", [("0", 2), ("1", 0), ("3", 4)])
+@pytest.mark.parametrize("duration, code", [("0", 1), ("1", 0), ("3", 4)])
 def test_validate_rejects_a_swap_duration_below_one_step(bell_path, tmp_path, capsys,
                                                          duration, code):
     # two swaps on one edge, completing at t=2 and t=3: disjoint only for 1-step swaps
     path = tmp_path / "solution.json"
     path.write_text(json.dumps({**_SOLUTION, "swaps": [[[0, 1], 2], [[0, 1], 3]],
                                 "final_depth": 4, "swap_count": 2}))
-    assert main(["validate", bell_path, "--arch", "line:2", "--solution", str(path),
-                 "--swap-duration", duration]) == code
-    if code == 2:
-        assert "swap duration must be at least 1 step" in capsys.readouterr().err
+    try:
+        status = main(["validate", bell_path, "--arch", "line:2", "--solution", str(path),
+                       "--swap-duration", duration])
+    except SystemExit as exc:       # a usage error, raised by the parser
+        status = exc.code
+    assert status == code
+    if code == 1:
+        assert "--swap-duration: must be at least 1, not 0" in capsys.readouterr().err
 
 
 def test_validate_on_a_graph_without_qubits_is_an_input_error(bell_path, tmp_path, capsys):
@@ -494,18 +501,19 @@ def test_augment_rejects_bad_budget_list(tmp_path, capsys, b_list):
 
 
 @pytest.mark.parametrize("command, option, value, code", [
-    ("map", "--timeout", "0", 2),
-    ("map", "--timeout", "-1", 2),
-    ("map", "--timeout", "nan", 2),
-    ("bench", "--timeout", "0", 2),
-    ("augment", "--timeout-per-sample", "0", 2),
+    ("map", "--timeout", "0", 1),
+    ("map", "--timeout", "-1", 1),
+    ("map", "--timeout", "nan", 1),
+    ("bench", "--timeout", "0", 1),
+    ("augment", "--timeout-per-sample", "0", 1),
     ("augment", "--jobs", "0", 1),
     ("augment", "--jobs", "-2", 1),
     ("bench", "--jobs", "0", 1),
     ("augment", "--kmax", "0", 1),
-    ("map", "--swap-duration", "0", 2),
-    ("bench", "--swap-duration", "-1", 2),
-    ("augment", "--swap-duration", "0", 2),
+    ("map", "--swap-duration", "0", 1),
+    ("bench", "--swap-duration", "-1", 1),
+    ("augment", "--swap-duration", "0", 1),
+    ("validate", "--swap-duration", "0", 1),
     ("train", "--max-depth", "-1", 1),
 ])
 def test_a_bad_numeric_option_is_rejected_before_any_work(
@@ -521,6 +529,8 @@ def test_a_bad_numeric_option_is_rejected_before_any_work(
         "augment": ["augment", bell_path, *solving, "--out", str(out), "--b-list", "2"],
         "train": ["train", str(tmp_path / "toy.csv"), "--target", "depth",
                   "--output", str(out / "model.json")],
+        "validate": ["validate", bell_path, "--arch", "line:2",
+                     "--solution", str(out / "t.json")],
     }[command]
     capsys.readouterr()
     try:
@@ -530,6 +540,15 @@ def test_a_bad_numeric_option_is_rejected_before_any_work(
     assert status == code
     assert value in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "launched").exists()
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["map", "c.qasm", "--arch", "qx2", "--timeout", "inf"], "timeout"),
+    (["augment", "c.qasm", "--arch", "qx2", "--out", "o", "--b-list", "2",
+      "--timeout-per-sample", "inf"], "timeout_per_sample"),
+])
+def test_an_infinite_timeout_is_accepted(argv, dest):
+    assert getattr(build_parser().parse_args(argv), dest) == math.inf
 
 
 def test_bench_compares_seeded_and_unseeded(bell_path, tmp_path, models,

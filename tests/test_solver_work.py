@@ -1,6 +1,8 @@
 """``tools/solver_work.py``: reference-solver counts per check, and their
 comparison between two runs."""
 
+import copy
+import importlib.util
 import json
 import subprocess
 import sys
@@ -33,3 +35,28 @@ def test_a_run_compared_with_itself_shows_no_change(tmp_path):
     assert doc["comparison"]["optima_equal"]
     assert doc["comparison"]["unmatched_checks"] == 0
     assert doc["comparison"]["more_conflicts"] == []
+    assert doc["comparison"]["bytes_changed"] == []
+
+
+def _side(*checks):
+    return {"results": {"x@line:2": {"optimal_depth": 2, "optimal_swaps": 0,
+                                     "checks": list(checks)}},
+            "totals": dict.fromkeys(("bytes_sent", "conflicts", "decisions", "propagations"), 0)}
+
+
+def test_compare_names_each_check_whose_bytes_sent_changed():
+    spec = importlib.util.spec_from_file_location("solver_work", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    checks = [{"phase": "depth", "bound": bound, "sat": bound == 2, "horizon": 3,
+               "time_bits": 2, "bytes_sent": 1000 + bound, "conflicts": 5}
+              for bound in (1, 2)]
+    base = _side(*checks)
+    doctored = copy.deepcopy(checks)
+    doctored[1]["bytes_sent"] += 7
+    result = tool.compare(base, _side(*doctored))
+    assert result["bytes_changed"] == [{"instance": "x@line:2", "phase": "depth", "bound": 2,
+                                        "sat": True, "horizon": 3, "time_bits": 2,
+                                        "bytes_sent": [1002, 1009]}]
+    assert result["more_conflicts"] == [] and result["unmatched_checks"] == 0
+    assert tool.compare(base, base)["bytes_changed"] == []

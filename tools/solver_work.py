@@ -17,8 +17,8 @@ The reference solver is deterministic, so the output repeats byte for byte
 from run to run, and one run per side decides a comparison.  Wall seconds
 do not repeat: they go to standard error only, labelled ``refsolver``.
 ``--compare`` takes an earlier output as the base side and adds whether
-the optima agree, the totals of both sides and every check whose conflicts
-rose (see :func:`compare`).
+the optima agree, the totals of both sides, every check whose conflicts
+rose and every check whose bytes sent changed (see :func:`compare`).
 """
 
 from __future__ import annotations
@@ -73,24 +73,29 @@ def measure(spec: str) -> dict:
 
 def compare(base: dict, change: dict) -> dict:
     """Optima agreement, both sides' totals and every check, matched across
-    the sides by phase, bound and grid shape, whose conflicts rose.  A swap
-    phase starts from the swap count of the model the solver found, so its
-    checks need not match one for one."""
-    optima_equal, unmatched, rose = True, 0, []
+    the sides by phase, bound and grid shape, whose conflicts rose or whose
+    ``bytes_sent`` changed.  A swap phase starts from the swap count of the
+    model the solver found, so its checks need not match one for one."""
+    optima_equal, unmatched, rose, resized = True, 0, [], []
     for spec, new in change["results"].items():
         old = base["results"][spec]
         optima_equal &= all(old[key] == new[key] for key in ("optimal_depth", "optimal_swaps"))
         before = {tuple(c[key] for key in SHAPE): c for c in old["checks"]}
         for c in new["checks"]:
             b = before.get(tuple(c[key] for key in SHAPE))
-            unmatched += b is None
-            if b and c["conflicts"] > b["conflicts"]:
-                rose.append({"instance": spec, **{key: c[key] for key in SHAPE},
-                             "conflicts": [b["conflicts"], c["conflicts"]]})
+            if b is None:
+                unmatched += 1
+                continue
+            row = {"instance": spec, **{key: c[key] for key in SHAPE}}
+            if c["conflicts"] > b["conflicts"]:
+                rose.append({**row, "conflicts": [b["conflicts"], c["conflicts"]]})
+            if c["bytes_sent"] != b["bytes_sent"]:
+                resized.append({**row, "bytes_sent": [b["bytes_sent"], c["bytes_sent"]]})
     return {"optima_equal": optima_equal,
             "totals": {key: [base["totals"][key], change["totals"][key]] for key in SUMMED},
             "unmatched_checks": unmatched,
-            "more_conflicts": rose}
+            "more_conflicts": rose,
+            "bytes_changed": resized}
 
 
 def main(argv=None) -> int:
