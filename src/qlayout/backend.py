@@ -537,12 +537,13 @@ def _value(values: dict[str, int | bool], name: str) -> int | bool:
 def model_swaps(
     values: dict[str, int | bool], ctx: EncodingContext
 ) -> tuple[tuple[tuple[int, int], int], ...]:
-    """(edge, completion time) of every true swap indicator, edge-major."""
+    """(edge, completion time) of every true swap indicator, edge-major;
+    none completes before ``ctx.first_swap``."""
     return tuple(
         (edge, t)
         for edge, row in zip(ctx.graph.edges, ctx.swap_names)
-        for t, name in enumerate(row[:ctx.horizon])
-        if _value(values, name) is True
+        for t in range(ctx.first_swap, ctx.horizon)
+        if _value(values, row[t]) is True
     )
 
 

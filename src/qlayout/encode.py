@@ -14,7 +14,10 @@ completing at t occupies its two physical qubits over the window
 The time grid has extent ``horizon`` (exclusive), at least any depth bound
 asserted against it.  Swaps run ``duration - 1`` steps further
 (``swap_extent``), so no swap window is cut off at the horizon; every
-depth bound forces these look-ahead swaps false.
+depth bound forces these look-ahead swaps false.  No window fits before
+step 0, so swap variables start at completion step ``first_swap``
+(``duration - 1``): an earlier swap is not declared, named or read, and
+the mapping holds still over the steps before it.
 
 Each gate g is encoded only at the steps of its window,
 ``asap(g) <= t < representable_times - tail(g)``, where ``asap`` is
@@ -28,8 +31,8 @@ under such a bound, and only under it.
 
 The encoding is prefix-closed in time: ``encode_base(ctx, h)`` declares
 the variables that steps h and later own, then yields the lines they own.
-A swap belongs to the step its window starts; gate times, dependency order
-and early swaps to step 0; g's lines at step t to step ``t + tail(g)``, and
+A swap belongs to the step its window starts; gate times and dependency
+order to step 0; g's lines at step t to step ``t + tail(g)``, and
 q's ``blk`` literal at t to t plus that least tail, so an extension also
 carries gate lines of steps below h.  The base of horizon h plus those
 lines of a deeper grid of the same gate-time width is the deeper grid's
@@ -122,12 +125,19 @@ class EncodingContext:
         return self.horizon + self.swap_duration - 1
 
     @property
+    def first_swap(self) -> int:
+        """Earliest completion step of a swap, the first with a full window
+        from step 0; no swap variable exists before it."""
+        return self.swap_duration - 1
+
+    @property
     def representable_times(self) -> int:
         """Largest time-step count expressible in gate-time equalities."""
         return min(self.horizon, 1 << self.time_bits)
 
     # Name and literal tables, built once per context and only read; name
-    # grids are indexed [q][t], [e][t] and [g].
+    # grids are indexed [q][t], [e][t] and [g], swap rows from step 0 though
+    # no script names a swap before ``first_swap``.
 
     @cached_property
     def pos_names(self) -> list[list[str]]:
@@ -156,9 +166,9 @@ class EncodingContext:
     @cached_property
     def model_names(self) -> list[str]:
         """The variables a decoded model reads: positions at step 0, swaps
-        completing before the horizon, and gate times."""
+        completing from ``first_swap`` to before the horizon, and gate times."""
         return [*(row[0] for row in self.pos_names),
-                *(name for row in self.swap_names for name in row[:self.horizon]),
+                *(name for row in self.swap_names for name in row[self.first_swap:self.horizon]),
                 *self.time_names]
 
 
@@ -186,15 +196,15 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     the rest are encoded.
     """
     nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
-    dur, horizon, steps = ctx.swap_duration, ctx.horizon, ctx.representable_times
+    dur, first, horizon, steps = (ctx.swap_duration, ctx.first_swap, ctx.horizon,
+                                  ctx.representable_times)
     pos, swp, literal = ctx.pos_names, ctx.swap_names, ctx.qubit_literals
 
     # Declarations: a swap belongs to the step its window starts, and step 0
-    # also owns the swaps completing before a full window and every gate time.
+    # also owns every gate time.
     pos_sort, time_sort = f"(_ BitVec {ctx.qubit_bits})", f"(_ BitVec {ctx.time_bits})"
     yield from (f"(declare-const {name} {pos_sort})" for row in pos for name in row[start:])
-    first_swap = start + dur - 1 if start else 0
-    yield from (f"(declare-const {name} Bool)" for row in swp for name in row[first_swap:])
+    yield from (f"(declare-const {name} Bool)" for row in swp for name in row[start + first:])
     times = () if start else ctx.time_names
     yield from (f"(declare-const {name} {time_sort})" for name in times)
 
@@ -248,17 +258,14 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
         time = ctx.time_names
         for i, j in sorted(build_dag(ctx.circuit).edges):
             yield f"(assert (bvult {time[i]} {time[j]}))"
-        # Swaps need a full window: none may complete before duration-1.
-        for row in swp:
-            for name in row[:dur - 1]:
-                yield f"(assert (not {name}))"
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
-    for t in range(start + dur - 1, ctx.swap_extent):
+    for t in range(start + first, ctx.swap_extent):
+        opens = max(t - dur + 1, first)
         for k, row in enumerate(swp):
-            others = row[t - dur + 1:t]
+            others = row[opens:t]
             for kk in touching[k]:
-                others += swp[kk][t - dur + 1:t + 1]
+                others += swp[kk][opens:t + 1]
             if others:
                 yield f"(assert (=> {row[t]} (not {_any(others)})))"
 
@@ -268,7 +275,7 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     if busy:
         for p in busy:
             for t in range(start, steps):
-                window = slice(max(t, dur - 1), t + dur)
+                window = slice(max(t, first), t + dur)
                 swaps = [name for k in incident[p] for name in swp[k][window]]
                 yield f"(define-fun busy_p{p}_t{t} () Bool {_any(swaps)})"
         for q in range(nq):
@@ -280,22 +287,26 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
                 blocked = _any([f"blk_q{q}_t{t}" for q in g.qubits])
                 yield f"(assert (not (and {exec_t} {blocked})))"
 
-    # Mapping evolves exactly through completed swaps.
+    # Mapping evolves exactly through completed swaps; before the first swap
+    # it stays.
     for t in range(max(start - 1, 0), horizon - 1):
-        leave = [f"(not {_any([swp[k][t] for k in ks])})" if ks else None for ks in incident]
+        moves = t >= first
+        leave = [f"(not {_any([swp[k][t] for k in ks])})" if ks and moves else None
+                 for ks in incident]
         for q in range(nq):
             now, after = at[q][t], at[q][t + 1]
             for p in range(nphys):
                 stay = f"(and {leave[p]} {now[p]})" if leave[p] else now[p]
                 yield f"(assert (=> {stay} {after[p]}))"
-            for k, (a, b) in enumerate(edges):
+            for k, (a, b) in enumerate(edges if moves else ()):
                 yield f"(assert (=> (and {swp[k][t]} {now[a]}) {after[b]}))"
                 yield f"(assert (=> (and {swp[k][t]} {now[b]}) {after[a]}))"
 
 
 def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
     """Assert every gate time below the bound and no swap completing at or
-    beyond it, look-ahead swaps included."""
+    beyond it, look-ahead swaps included; a bound below ``first_swap`` names
+    no swap."""
     if depth_bound > ctx.horizon:
         raise EncodingError(
             f"depth bound {depth_bound} exceeds time horizon {ctx.horizon};"
@@ -304,16 +315,17 @@ def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
     limit = ctx.time_literals[depth_bound] if depth_bound < 1 << ctx.time_bits else None
     lines = [f"(assert (bvult {name} {limit}))" for name in ctx.time_names] if limit else []
     for row in ctx.swap_names:
-        lines += [f"(assert (not {name}))" for name in row[depth_bound:]]
+        lines += [f"(assert (not {name}))" for name in row[max(depth_bound, ctx.first_swap):]]
     return lines
 
 
 def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
-    """Cap the number of true swap indicators before the horizon via a
-    zero-extended adder tree; a depth bound forces the later ones false."""
+    """Cap the number of true swap indicators from ``first_swap`` to before
+    the horizon via a zero-extended adder tree over them; a depth bound
+    forces the later ones false."""
     if swap_bound < 0:
         raise EncodingError("swap bound must be nonnegative")
-    all_swaps = [name for row in ctx.swap_names for name in row[:ctx.horizon]]
+    all_swaps = [name for row in ctx.swap_names for name in row[ctx.first_swap:ctx.horizon]]
     if not all_swaps or swap_bound >= len(all_swaps):
         return []
     if swap_bound == 0:

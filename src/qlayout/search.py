@@ -4,7 +4,9 @@ Phase one finds the smallest satisfiable depth bound, from the predicted
 depth (at most a depth any layout meets) with the longest dependency chain
 as floor.  Phase two fixes the optimal depth and finds the smallest
 swap-count bound, from ``min(predicted swaps, swaps in the last satisfiable
-model)`` with floor zero.  Both run the frontier walk of
+model)``.  Its floor is one when :func:`embeds` proves that no placement
+puts every interacting pair on a device edge, so every layout swaps, and
+zero otherwise.  Both run the frontier walk of
 :func:`run_bound_search`: 2-unit steps from the start, then one check to
 close a 2-wide gap, so an exact prediction costs at most three checks each.
 
@@ -24,9 +26,10 @@ it extends that scope with the new steps' lines alone, as the encoding is
 prefix-closed.  Each check adds only its bound lines, and each satisfiable
 model is decoded at once, so a phase's payload is its schedule; only the
 one returned is drawn.  A solver failure, a failed launch included, or a
-model that does not decode raises :class:`SearchError` naming the phase,
-as does an ascent refuted at or above a bound known to be satisfiable, so
-a wrong solver cannot keep it running.
+model that does not decode raises :class:`SearchError` naming the phase.
+So do a depth model with fewer swaps than the floor and an ascent refuted
+at or above a bound known to be satisfiable, so a wrong solver cannot keep
+it running.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class InfeasibleError(ValueError):
     """No layout of the circuit on the device exists, at any depth."""
 
 
+# Placements that :func:`embeds` tries before it gives up: a small part of
+# what one solver check costs.
+EMBED_STEPS = 10_000
+
+
 def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
     """Raise :class:`InfeasibleError` unless some layout exists at some depth.
 
@@ -96,6 +104,50 @@ def check_feasible(circuit: Circuit, graph: CouplingGraph) -> None:
             f" of sizes {groups} do not fit its connected components of sizes"
             f" {list(rooms)}"
         )
+
+
+def embeds(circuit: Circuit, graph: CouplingGraph) -> Optional[bool]:
+    """Whether some injective placement puts every interacting pair of
+    ``circuit`` on an edge of ``graph``, as a layout without swaps needs;
+    None when :data:`EMBED_STEPS` tried placements settle neither.
+
+    Backtracking in the style of VF2 (Cordella et al., TPAMI 2004): each
+    qubit goes only to a free device qubit of at least its degree next to
+    the spots of all its placed partners.
+    """
+    partners = [set() for _ in range(circuit.num_qubits)]
+    for a, b in (g.qubits for g in circuit.gates if g.is_two_qubit):
+        partners[a].add(b)
+        partners[b].add(a)
+    near = [{x for k in ks for x in graph.edges[k]} - {p} for p, ks in enumerate(graph.incident)]
+    order, rest = [], {q for q, ws in enumerate(partners) if ws}
+    while rest:   # most placed partners first, then the highest degree
+        order.append(max(sorted(rest), key=lambda q: (len(partners[q].intersection(order)),
+                                                      len(partners[q]))))
+        rest.remove(order[-1])
+    spot, budget = {}, EMBED_STEPS
+
+    def extend(i: int) -> Optional[bool]:
+        """Whether the placement in ``spot`` of ``order[:i]`` extends to all."""
+        nonlocal budget
+        if i == len(order):
+            return True
+        q = order[i]
+        placed = [spot[w] for w in partners[q] if w in spot]
+        for p in near[placed[0]] if placed else range(graph.num_qubits):
+            if (p not in spot.values() and len(near[p]) >= len(partners[q])
+                    and all(p in near[x] for x in placed)):
+                budget -= 1
+                if budget < 0:
+                    return None
+                spot[q] = p
+                found = extend(i + 1)
+                del spot[q]
+                if found is not False:
+                    return found
+        return False
+
+    return extend(0)
 
 
 @dataclass(frozen=True)
@@ -176,6 +228,7 @@ class SolveResult:
     optimal_swaps: Optional[int]
     checks: list[CheckRecord] = field(default_factory=list)
     solution: Optional[be.MappingSolution] = None
+    swap_floor: int = 0     # the swap phase's floor: 1 when the circuit cannot embed
 
     depth_history = property(lambda self: [(c.bound, c.sat) for c in self.checks
                                            if c.phase == "depth"])
@@ -211,11 +264,11 @@ class SolveResult:
                    for prev, cur in zip(self.checks, self.checks[1:]))
 
     def telemetry(self) -> dict:
-        """The optima (None when the search failed) and every count above, by
-        name, plus each check record as a dict."""
-        keys = ("optimal_depth", "optimal_swaps", "depth_checks", "swap_checks",
-                "resize_events", "base_loads", "grid_extensions", "bytes_sent",
-                "wall_time_per_check")
+        """The optima (None when the search failed), the swap floor and every
+        count above, by name, plus each check record as a dict."""
+        keys = ("optimal_depth", "optimal_swaps", "swap_floor", "depth_checks",
+                "swap_checks", "resize_events", "base_loads", "grid_extensions",
+                "bytes_sent", "wall_time_per_check")
         return {**{key: getattr(self, key) for key in keys},
                 "checks": [asdict(c) for c in self.checks]}
 
@@ -262,6 +315,8 @@ def solve_optimal(
     if not any(g.is_two_qubit for g in circuit.gates):
         return _trivial_solution(circuit, graph)
     check_feasible(circuit, graph)
+    # a layout without swaps keeps its placement, which then embeds the circuit
+    swap_floor = int(embeds(circuit, graph) is False)
 
     features = extract_features(circuit) if depth_model or swap_model else None
     start = depth_model.predict(features) if depth_model else 0
@@ -306,13 +361,16 @@ def solve_optimal(
                                              longest_chain(circuit), probe, depth_ceiling)
             best_depth = depth_outcome.optimum
             swaps_in_model = depth_outcome.payload.swap_count
+            if swaps_in_model < swap_floor:
+                raise SearchError(f"swap phase failed: the depth model has {swaps_in_model}"
+                                  f" swaps, but the device needs at least {swap_floor}")
             predicted_swaps = swap_model.predict(features) if swap_model else swaps_in_model
             swap_outcome = run_bound_search(
-                min(predicted_swaps, swaps_in_model), 0,
+                min(predicted_swaps, swaps_in_model), swap_floor,
                 lambda bound: probe(best_depth, bound), swaps_in_model,
             )
     except SearchError as exc:
-        exc.telemetry = SolveResult(None, None, checks).telemetry()
+        exc.telemetry = SolveResult(None, None, checks, swap_floor=swap_floor).telemetry()
         raise
     return SolveResult(best_depth, swap_outcome.optimum, checks,
-                       _drawn(circuit, graph, swap_outcome.payload))
+                       _drawn(circuit, graph, swap_outcome.payload), swap_floor)

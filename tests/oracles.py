@@ -448,6 +448,17 @@ class Schedule:
     swaps: tuple[tuple[tuple[int, int], int], ...]  # (edge, completion step)
 
 
+def embeds_by_permutation(circuit: Circuit, graph: CouplingGraph) -> bool:
+    """Whether some injective placement of the circuit's qubits puts every
+    two-qubit gate on a device edge, trying every placement in turn."""
+    pairs = {frozenset(g.qubits) for g in circuit.gates if len(g.qubits) == 2}
+    edges = {frozenset(e) for e in graph.edges}
+    return any(
+        all(frozenset(placement[q] for q in pair) in edges for pair in pairs)
+        for placement in itertools.permutations(range(graph.num_qubits), circuit.num_qubits)
+    )
+
+
 def brute_force_optimum(
     circuit: Circuit,
     graph: CouplingGraph,
@@ -649,7 +660,7 @@ def linear_scan_solve(
     count = sum(
         1
         for e in range(len(ctx.graph.edges))
-        for t in range(ctx.horizon)
+        for t in range(ctx.first_swap, ctx.horizon)
         if values[ctx.swap_names[e][t]] is True
     )
     while count > 0:
@@ -669,7 +680,7 @@ def linear_scan_solve(
         count = sum(
             1
             for e in range(len(ctx.graph.edges))
-            for t in range(ctx.horizon)
+            for t in range(ctx.first_swap, ctx.horizon)
             if result.values[ctx.swap_names[e][t]] is True
         )
     return depth, count, checks

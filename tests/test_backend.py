@@ -606,7 +606,7 @@ def _model_for(ctx, *, pos0, times, true_swaps=()):
         for t in range(ctx.horizon):
             values[ctx.pos_names[q][t]] = pos0[q]
     for e in range(len(ctx.graph.edges)):
-        for t in range(ctx.horizon):
+        for t in range(ctx.first_swap, ctx.horizon):   # the swaps a model has
             values[ctx.swap_names[e][t]] = (e, t) in true_swaps
     for g, t in enumerate(times):
         values[ctx.time_names[g]] = t
@@ -694,8 +694,10 @@ def test_model_swaps_reads_true_indicators_edge_major():
     ctx = build_context(circuit, line_graph(3), horizon=5, time_bits=3)
     values = _model_for(ctx, pos0=(0, 1), times=(0,), true_swaps={(1, 2), (0, 4)})
     assert model_swaps(values, ctx) == (((0, 1), 4), ((1, 2), 2))
-    del values[ctx.swap_names[1][0]]
-    with pytest.raises(DecodeError, match="swp_e1_t0"):
+    # no swap completes before its first full window, so none is read there
+    assert ctx.first_swap == 2 and ctx.swap_names[1][0] not in values
+    del values[ctx.swap_names[1][2]]
+    with pytest.raises(DecodeError, match="swp_e1_t2"):
         model_swaps(values, ctx)
 
 

@@ -239,7 +239,8 @@ done""")
                  "--solver", " ".join(cfg.command)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "solver error" in err and "swp_e0_t0" in err
+    # a 2-step grid has no swap, so the first value read is a position
+    assert "solver error" in err and "pos_q0_t0" in err
 
 
 def test_map_stops_a_solver_that_refutes_every_bound(bell_path, tmp_path, capsys):
@@ -403,6 +404,7 @@ def test_map_validate_round_trip(bell_path, tmp_path, small_solver, capsys):
     assert doc["base_loads"] == 1          # every check on the first grid
     assert doc["grid_extensions"] == 0     # bell's floor 2 is satisfiable
     assert doc["bytes_sent"] == sum(c["bytes_sent"] for c in doc["checks"]) > 0
+    assert doc["swap_floor"] == 0          # bell's one pair fits an edge
 
     assert main(["validate", bell_path, "--arch", "line:2",
                  "--solution", str(tele)]) == 0

@@ -56,17 +56,20 @@ def test_variable_grid_shapes_on_qx2():
     tim = [d for d in decls if d.startswith("(declare-const time_")]
     assert len(pos) == 2 * 4                 # |Q| x horizon
     assert all("(_ BitVec 3)" in d for d in pos)   # ceil(log2 5) = 3
-    assert len(swp) == 6 * (4 + 2)           # |E| x (horizon + duration - 1)
+    assert len(swp) == 6 * 4                 # |E| x completions 2 to horizon + 1
     assert all(d.endswith("Bool)") for d in swp)
     assert len(tim) == 1
     assert "(_ BitVec 5)" in tim[0]
 
 
 def test_declaration_count_formula():
+    # swaps complete from duration - 1 to horizon + duration - 2: horizon
+    # steps per edge, whatever the duration
     c = make_circuit(3, [("cx", (0, 1)), ("h", (2,)), ("cx", (1, 2))])
-    for graph, horizon in [(line_graph(4), 7), (qx2(), 5)]:
-        ctx = build_context(c, graph, horizon, time_bits=4)
-        expected = 3 * horizon + len(graph.edges) * (horizon + 2) + 3
+    for (graph, horizon), duration in itertools.product(
+            [(line_graph(4), 7), (qx2(), 5)], (1, 2, 3)):
+        ctx = build_context(c, graph, horizon, time_bits=4, swap_duration=duration)
+        expected = 3 * horizon + len(graph.edges) * horizon + 3
         assert len(_declared(ctx)) == expected
         # no declaration follows the first constraint
         assert sum(ln.startswith("(declare-const ") for ln in encode_base(ctx)) == expected
@@ -152,13 +155,48 @@ def test_blocking_is_one_assertion_per_gate_and_step():
         assert f"(define-fun blk_q2_t{last} " in "\n".join(base)
 
 
+_SWAP = re.compile(r"\bswp_e(\d+)_t(\d+)\b")
+
+
 def test_early_swaps_forbidden_by_duration():
+    # a swap without a full window before it is neither declared nor named:
+    # not in the base, an extension, any depth bound (below duration - 1
+    # too), a swap bound or the value query
     c = make_circuit(2, [("cx", (0, 1))])
-    ctx = build_context(c, line_graph(3), 6, 3, swap_duration=3)
-    base = list(encode_base(ctx))
-    for e in range(2):
-        for t in (0, 1):
-            assert f"(assert (not swp_e{e}_t{t}))" in base
+    for duration in (1, 2, 3):
+        ctx = build_context(c, line_graph(3), 6, 3, swap_duration=duration)
+        assert ctx.first_swap == duration - 1
+        script = [*encode_base(ctx), *encode_base(ctx, 1), value_query(ctx.model_names)]
+        for bound in range(ctx.horizon + 1):
+            script += encode_depth_bound(ctx, bound)
+        for bound in range(3):
+            script += encode_swap_bound(ctx, bound)
+        steps = {int(t) for line in script for _, t in _SWAP.findall(line)}
+        assert min(steps) == duration - 1
+        assert max(steps) == ctx.swap_extent - 1
+        assert f"(declare-const swp_e1_t{duration - 1} Bool)" in script
+        # a depth bound below the first completion step forces off the declared swaps
+        below = encode_depth_bound(ctx, 0)
+        assert ({int(t) for line in below for _, t in _SWAP.findall(line)}
+                == set(range(duration - 1, ctx.swap_extent)))
+
+
+def test_a_swap_at_the_first_completion_step_moves_its_qubits():
+    # q0 sits on physical qubit 1 when a swap on edge (1, 2) completes at
+    # the first step a whole window reaches: the next step has q0 on 2
+    c = make_circuit(2, [("cx", (0, 1))])
+    for duration in (1, 2, 3):
+        ctx = build_context(c, line_graph(3), duration + 1, 3, swap_duration=duration)
+        t, moved = ctx.first_swap, ctx.pos_names[0][ctx.first_swap + 1]
+        script = [*encode_base(ctx), *encode_depth_bound(ctx, ctx.horizon),
+                  f"(assert {ctx.swap_names[1][t]})",
+                  f"(assert (= {ctx.pos_names[0][t]} {ctx.qubit_literals[1]}))"]
+        for spot in (2, 1):
+            script += ["(push 1)", f"(assert (= {moved} {ctx.qubit_literals[spot]}))",
+                       "(check-sat)", "(pop 1)"]
+        out = io.StringIO()
+        assert refsolver.run("\n".join(script) + "\n", out) == 0
+        assert out.getvalue().split() == ["sat", "unsat"], duration
 
 
 def test_depth_bound_fragment():
@@ -188,9 +226,10 @@ def test_swap_bound_special_cases():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), 4, 3)
     zero = encode_swap_bound(ctx, 0)
-    assert len(zero) == 2 * 4                      # every indicator forced off
+    assert len(zero) == 2 * 2                      # every indicator, steps 2-3, forced off
     assert all(ln.startswith("(assert (not swp_") for ln in zero)
-    assert encode_swap_bound(ctx, 8) == []         # >= |sigma|: vacuous
+    assert len(encode_swap_bound(ctx, 3)) == 1
+    assert encode_swap_bound(ctx, 4) == []         # >= |sigma|: vacuous
     assert encode_swap_bound(ctx, 9) == []
     with pytest.raises(EncodingError):
         encode_swap_bound(ctx, -1)
@@ -272,7 +311,7 @@ def test_extension_lines_start_at_their_step():
     # the mapping evolves from the old grid's last step into the new one
     assert "(assert (=> (and swp_e0_t3 at_q0_t3_p0) at_q0_t4_p1))" in extension
     assert ctx.model_names == [
-        "pos_q0_t0", "pos_q1_t0", *(f"swp_e{e}_t{t}" for e in (0, 1) for t in range(5)),
+        "pos_q0_t0", "pos_q1_t0", *(f"swp_e{e}_t{t}" for e in (0, 1) for t in range(2, 5)),
         "time_g0", "time_g1",
     ]
 
@@ -315,14 +354,14 @@ _PINNED_SHAPES = ((3, 2, 3), (6, 2, 3), (9, 4, 3), (5, 3, 1))
 # _pinned_parts' cases: a change here is a change to what every solver is
 # sent, so only a deliberate change of the encoding may update them.
 _PINNED = {
-    "base": (10863057, "19e48c960007ed39b30119c32978c67a0a7a19e2e46e001b317e1beb79bc4bc7"),
+    "base": (9374067, "b12ccc46ed0815052e18d6617989ada37233c65ca9a4f7efe849f1fe36ccc9b5"),
     "extension_base": (
-        4722362, "c67faa0bbd7ed812205dfc757c084d5133239be56ac5d03b2100a51b60ce2de6"),
+        4519930, "a6aeccf6ba26cc3fce8753cbc5695a0ed1609fc004b7edc703d233037719ca0e"),
     "depth_bound": (171458, "1521d8b441d47a2634e3e4a31ad767d0e0104ae5fbbc657ae8f3a49c480a9d3f"),
-    "swap_bound_0": (240350, "c423e292afce41d67443666a755f747bd2128a16165782a1adacc6dc68289e61"),
-    "swap_bound_1": (400615, "1d17b00c8b909153bc1d81a71e1aaa690cd1e600246e79beefe1ae6f3be43ab5"),
-    "swap_bound_2": (400615, "55bb0e1d9bed2b6bcfa474fb9fd7d98f54983b7bc237a72b50081c9b12e303f3"),
-    "value_query": (133852, "c9ec3b590c5fd757fab104a65e4edf73c4a2c6e4efc0ca02785f17103e9d6f57"),
+    "swap_bound_0": (177650, "1e66a07f39986cd37c1029b26220c9fc01c5d8cdbf484136321a7c71e23aff4b"),
+    "swap_bound_1": (293778, "c1bda2e62e90d57b8e7e2b27f0db1a82bf4dfaeb6d54adfe6e02d7d284098ea2"),
+    "swap_bound_2": (293778, "083547c043e8d208fd0855fa2d299070ce77e7bb1308f43594550dbc2951600d"),
+    "value_query": (108772, "6bbe3f2d79cfc38c71237550c9861b314d5763f047177ac07aae5af066d88179"),
 }
 
 
@@ -443,15 +482,20 @@ def test_compact_base_agrees_with_pairwise_base(name, circuit, graph):
                          ids=[c[0] for c in MODEL_SET_CASES[:2]])
 def test_compact_base_is_equivalent_to_pairwise_base(name, circuit, graph):
     # an exact proof on the reference solver: no assignment of the declared
-    # variables satisfies one base and not the other
+    # variables satisfies one base and not the other.  The pairwise base names swaps
+    # completing before a full window, which the compact one never declares;
+    # the premise declares them false, as a decoded model reads them
     depth, _ = brute_force_schedule(circuit, graph)
     ctx = build_context(circuit, graph, depth + 1, bit_length(depth + 1))
     new = list(encode_base(ctx))
     symbols = [ln for ln in new if ln.startswith(("(declare-const ", "(define-fun "))]
+    early = [name for row in ctx.swap_names for name in row[:ctx.first_swap]]
+    assert early and not any(name in ln for ln in new for name in early)
     new_body = " ".join(ln[len("(assert "):-1] for ln in new if ln.startswith("(assert "))
     old_body = " ".join(ln[len("(assert "):-1] for ln in encode_base_pairwise(ctx))
     script = "\n".join([
-        *symbols, *encode_depth_bound(ctx, ctx.horizon),
+        *(f"(declare-const {name} Bool)" for name in early), *symbols,
+        *(f"(assert (not {name}))" for name in early), *encode_depth_bound(ctx, ctx.horizon),
         f"(assert (not (= (and {old_body}) (and {new_body}))))", "(check-sat)",
     ])
     out = io.StringIO()
@@ -541,13 +585,14 @@ def test_adder_tree_popcount_matches_naive_count():
     rng = random.Random(61)
     c = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2))])
     ctx = build_context(c, line_graph(4), horizon=5, time_bits=3)
-    n_indicators = len(ctx.graph.edges) * ctx.horizon
+    # a leaf per swap from the first full window to the horizon
+    n_indicators = len(ctx.graph.edges) * (ctx.horizon - ctx.first_swap)
     width = n_indicators.bit_length()
     for _ in range(100):
         env = {
             ctx.swap_names[e][t]: rng.random() < 0.4
             for e in range(len(ctx.graph.edges))
-            for t in range(ctx.horizon)
+            for t in range(ctx.first_swap, ctx.horizon)
         }
         true_count = sum(env.values())
         bound = rng.randint(0, n_indicators - 1)
@@ -582,10 +627,10 @@ def test_emit_script_layout():
     assert lines[1] == "(set-logic QF_BV)"
     check_at = lines.index("(check-sat)")
     # one batched query names the variables a decoded model reads: positions
-    # at step 0, swaps completing before the horizon, gate times
+    # at step 0, swaps completing from the first full window to before the
+    # horizon, gate times
     assert lines[check_at + 1:] == [
-        "(get-value (pos_q0_t0 pos_q1_t0 swp_e0_t0 swp_e0_t1 swp_e0_t2 swp_e0_t3"
-        " swp_e1_t0 swp_e1_t1 swp_e1_t2 swp_e1_t3 time_g0))"
+        "(get-value (pos_q0_t0 pos_q1_t0 swp_e0_t2 swp_e0_t3 swp_e1_t2 swp_e1_t3 time_g0))"
     ]
     assert script.count("(") == script.count(")")
 

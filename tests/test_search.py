@@ -6,6 +6,7 @@ import random
 import re
 import shlex
 import time
+import warnings
 
 import pytest
 
@@ -21,13 +22,15 @@ from qlayout.search import (
     SearchError,
     SolveResult,
     check_feasible,
+    embeds,
     grid_shape,
     run_bound_search,
     solve_optimal,
 )
 
-from .conftest import _Const
-from .oracles import bound_search_two_loops, brute_force_optimum, grid_shape_after
+from .conftest import _Const, random_circuit
+from .oracles import (bound_search_two_loops, brute_force_optimum, embeds_by_permutation,
+                      grid_shape_after)
 from .test_backend import _ECHO_MODEL, _gone, _script_solver
 
 # --------------------------------------------------------------------------
@@ -394,7 +397,8 @@ class ScriptedSolver:
             return be.CheckResult(sat=False, values=None, wall_time=0.01)
         _, n_true = step
         # the query names exactly what a decoded model reads: positions at
-        # step 0, swaps completing before the horizon, and gate times
+        # step 0, the declared swaps (none before its first full window)
+        # completing before the horizon, and gate times
         horizon, _ = self.shape(len(self.scripts) - 1)
         declared = [m.group(1) for m in _BV_DECL.finditer(script)]
         declared += [m.group(1) for m in _BOOL_DECL.finditer(script)]
@@ -544,9 +548,10 @@ def test_gate_time_width_widens_when_a_bound_crosses_a_power_of_two(scripted):
 
 def test_swap_start_is_clamped_by_the_model_count(scripted):
     # depth phase: immediately satisfiable at the floor with 2 swaps in model
+    # (one-step swaps, so the one-step grid has them)
     fake = scripted([("sat", 2), ("sat", 2), "unsat", "unsat"])
     result = solve_optimal(
-        _chain(1), line_graph(3), swap_model=_Const(7)
+        _chain(1), line_graph(3), swap_model=_Const(7), swap_duration=1
     )
     assert result.optimal_depth == 1
     # predicted 7, model held 2: phase starts at 2
@@ -625,10 +630,10 @@ def test_depth_ascent_stops_when_the_solver_refutes_every_bound(scripted):
 
 
 def test_swap_ascent_stops_when_the_solver_refutes_every_bound(scripted):
-    # the depth model holds 2 swaps, so the swap bound 2 is satisfiable
+    # the depth model holds 2 one-step swaps, so the swap bound 2 is satisfiable
     fake = scripted([("sat", 2)] + ["unsat"] * 40)
     with pytest.raises(SearchError, match="2 is known satisfiable") as info:
-        solve_optimal(_chain(1), line_graph(3), swap_model=_Const(0))
+        solve_optimal(_chain(1), line_graph(3), swap_model=_Const(0), swap_duration=1)
     assert info.value.telemetry["depth_checks"] == 1
     assert [c["bound"] for c in info.value.telemetry["checks"][1:]] == [0, 2]
     assert len(fake.scripts) == 3
@@ -666,10 +671,10 @@ def test_a_solve_draws_only_the_circuit_it_returns(scripted, monkeypatch):
         return render(circuit, graph, solution, **kwargs)
 
     monkeypatch.setattr(be, "render_circuit", counting)
-    # depth 1 satisfiable with one swap; swap bound 1 satisfiable, 0 refuted
+    # depth 1 satisfiable with one one-step swap; swap bound 1 satisfiable, 0 refuted
     scripted([("sat", 1), ("sat", 1), "unsat"])
     circuit, graph = _chain(1), line_graph(3)
-    result = solve_optimal(circuit, graph)
+    result = solve_optimal(circuit, graph, swap_duration=1)
     assert (result.optimal_depth, result.optimal_swaps) == (1, 1)
     assert drawn == [dataclasses.replace(result.solution, mapped_circuit=None)]
     assert result.solution.mapped_circuit == render(circuit, graph, drawn[0])
@@ -731,6 +736,62 @@ def test_feasibility_packs_interacting_groups_into_device_components(edges, gate
             check_feasible(circuit, graph)
 
 
+_TRIANGLE = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))])
+
+
+def _random_device(rng: random.Random, n: int) -> CouplingGraph:
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # some are not connected
+        return CouplingGraph("random", n, tuple(pairs))
+
+
+def test_embedding_test_agrees_with_trying_every_placement():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        graph = _random_device(rng, rng.randint(1, 6))
+        circuit = random_circuit(rng, max_qubits=graph.num_qubits, max_gates=12)
+        found = embeds(circuit, graph)
+        assert found == embeds_by_permutation(circuit, graph), (circuit, graph.edges)
+        seen.add(found)
+    assert seen == {True, False}
+
+
+def test_embedding_test_gives_up_past_its_step_budget(monkeypatch):
+    # a triangle on a 6-ring: every degree fits, but no placement does, and
+    # proving it takes more than 3 steps
+    ring = CouplingGraph("ring:6", 6, tuple((i, (i + 1) % 6) for i in range(6)))
+    assert embeds(_TRIANGLE, ring) is False
+    monkeypatch.setattr(search, "EMBED_STEPS", 3)
+    assert embeds(_TRIANGLE, ring) is None
+    assert embeds(_chain(1), ring) is True
+
+
+def test_the_swap_phase_starts_at_the_devices_floor(scripted, monkeypatch):
+    # a triangle of interactions on line:3 needs a swap: depth 3 satisfiable
+    # with one swap, and the swap phase settles at its first check
+    scripted([("sat", 1), ("sat", 1)])
+    result = solve_optimal(_TRIANGLE, line_graph(3))
+    assert (result.optimal_depth, result.optimal_swaps, result.swap_floor) == (3, 1, 1)
+    assert result.swap_history == [(1, True)]
+    assert result.telemetry()["swap_floor"] == 1
+    # past the embedding test's budget the floor is zero, and bound 0 is checked
+    monkeypatch.setattr(search, "EMBED_STEPS", 0)
+    scripted([("sat", 1), ("sat", 1), "unsat"])
+    result = solve_optimal(_TRIANGLE, line_graph(3))
+    assert (result.optimal_swaps, result.swap_floor) == (1, 0)
+    assert result.swap_history == [(1, True), (0, False)]
+
+
+def test_a_depth_model_below_the_swap_floor_is_a_search_error(scripted):
+    scripted([("sat", 0)])
+    with pytest.raises(SearchError, match="needs at least 1") as info:
+        solve_optimal(_TRIANGLE, line_graph(3))
+    assert info.value.telemetry["swap_floor"] == 1
+    assert info.value.telemetry["swap_checks"] == 0
+
+
 def test_solver_failure_surfaces_as_search_error(scripted):
     scripted([be.SolverExitError("boom")])
     with pytest.raises(SearchError) as info:
@@ -740,10 +801,10 @@ def test_solver_failure_surfaces_as_search_error(scripted):
 
 
 def test_swap_phase_failure_surfaces_as_search_error(scripted):
-    # depth: satisfiable at the floor with 2 swaps; swaps: 2 S, then a crash
+    # depth: satisfiable at the floor with 2 one-step swaps; swaps: 2 S, then a crash
     scripted([("sat", 2), ("sat", 2), be.SolverExitError("boom")])
     with pytest.raises(SearchError) as info:
-        solve_optimal(_chain(1), line_graph(3))
+        solve_optimal(_chain(1), line_graph(3), swap_duration=1)
     assert "swap phase failed" in str(info.value)
     assert isinstance(info.value.__cause__, be.SolverExitError)
     assert len(info.value.telemetry["wall_time_per_check"]) == 2
@@ -828,7 +889,7 @@ def test_outcome_dataclass_shape():
     out = BoundSearchOutcome(3, "p")
     assert (out.optimum, out.payload) == (3, "p")
     assert [f.name for f in dataclasses.fields(SolveResult)] == [
-        "optimal_depth", "optimal_swaps", "checks", "solution",
+        "optimal_depth", "optimal_swaps", "checks", "solution", "swap_floor",
     ]
 
 
@@ -849,8 +910,14 @@ def test_solve_matches_exhaustive_oracle(small_solver):
     ldc = 3
     if result.optimal_depth > ldc:
         assert (result.optimal_depth - 1, False) in result.depth_history
-    if result.optimal_swaps > 0:
+    # the swap optimum is refuted one below it, or it is the floor of one
+    # that the device proves: no placement puts every interacting pair on an
+    # edge, as trying every placement confirms
+    if result.optimal_swaps > result.swap_floor:
         assert (result.optimal_swaps - 1, False) in result.swap_history
+    elif result.optimal_swaps > 0:
+        assert not embeds_by_permutation(circuit, graph)
+    assert result.swap_floor == 1     # a triangle of interactions does not fit a line
 
     sol = result.solution
     assert sol.final_depth == result.optimal_depth

@@ -36,6 +36,7 @@ def test_a_run_compared_with_itself_shows_no_change(tmp_path):
     assert doc["comparison"]["unmatched_checks"] == 0
     assert doc["comparison"]["more_conflicts"] == []
     assert doc["comparison"]["bytes_changed"] == []
+    assert doc["comparison"]["dropped_checks"] == []
 
 
 def _side(*checks):
@@ -44,10 +45,15 @@ def _side(*checks):
             "totals": dict.fromkeys(("bytes_sent", "conflicts", "decisions", "propagations"), 0)}
 
 
-def test_compare_names_each_check_whose_bytes_sent_changed():
+def _tool():
     spec = importlib.util.spec_from_file_location("solver_work", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_names_each_check_whose_bytes_sent_changed():
+    tool = _tool()
     checks = [{"phase": "depth", "bound": bound, "sat": bound == 2, "horizon": 3,
                "time_bits": 2, "bytes_sent": 1000 + bound, "conflicts": 5}
               for bound in (1, 2)]
@@ -60,3 +66,18 @@ def test_compare_names_each_check_whose_bytes_sent_changed():
                                         "bytes_sent": [1002, 1009]}]
     assert result["more_conflicts"] == [] and result["unmatched_checks"] == 0
     assert tool.compare(base, base)["bytes_changed"] == []
+
+
+def test_compare_names_each_base_check_the_change_no_longer_runs():
+    checks = [{"phase": "swap", "bound": bound, "sat": bound == 1, "horizon": 3,
+               "time_bits": 2, "bytes_sent": 40, "conflicts": 10 + bound}
+              for bound in (1, 0)]
+    base, change = _side(*checks), _side(checks[0])
+    result = _tool().compare(base, change)
+    assert result["dropped_checks"] == [{"instance": "x@line:2", "phase": "swap", "bound": 0,
+                                         "sat": False, "horizon": 3, "time_bits": 2,
+                                         "conflicts": 10}]
+    assert result["unmatched_checks"] == 0 and result["optima_equal"]
+    # a check the change adds is unmatched, not dropped
+    reverse = _tool().compare(change, base)
+    assert (reverse["dropped_checks"], reverse["unmatched_checks"]) == ([], 1)

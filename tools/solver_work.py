@@ -18,7 +18,8 @@ from run to run, and one run per side decides a comparison.  Wall seconds
 do not repeat: they go to standard error only, labelled ``refsolver``.
 ``--compare`` takes an earlier output as the base side and adds whether
 the optima agree, the totals of both sides, every check whose conflicts
-rose and every check whose bytes sent changed (see :func:`compare`).
+rose, every check whose bytes sent changed and every base check that the
+change no longer runs (see :func:`compare`).
 """
 
 from __future__ import annotations
@@ -74,13 +75,17 @@ def measure(spec: str) -> dict:
 def compare(base: dict, change: dict) -> dict:
     """Optima agreement, both sides' totals and every check, matched across
     the sides by phase, bound and grid shape, whose conflicts rose or whose
-    ``bytes_sent`` changed.  A swap phase starts from the swap count of the
+    ``bytes_sent`` changed, plus every base check with no match on the change
+    side, with its conflicts.  A swap phase starts from the swap count of the
     model the solver found, so its checks need not match one for one."""
-    optima_equal, unmatched, rose, resized = True, 0, [], []
+    optima_equal, unmatched, rose, resized, dropped = True, 0, [], [], []
     for spec, new in change["results"].items():
         old = base["results"][spec]
         optima_equal &= all(old[key] == new[key] for key in ("optimal_depth", "optimal_swaps"))
         before = {tuple(c[key] for key in SHAPE): c for c in old["checks"]}
+        after = {tuple(c[key] for key in SHAPE) for c in new["checks"]}
+        dropped += [{"instance": spec, **dict(zip(SHAPE, shape)), "conflicts": c["conflicts"]}
+                    for shape, c in before.items() if shape not in after]
         for c in new["checks"]:
             b = before.get(tuple(c[key] for key in SHAPE))
             if b is None:
@@ -95,7 +100,8 @@ def compare(base: dict, change: dict) -> dict:
             "totals": {key: [base["totals"][key], change["totals"][key]] for key in SUMMED},
             "unmatched_checks": unmatched,
             "more_conflicts": rose,
-            "bytes_changed": resized}
+            "bytes_changed": resized,
+            "dropped_checks": dropped}
 
 
 def main(argv=None) -> int:
