@@ -5,9 +5,13 @@ Contents: :class:`CouplingGraph` plus built-in generators (``line_graph``,
 (:func:`load_graph`) and a name resolver (:func:`resolve_graph`) used by the
 command line (``qx2``, ``line:5``, ``ring:5``, ``grid:2x3``, or a file path).
 
-Each graph computes its device analysis once, on first use, in three tables:
-``incident`` (edges per qubit), ``touching`` (edges sharing a qubit, per
-edge) and ``components`` (component sizes).
+Each graph computes its device analysis once, on first use, in four tables:
+``incident`` (edges per qubit), ``neighbors`` (adjacent qubits per qubit),
+``touching`` (edges sharing a qubit, per edge) and ``components`` (component
+sizes).
+
+:func:`json_integer` and :func:`json_number` are the field checks that every
+JSON loader of the package shares.
 """
 
 from __future__ import annotations
@@ -33,6 +37,25 @@ def component_sizes(n: int, pairs) -> list[int]:
     for a, b in pairs:
         root[find(a)] = find(b)
     return sorted(Counter(find(x) for x in range(n)).values(), reverse=True)
+
+
+def json_integer(field: str, value) -> int:
+    """``value`` if it is a JSON integer; else a ValueError naming ``field``.
+    ``true`` and ``false`` are not integers, and nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
+def json_number(field: str, value) -> float:
+    """``value`` as a float if it is a JSON number that a float can hold;
+    else a ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:   # an integer literal beyond float range
+        raise ValueError(f"{field} must be a number within float range") from None
 
 
 class GraphError(ValueError):
@@ -78,6 +101,12 @@ class CouplingGraph:
                      for p in range(self.num_qubits))
 
     @cached_property
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        """For each physical qubit, the qubits an edge joins it to."""
+        return tuple(frozenset(x for k in ks for x in self.edges[k] if x != p)
+                     for p, ks in enumerate(self.incident))
+
+    @cached_property
     def touching(self) -> tuple[tuple[int, ...], ...]:
         """For each edge, the other edges sharing a physical qubit with it, ascending."""
         return tuple(tuple(sorted(set(self.incident[a] + self.incident[b]) - {k}))
@@ -90,8 +119,7 @@ class CouplingGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         """Whether an edge joins ``a`` and ``b``; False for a qubit off the device."""
-        return (a != b and 0 <= a < self.num_qubits
-                and any(b in self.edges[k] for k in self.incident[a]))
+        return 0 <= a < self.num_qubits and b in self.neighbors[a]
 
 
 def line_graph(n: int) -> CouplingGraph:
@@ -140,15 +168,10 @@ def load_graph(path) -> CouplingGraph:
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}: not valid JSON ({exc})") from None
 
-    def integer(field: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{field} must be an integer, not {value!r}")
-        return value
-
     try:
         name = str(doc.get("name", str(path)))
-        num_qubits = integer("num_qubits", doc["num_qubits"])
-        edges = tuple((integer(f"edges[{i}]", a), integer(f"edges[{i}]", b))
+        num_qubits = json_integer("num_qubits", doc["num_qubits"])
+        edges = tuple((json_integer(f"edges[{i}]", a), json_integer(f"edges[{i}]", b))
                       for i, (a, b) in enumerate(doc["edges"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # or not an object
         raise GraphError(f"{path}: bad graph schema ({exc})") from None

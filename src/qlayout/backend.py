@@ -17,15 +17,15 @@ input.  Both treat an ``(error ...)`` reply before the verdict as a
 solver failure.
 
 A model decodes to a schedule; :func:`render_circuit` alone draws the
-physical circuit of one.  Solutions are replay-validated without consulting
-the solver or the script, so encoder and solver bugs cannot vouch for
-themselves.
+physical circuit of one.  Solutions are validated without consulting the
+solver or the script, so encoder and solver bugs cannot vouch for
+themselves.  Drawing and validation read a schedule's placements from one
+walk of its swaps, :func:`_maps_at`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 import selectors
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
-from .arch import CouplingGraph
+from .arch import CouplingGraph, json_integer
 from .circuit import Circuit, Gate, build_dag
 from .encode import (DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, check_swap_duration,
                      value_query)
@@ -477,53 +477,43 @@ class MappingSolution:
 
         def field(name: str, parse):
             try:
-                return parse(doc[name])
+                return parse(name, doc[name])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad solution field {name!r}: {exc!r}") from None
 
+        def integers(name: str, xs) -> tuple[int, ...]:
+            return tuple(json_integer(name, x) for x in xs)
+
         return MappingSolution(
-            initial_map=field("initial_map", lambda xs: tuple(map(int, xs))),
-            gate_times=field("gate_times", lambda xs: tuple(map(int, xs))),
-            swaps=field("swaps", lambda s: tuple(((int(a), int(b)), int(t)) for (a, b), t in s)),
-            final_depth=field("final_depth", int),
-            swap_count=field("swap_count", int),
+            initial_map=field("initial_map", integers),
+            gate_times=field("gate_times", integers),
+            swaps=field("swaps", lambda name, s: tuple(
+                (integers(name, (a, b)), json_integer(name, t)) for (a, b), t in s)),
+            final_depth=field("final_depth", json_integer),
+            swap_count=field("swap_count", json_integer),
         )
 
 
-def replay(
-    initial_map: tuple[int, ...], swaps
-) -> Iterator[tuple[float, tuple[int, ...]]]:
-    """Walk the logical->physical map forward through time.
-
-    Sorts the swaps by completion time once, then yields ``(t, map)`` for
-    each distinct completion time ``t`` in ascending order, followed by
-    ``(math.inf, final map)``.  Each map is a tuple in effect at every step
-    up to and including ``t`` and after the previous yield's step: a swap
-    completing at ``t`` moves its qubits from step ``t + 1`` on.
-    """
-    current = list(initial_map)
-    ordered = sorted(swaps, key=lambda s: s[1])
-    for x, ((a, b), t) in enumerate(ordered):
-        if x == 0 or t != ordered[x - 1][1]:
-            yield t, tuple(current)
-        occupant = {p: q for q, p in enumerate(current)}
-        qa, qb = occupant.get(a), occupant.get(b)
-        if qa is not None:
-            current[qa] = b
-        if qb is not None:
-            current[qb] = a
-    yield math.inf, tuple(current)
-
-
 def _maps_at(initial_map: tuple[int, ...], swaps, times) -> dict[int, tuple[int, ...]]:
-    """The map in effect at each of ``times``, from one replay."""
-    frames = replay(initial_map, swaps)
-    until, current = next(frames)
-    maps = {}
+    """The logical->physical map in effect at each of ``times``.
+
+    A swap that completes at step t moves its qubits from step t + 1 on, and
+    swaps that complete together apply in listed order.  A swap with an
+    empty end moves only the qubit on the other end.
+    """
+    ordered = sorted(swaps, key=lambda s: s[1])
+    current, maps, done = list(initial_map), {}, 0
     for t in sorted(set(times)):
-        while t > until:
-            until, current = next(frames)
-        maps[t] = current
+        while done < len(ordered) and ordered[done][1] < t:
+            (a, b), _ = ordered[done]
+            occupant = {p: q for q, p in enumerate(current)}
+            qa, qb = occupant.get(a), occupant.get(b)
+            if qa is not None:
+                current[qa] = b
+            if qb is not None:
+                current[qb] = a
+            done += 1
+        maps[t] = tuple(current)
     return maps
 
 

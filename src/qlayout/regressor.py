@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .arch import json_integer, json_number
 from .features import FEATURE_NAMES, FeatureVector, ordered_sum
 
 DEFAULT_MAX_DEPTH = 5
@@ -83,15 +84,18 @@ class TreeNode:
 
     @staticmethod
     def from_dict(doc: dict) -> "TreeNode":
+        """Inverse of :meth:`to_dict`; a ValueError names a malformed field."""
+        if doc["kind"] not in ("leaf", "split"):
+            raise ValueError(f"kind must be 'leaf' or 'split', not {doc['kind']!r}")
         node = TreeNode(
-            sample_count=int(doc["count"]),
-            node_mse=float(doc["mse"]),
-            prediction=float(doc["prediction"]),
+            sample_count=json_integer("count", doc["count"]),
+            node_mse=json_number("mse", doc["mse"]),
+            prediction=json_number("prediction", doc["prediction"]),
         )
         if doc["kind"] == "split":
             node.split = SplitCandidate(
-                feature_index=int(doc["feature"]),
-                threshold=float(doc["threshold"]),
+                feature_index=json_integer("feature", doc["feature"]),
+                threshold=json_number("threshold", doc["threshold"]),
                 loss=math.nan,
             )
             node.left = TreeNode.from_dict(doc["left"])
@@ -330,10 +334,10 @@ class RegressionTree:
             tree = RegressionTree(
                 root=TreeNode.from_dict(doc["root"]),
                 target=doc["target"],
-                max_depth=int(doc["max_depth"]),
+                max_depth=json_integer("max_depth", doc["max_depth"]),
                 feature_names=tuple(doc["feature_names"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad model: {exc!r}") from None
         for node in _splits(tree.root):
             if not 0 <= node.split.feature_index < len(tree.feature_names):

@@ -119,7 +119,7 @@ def embeds(circuit: Circuit, graph: CouplingGraph) -> Optional[bool]:
     for a, b in (g.qubits for g in circuit.gates if g.is_two_qubit):
         partners[a].add(b)
         partners[b].add(a)
-    near = [{x for k in ks for x in graph.edges[k]} - {p} for p, ks in enumerate(graph.incident)]
+    near = graph.neighbors
     order, rest = [], {q for q, ws in enumerate(partners) if ws}
     while rest:   # most placed partners first, then the highest degree
         order.append(max(sorted(rest), key=lambda q: (len(partners[q].intersection(order)),

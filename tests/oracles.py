@@ -448,6 +448,21 @@ class Schedule:
     swaps: tuple[tuple[tuple[int, int], int], ...]  # (edge, completion step)
 
 
+def maps_step_by_step(initial_map, swaps, times) -> dict[int, tuple[int, ...]]:
+    """The map at each of ``times``, walked one step at a time: at each step
+    the map is recorded first, then every swap completing at that step
+    exchanges whatever its two device qubits hold, in listed order."""
+    steps = [t for _, t in swaps] + list(times)
+    current, maps = tuple(initial_map), {}
+    for step in range(min(steps, default=0), max(times, default=-1) + 1):
+        if step in times:
+            maps[step] = current
+        for (a, b), t in swaps:
+            if t == step:
+                current = tuple(b if p == a else a if p == b else p for p in current)
+    return maps
+
+
 def embeds_by_permutation(circuit: Circuit, graph: CouplingGraph) -> bool:
     """Whether some injective placement of the circuit's qubits puts every
     two-qubit gate on a device edge, trying every placement in turn."""

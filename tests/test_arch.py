@@ -84,8 +84,11 @@ def test_neighbors_and_edge_indexing(spec):
     # index order (the encoder emits assertions in this order)
     g = resolve_graph(spec)
     assert len(g.incident) == g.num_qubits and len(g.touching) == len(g.edges)
+    assert len(g.neighbors) == g.num_qubits
     for p in range(g.num_qubits):
         assert g.incident[p] == tuple(k for k, e in enumerate(g.edges) if p in e)
+        assert type(g.neighbors[p]) is frozenset
+        assert g.neighbors[p] == {x for e in g.edges if p in e for x in e} - {p}
         for q in range(-1, g.num_qubits + 1):
             assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in g.edges)
             assert g.has_edge(q, p) == g.has_edge(p, q)
@@ -99,6 +102,7 @@ def test_neighbors_and_edge_indexing(spec):
 def test_device_tables_are_computed_once_and_leave_equality_alone(spec):
     g = resolve_graph(spec)
     assert g.incident is g.incident and g.touching is g.touching
+    assert g.neighbors is g.neighbors
     assert g.components is g.components
     new = CouplingGraph(g.name, g.num_qubits, g.edges)
     assert g == new and hash(g) == hash(new)
@@ -109,7 +113,7 @@ def test_threads_that_race_to_fill_the_tables_read_equal_ones():
     # the tables take no lock of their own: a thread that loses the race to
     # fill one must still read the same tuples
     ref = grid_graph(4, 5)
-    expected = (ref.incident, ref.touching, ref.components)
+    expected = (ref.incident, ref.neighbors, ref.touching, ref.components)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -119,7 +123,7 @@ def test_threads_that_race_to_fill_the_tables_read_equal_ones():
 
             def read():
                 barrier.wait(timeout=10)
-                seen.append((g.incident, g.touching, g.components))
+                seen.append((g.incident, g.neighbors, g.touching, g.components))
 
             threads = [threading.Thread(target=read) for _ in range(8)]
             for t in threads:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import random
 import re
 import stat
 import time
@@ -21,6 +22,7 @@ from qlayout.backend import (
     SolverOutputError,
     SolverTimeoutError,
     Session,
+    _maps_at,
     _next_reply,
     _parse_literal,
     _VALUE_RE,
@@ -28,12 +30,13 @@ from qlayout.backend import (
     decode_solution,
     model_swaps,
     render_circuit,
-    replay,
     validate_solution,
     VIOLATION_KINDS,
 )
 from qlayout.circuit import make_circuit
 from qlayout.encode import build_context
+
+from .oracles import maps_step_by_step
 
 # --------------------------------------------------------------------------
 # Literal and output parsing
@@ -564,10 +567,8 @@ def test_session_scopes_checks_on_the_solver(small_solver):
 
 
 def _replay_map(initial_map, swaps, upto):
-    """The map in effect at step ``upto``, read off ``replay``."""
-    for until, current in replay(initial_map, swaps):
-        if upto <= until:
-            return list(current)
+    """The map in effect at step ``upto``, read off ``_maps_at``."""
+    return list(_maps_at(initial_map, swaps, [upto])[upto])
 
 
 def test_replay_map_applies_completed_swaps_only():
@@ -589,15 +590,37 @@ def test_replay_map_moves_occupant_into_empty_spot():
     assert _replay_map(start, (((0, 1), 2),), upto=5) == [1]
 
 
-def test_replay_yields_one_map_per_distinct_swap_time():
-    # two swaps complete at t=4 and apply in listed order: (1,2) then (0,1)
+def test_swaps_completing_at_one_step_apply_in_listed_order():
+    # two swaps complete at t=4 and move their qubits from t=5 on: (1,2) then
+    # (0,1) gives (2, 1, 0); listed the other way round they give (0, 2, 1)
     swaps = (((1, 2), 4), ((0, 1), 2), ((0, 1), 4))
-    assert list(replay((0, 1, 2), swaps)) == [
-        (2, (0, 1, 2)),
-        (4, (1, 0, 2)),
-        (math.inf, (2, 1, 0)),
-    ]
-    assert list(replay((0, 1), ())) == [(math.inf, (0, 1))]
+    assert _maps_at((0, 1, 2), swaps, [-1, 2, 3, 4, 5, 9]) == {
+        -1: (0, 1, 2), 2: (0, 1, 2), 3: (1, 0, 2), 4: (1, 0, 2),
+        5: (2, 1, 0), 9: (2, 1, 0),
+    }
+    flipped = (((0, 1), 4), ((0, 1), 2), ((1, 2), 4))
+    assert _maps_at((0, 1, 2), flipped, [5]) == {5: (0, 2, 1)}
+    assert _maps_at((0, 1), (), [0, 7]) == {0: (0, 1), 7: (0, 1)}
+
+
+def _random_schedule(rng):
+    nphys = rng.randint(1, 6)
+    initial_map = tuple(rng.sample(range(nphys), rng.randint(0, nphys)))
+    pairs = [(a, b) for a in range(nphys) for b in range(a + 1, nphys)]
+    swaps = tuple((rng.choice(pairs), rng.randint(-2, 8))
+                  for _ in range(rng.randint(0, 6) if pairs else 0))
+    times = [rng.randint(-3, 11) for _ in range(rng.randint(0, 6))]
+    return initial_map, swaps, times
+
+
+def test_maps_at_matches_the_step_by_step_walk():
+    # simultaneous swaps, swaps into empty spots, idle qubits, and steps
+    # before the first swap or past the last one all occur
+    rng = random.Random(29)
+    for _ in range(2000):
+        initial_map, swaps, times = _random_schedule(rng)
+        assert _maps_at(initial_map, swaps, times) == maps_step_by_step(
+            initial_map, swaps, times), (initial_map, swaps, times)
 
 
 def _model_for(ctx, *, pos0, times, true_swaps=()):
@@ -715,6 +738,29 @@ def test_solution_round_trips_through_dict():
     values = _model_for(ctx, pos0=(1, 2), times=(0,), true_swaps={(0, 4)})
     sol = decode_solution(values, ctx)
     assert MappingSolution.from_dict(sol.to_dict()) == sol   # neither has a circuit drawn
+
+
+_SOLUTION_DOC = {"initial_map": [0, 1], "gate_times": [0, 3], "swaps": [[[1, 2], 2]],
+                 "final_depth": 4, "swap_count": 1}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("initial_map", [0, 1.5]),
+    ("initial_map", [0, True]),
+    ("gate_times", [0, 1.9]),
+    ("gate_times", ["0", 3]),
+    ("swaps", [[[1, 2.0], 2]]),
+    ("swaps", [[[1, 2], "2"]]),
+    ("swaps", [[[1, 2], False]]),
+    ("final_depth", 2.7),
+    ("final_depth", None),
+    ("swap_count", False),
+])
+def test_solution_from_dict_accepts_only_json_integers(name, value):
+    # int() would truncate 1.9 and 2.7 and read true and "0" as integers
+    assert MappingSolution.from_dict(_SOLUTION_DOC).to_dict() == _SOLUTION_DOC
+    with pytest.raises(ValueError, match=rf"bad solution field '{name}': .*{name} must be"):
+        MappingSolution.from_dict({**_SOLUTION_DOC, name: value})
 
 
 def test_render_draws_in_step_order_and_program_order_within_a_step():

@@ -286,8 +286,11 @@ _SOLUTION = {"initial_map": [0, 1], "gate_times": [0, 1], "swaps": [],
     ({**_SOLUTION, "swaps": 5}, "'swaps'"),
     ({**_SOLUTION, "gate_times": ["x"]}, "'gate_times'"),
     ({"solution": {k: v for k, v in _SOLUTION.items() if k != "final_depth"}}, "'final_depth'"),
+    # int() would truncate these and read false as 0, and the file validated
+    ({**_SOLUTION, "gate_times": [0, 1.9], "final_depth": 2.7, "swap_count": False},
+     "'gate_times'"),
 ], ids=["list", "wrapped-list", "short-swap", "flat-swap", "swaps-int", "bad-time",
-        "no-depth"])
+        "no-depth", "fractional-time"])
 def test_validate_rejects_a_malformed_solution(bell_path, tmp_path, capsys, doc, field):
     path = tmp_path / "solution.json"
     path.write_text(json.dumps(doc))
@@ -336,6 +339,17 @@ def test_predict_with_a_split_outside_the_features_is_an_input_error(bell_path, 
     model.write_text(_one_split_model(7))
     assert main(["predict", bell_path, "--depth-model", str(model)]) == 2
     assert "bad input" in capsys.readouterr().err
+
+
+def test_predict_with_a_fractional_split_feature_is_an_input_error(bell_path, tmp_path,
+                                                                    capsys):
+    # the model is otherwise valid: read as feature 1, 1.6 would predict
+    doc = json.loads(_one_split_model(1.6))
+    doc["feature_names"] = list(FEATURE_NAMES)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["predict", bell_path, "--depth-model", str(model)]) == 2
+    assert "feature must be an integer, not 1.6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, options", [

@@ -398,6 +398,44 @@ def test_from_json_rejects_a_split_outside_the_feature_list(feature):
     assert RegressionTree.from_json(_one_split_model(1)).predict((0.0, 1.0)) == 1
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("root", "feature"), 1.6, "feature"),
+    (("root", "feature"), True, "feature"),
+    (("root", "feature"), "1", "feature"),
+    (("root", "count"), True, "count"),
+    (("root", "left", "count"), 1.5, "count"),
+    (("root", "threshold"), "0.5", "threshold"),
+    (("root", "threshold"), 10 ** 400, "threshold"),
+    (("root", "right", "prediction"), None, "prediction"),
+    (("root", "mse"), False, "mse"),
+    (("root", "kind"), "leafy", "kind"),
+    (("root", "left", "kind"), None, "kind"),
+    (("max_depth",), 1.0, "max_depth"),
+], ids=["fractional-feature", "true-feature", "string-feature", "true-count",
+        "fractional-leaf-count", "string-threshold", "huge-threshold", "null-prediction",
+        "false-mse", "unknown-kind", "null-leaf-kind", "float-max-depth"])
+def test_from_json_rejects_a_malformed_field(path, value, field):
+    # int() and float() would truncate 1.6, read true and "1" as numbers and
+    # overflow on 10**400, and any kind but "split" used to read as a leaf
+    doc = json.loads(_one_split_model(1))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node[key] = dict(node[key])             # the two leaves are one dict
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError, match=rf"bad model: .*\b{field} must be"):
+        RegressionTree.from_json(json.dumps(doc))
+
+
+def test_from_json_reads_integral_numbers_as_floats():
+    doc = json.loads(_one_split_model(1))
+    doc["root"].update(threshold=0, mse=1, prediction=2)
+    root = RegressionTree.from_json(json.dumps(doc)).root
+    assert (root.split.threshold, root.node_mse, root.prediction) == (0.0, 1.0, 2.0)
+    assert all(type(x) is float for x in (root.split.threshold, root.node_mse, root.prediction))
+
+
 def test_save_load_and_default_depth(tmp_path):
     rng = random.Random(43)
     rows, labels = _random_dataset(rng, 12)

@@ -479,28 +479,21 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     ]
 
 
-def test_initial_extent_uses_small_step_below_threshold(scripted):
-    # below the old padding threshold of 50 the first grid ends at the
-    # predicted bound; the descent below it keeps that grid (a chain of 5
-    # on line:3 is satisfiable at 5 * (1 + 3 * 3) = 50, so 48 is no clamp)
-    fake = scripted([("sat", 2), "unsat", "unsat",            # 48 S, 46 U, 47 U
-                     ("sat", 2), "unsat", "unsat"])           # 2 S, 0 U, 1 U
-    result = solve_optimal(_chain(5), line_graph(3), depth_model=_Const(48))
-    assert (result.optimal_depth, result.optimal_swaps) == (48, 2)
-    assert [fake.shape(i) for i in range(6)] == [(48, 6)] * 6
-    assert result.resize_events == []
-    assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 0)
-
-
-def test_initial_extent_uses_large_step_at_threshold(scripted):
-    # above the old padding threshold of 50 the first grid likewise ends at
-    # the predicted bound, and narrowing after the satisfiable check changes
-    # nothing, so the base is sent once (a chain of 6 on line:3 is
-    # satisfiable at 6 * (1 + 3 * 3) = 60, so 60 is no clamp)
-    fake = scripted([("sat", 0), "unsat", "unsat", ("sat", 0)])
-    result = solve_optimal(_chain(6), line_graph(3), depth_model=_Const(60))
-    assert (result.optimal_depth, result.optimal_swaps) == (60, 0)
-    assert [fake.shape(i) for i in range(4)] == [(60, 6)] * 4
+@pytest.mark.parametrize("chain, predicted, verdicts, swaps", [
+    # a chain of 5 on line:3 is satisfiable at 5 * (1 + 3 * 3) = 50, so 48
+    # is no clamp, and the descent below it keeps the first grid
+    (5, 48, [("sat", 2), "unsat", "unsat",             # 48 S, 46 U, 47 U
+             ("sat", 2), "unsat", "unsat"], 2),          # 2 S, 0 U, 1 U
+    # a chain of 6 is satisfiable at 6 * (1 + 3 * 3) = 60, so 60 is no clamp,
+    # and narrowing after the satisfiable check changes nothing
+    (6, 60, [("sat", 0), "unsat", "unsat", ("sat", 0)], 0),
+], ids=["descent-below-the-prediction", "optimum-at-the-prediction"])
+def test_first_grid_ends_at_the_predicted_bound_and_the_base_is_sent_once(
+        scripted, chain, predicted, verdicts, swaps):
+    fake = scripted(verdicts)
+    result = solve_optimal(_chain(chain), line_graph(3), depth_model=_Const(predicted))
+    assert (result.optimal_depth, result.optimal_swaps) == (predicted, swaps)
+    assert [fake.shape(i) for i in range(len(verdicts))] == [(predicted, 6)] * len(verdicts)
     assert result.resize_events == []
     assert (fake.loads, fake.extends) == (result.base_loads, result.grid_extensions) == (1, 0)
 
