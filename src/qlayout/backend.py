@@ -45,9 +45,9 @@ from .encode import (DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, check_swa
 DEFAULT_SOLVER_COMMAND = "z3 -in"
 SOLVER_ENV_VAR = "QLAYOUT_SOLVER"
 DEFAULT_TIMEOUT = 300.0
-# Lines per batch of a streamed load: about 32-40 KB of this encoding's
+# Lines per batch of a streamed load: about 32 KB of this encoding's
 # base text, so a batch usually fits an empty 64 KB pipe in one write.
-_BATCH_LINES = 512
+_BATCH_LINES = 256
 
 
 class SolverError(RuntimeError):

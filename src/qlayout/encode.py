@@ -48,11 +48,25 @@ models over the declared variables unchanged:
 * ``blk_q{q}_t{t}`` — logical qubit q sits on a busy physical qubit at t.
 
 Definitions live in the base, ahead of their first use, so they share its
-scope in a solver session.  Each :class:`EncodingContext` builds the names
-of its variables and its bit-vector constants once, in tables that the
-encoders and the decoder read.  The ``at``/``exec`` names are read only
-while the base is encoded, so ``encode_base`` builds them itself and frees
-them once the base is streamed.
+scope in a solver session.
+
+Constraints go out as one ``(assert (and c1 c2 ...))`` per unit that a
+single step owns, so a grown base stays the deeper base: mapping validity
+(range and ``distinct``) one per step, swap exclusivity one per completion
+step, the mapping evolution one per qubit and step, the dependency order
+one in all, and each depth bound and swap bound 0 one per check.  Adjacency
+and blocking stay one per gate and step.  A group of one term is the term
+itself, as SMT-LIB's ``and`` takes two arguments or more.  Solvers split a
+top-level conjunction into its conjuncts before they search, and each
+conjunct is a single line of an assertion-per-line encoding, in the same
+order, with ``(=> a b c)`` for ``(=> (and a b) c)``: the solver gets the same
+clauses in fewer commands and bytes.
+
+Each :class:`EncodingContext` builds the names of its variables and its
+bit-vector constants once, in tables that the encoders and the decoder
+read.  The ``at``/``exec`` names are read only while the base is encoded,
+so ``encode_base`` builds them itself and frees them once the base is
+streamed.
 """
 
 from __future__ import annotations
@@ -89,6 +103,11 @@ def _bv(value: int, width: int) -> str:
 def _any(terms: list[str]) -> str:
     """Disjunction of ``terms``; a single term stands for itself."""
     return terms[0] if len(terms) == 1 else f"(or {' '.join(terms)})"
+
+
+def _all(terms: list[str]) -> str:
+    """Conjunction of ``terms``; a single term stands for itself."""
+    return terms[0] if len(terms) == 1 else f"(and {' '.join(terms)})"
 
 
 @dataclass(frozen=True)
@@ -189,11 +208,11 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
 
     Families: mapping validity and injectivity; two-qubit adjacency at
     execution time; dependency ordering; swap-window exclusivity and gate
-    blocking; mapping transformation after swap completion.  Shared
-    sub-terms are defined once, before their first use, as nullary
-    ``define-fun`` literals (see the module docstring).  Lines are yielded
-    as they are built, so a solver session can take the first ones while
-    the rest are encoded.
+    blocking; mapping transformation after swap completion, each asserted
+    in the units the module docstring lists.  Shared sub-terms are defined
+    once, before their first use, as nullary ``define-fun`` literals (see
+    the module docstring).  Lines are yielded as they are built, so a solver
+    session can take the first ones while the rest are encoded.
     """
     nq, nphys, edges = ctx.circuit.num_qubits, ctx.graph.num_qubits, ctx.graph.edges
     dur, first, horizon, steps = (ctx.swap_duration, ctx.first_swap, ctx.horizon,
@@ -226,12 +245,13 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     incident, touching = ctx.graph.incident, ctx.graph.touching
 
     # Mapping validity: positions inside the device, distinct per step.
+    inside = nphys < 1 << ctx.qubit_bits
     for t in range(start, horizon):
-        if nphys < 1 << ctx.qubit_bits:
-            for row in pos:
-                yield f"(assert (bvult {row[t]} {literal[nphys]}))"
+        valid = [f"(bvult {row[t]} {literal[nphys]})" for row in pos] if inside else []
         if nq > 1:
-            yield f"(assert (distinct {' '.join(row[t] for row in pos)}))"
+            valid.append(f"(distinct {' '.join(row[t] for row in pos)})")
+        if valid:
+            yield f"(assert {_all(valid)})"
 
     for q in range(nq):
         for t in range(start, horizon):
@@ -256,18 +276,21 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
     if not start:
         # Dependent gates execute strictly in order.
         time = ctx.time_names
-        for i, j in sorted(build_dag(ctx.circuit).edges):
-            yield f"(assert (bvult {time[i]} {time[j]}))"
+        order = [f"(bvult {time[i]} {time[j]})" for i, j in sorted(build_dag(ctx.circuit).edges)]
+        if order:
+            yield f"(assert {_all(order)})"
 
     # Swap windows exclude overlapping swaps on the same or touching edges.
     for t in range(start + first, ctx.swap_extent):
-        opens = max(t - dur + 1, first)
+        opens, exclusive = max(t - dur + 1, first), []
         for k, row in enumerate(swp):
             others = row[opens:t]
             for kk in touching[k]:
                 others += swp[kk][opens:t + 1]
             if others:
-                yield f"(assert (=> {row[t]} (not {_any(others)})))"
+                exclusive.append(f"(=> {row[t]} (not {_any(others)}))")
+        if exclusive:
+            yield f"(assert {_all(exclusive)})"
 
     # Swap windows block gates on the swapped physical qubits: a gate may
     # not execute at t while one of its qubits sits on a busy qubit.
@@ -295,28 +318,28 @@ def encode_base(ctx: EncodingContext, start: int = 0) -> Iterator[str]:
                  for ks in incident]
         for q in range(nq):
             now, after = at[q][t], at[q][t + 1]
-            for p in range(nphys):
-                stay = f"(and {leave[p]} {now[p]})" if leave[p] else now[p]
-                yield f"(assert (=> {stay} {after[p]}))"
+            evolve = [f"(=> {leave[p]} {now[p]} {after[p]})" if leave[p]
+                      else f"(=> {now[p]} {after[p]})" for p in range(nphys)]
             for k, (a, b) in enumerate(edges if moves else ()):
-                yield f"(assert (=> (and {swp[k][t]} {now[a]}) {after[b]}))"
-                yield f"(assert (=> (and {swp[k][t]} {now[b]}) {after[a]}))"
+                evolve += [f"(=> {swp[k][t]} {now[a]} {after[b]})",
+                           f"(=> {swp[k][t]} {now[b]} {after[a]})"]
+            yield f"(assert {_all(evolve)})"
 
 
 def encode_depth_bound(ctx: EncodingContext, depth_bound: int) -> list[str]:
-    """Assert every gate time below the bound and no swap completing at or
-    beyond it, look-ahead swaps included; a bound below ``first_swap`` names
-    no swap."""
+    """Assert, in one assertion, every gate time below the bound and no swap
+    completing at or beyond it, look-ahead swaps included; a bound below
+    ``first_swap`` names no swap."""
     if depth_bound > ctx.horizon:
         raise EncodingError(
             f"depth bound {depth_bound} exceeds time horizon {ctx.horizon};"
             " resize the context first"
         )
     limit = ctx.time_literals[depth_bound] if depth_bound < 1 << ctx.time_bits else None
-    lines = [f"(assert (bvult {name} {limit}))" for name in ctx.time_names] if limit else []
+    terms = [f"(bvult {name} {limit})" for name in ctx.time_names] if limit else []
     for row in ctx.swap_names:
-        lines += [f"(assert (not {name}))" for name in row[max(depth_bound, ctx.first_swap):]]
-    return lines
+        terms += [f"(not {name})" for name in row[max(depth_bound, ctx.first_swap):]]
+    return [f"(assert {_all(terms)})"] if terms else []
 
 
 def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
@@ -329,7 +352,7 @@ def encode_swap_bound(ctx: EncodingContext, swap_bound: int) -> list[str]:
     if not all_swaps or swap_bound >= len(all_swaps):
         return []
     if swap_bound == 0:
-        return [f"(assert (not {name}))" for name in all_swaps]
+        return [f"(assert {_all([f'(not {name})' for name in all_swaps])})"]
     width = (len(all_swaps)).bit_length()  # ceil(log2(N+1)) for N >= 1
     one, zero = _bv(1, width), _bv(0, width)
     terms = [f"(ite {name} {one} {zero})" for name in all_swaps]

@@ -228,7 +228,10 @@ class SolveResult:
     optimal_swaps: Optional[int]
     checks: list[CheckRecord] = field(default_factory=list)
     solution: Optional[be.MappingSolution] = None
-    swap_floor: int = 0     # the swap phase's floor: 1 when the circuit cannot embed
+    embeds: Optional[bool] = None   # :func:`embeds`' answer; None when it gave up
+
+    # the swap phase's floor: 1 when the circuit cannot embed
+    swap_floor = property(lambda self: int(self.embeds is False))
 
     depth_history = property(lambda self: [(c.bound, c.sat) for c in self.checks
                                            if c.phase == "depth"])
@@ -264,9 +267,10 @@ class SolveResult:
                    for prev, cur in zip(self.checks, self.checks[1:]))
 
     def telemetry(self) -> dict:
-        """The optima (None when the search failed), the swap floor and every
-        count above, by name, plus each check record as a dict."""
-        keys = ("optimal_depth", "optimal_swaps", "swap_floor", "depth_checks",
+        """The optima (None when the search failed), the swap floor and the
+        embedding test's answer behind it, every count above, by name, plus
+        each check record as a dict."""
+        keys = ("optimal_depth", "optimal_swaps", "swap_floor", "embeds", "depth_checks",
                 "swap_checks", "resize_events", "base_loads", "grid_extensions",
                 "bytes_sent", "wall_time_per_check")
         return {**{key: getattr(self, key) for key in keys},
@@ -282,7 +286,7 @@ def _trivial_solution(circuit: Circuit, graph: CouplingGraph) -> SolveResult:
     """Circuits without two-qubit gates: schedule greedily, map identically."""
     depth, times = longest_chain(circuit), tuple(d - 1 for d in gate_depths(circuit))
     solution = be.MappingSolution(tuple(range(circuit.num_qubits)), times, (), depth, 0)
-    return SolveResult(depth, 0, solution=_drawn(circuit, graph, solution))
+    return SolveResult(depth, 0, solution=_drawn(circuit, graph, solution), embeds=True)
 
 
 def solve_optimal(
@@ -316,7 +320,8 @@ def solve_optimal(
         return _trivial_solution(circuit, graph)
     check_feasible(circuit, graph)
     # a layout without swaps keeps its placement, which then embeds the circuit
-    swap_floor = int(embeds(circuit, graph) is False)
+    embedding = embeds(circuit, graph)
+    swap_floor = int(embedding is False)
 
     features = extract_features(circuit) if depth_model or swap_model else None
     start = depth_model.predict(features) if depth_model else 0
@@ -370,7 +375,7 @@ def solve_optimal(
                 lambda bound: probe(best_depth, bound), swaps_in_model,
             )
     except SearchError as exc:
-        exc.telemetry = SolveResult(None, None, checks, swap_floor=swap_floor).telemetry()
+        exc.telemetry = SolveResult(None, None, checks, embeds=embedding).telemetry()
         raise
     return SolveResult(best_depth, swap_outcome.optimum, checks,
-                       _drawn(circuit, graph, swap_outcome.payload), swap_floor)
+                       _drawn(circuit, graph, swap_outcome.payload), embedding)

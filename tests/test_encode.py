@@ -40,6 +40,43 @@ def _declared(ctx, start: int = 0) -> list[str]:
                                     encode_base(ctx, start)))
 
 
+def _parse_sexp(text: str):
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def walk():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            items = []
+            while tokens[pos] != ")":
+                items.append(walk())
+            pos += 1
+            return items
+        return tok
+
+    return walk()
+
+
+def _text(node) -> str:
+    """The script text of a parsed term."""
+    return node if isinstance(node, str) else f"({' '.join(map(_text, node))})"
+
+
+def _conjuncts(lines) -> list[str]:
+    """``lines`` with each grouped assertion ``(assert (and c1 c2 ...))``
+    split into one ``(assert ci)`` per conjunct, in order."""
+    out = []
+    for line in lines:
+        if not line.startswith("(assert (and "):
+            out.append(line)
+            continue
+        _, (_, *terms) = _parse_sexp(line)
+        out += [f"(assert {_text(term)})" for term in terms]
+    return out
+
+
 def test_bit_length_is_floor_log2_plus_one():
     assert bit_length(0) == 1
     assert bit_length(1) == 1
@@ -93,14 +130,14 @@ def test_range_assertion_skipped_for_power_of_two_devices():
     base4 = "\n".join(encode_base(build_context(c, four, 3, 3)))
     assert "bvult pos_" not in base4
     five = qx2()
-    base5 = "\n".join(encode_base(build_context(c, five, 3, 3)))
+    base5 = _conjuncts(encode_base(build_context(c, five, 3, 3)))
     assert "(assert (bvult pos_q0_t0 #b101))" in base5
 
 
 def test_distinct_positions_every_step():
     c = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    base = list(encode_base(ctx))
+    base = _conjuncts(encode_base(ctx))
     distinct = [ln for ln in base if "distinct" in ln]
     assert len(distinct) == 4
     assert "(assert (distinct pos_q0_t2 pos_q1_t2 pos_q2_t2))" in distinct
@@ -125,7 +162,7 @@ def test_adjacency_implications_capped_by_time_bits():
 def test_dag_order_constraints_present():
     c = make_circuit(3, [("cx", (0, 1)), ("cx", (1, 2)), ("h", (0,))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    base = "\n".join(encode_base(ctx))
+    base = _conjuncts(encode_base(ctx))
     assert "(assert (bvult time_g0 time_g1))" in base
     assert "(assert (bvult time_g0 time_g2))" in base
 
@@ -202,7 +239,7 @@ def test_a_swap_at_the_first_completion_step_moves_its_qubits():
 def test_depth_bound_fragment():
     c = make_circuit(2, [("cx", (0, 1)), ("h", (0,))])
     ctx = build_context(c, line_graph(3), 8, 3)
-    frag = encode_depth_bound(ctx, 5)
+    frag = _conjuncts(encode_depth_bound(ctx, 5))
     assert "(assert (bvult time_g0 #b101))" in frag
     assert "(assert (bvult time_g1 #b101))" in frag
     # swaps at t >= 5 forbidden
@@ -225,9 +262,10 @@ def test_depth_bound_gate_clause_skipped_when_unrepresentable():
 def test_swap_bound_special_cases():
     c = make_circuit(2, [("cx", (0, 1))])
     ctx = build_context(c, line_graph(3), 4, 3)
-    zero = encode_swap_bound(ctx, 0)
+    zero = _conjuncts(encode_swap_bound(ctx, 0))
     assert len(zero) == 2 * 2                      # every indicator, steps 2-3, forced off
     assert all(ln.startswith("(assert (not swp_") for ln in zero)
+    assert len(encode_swap_bound(ctx, 0)) == 1              # one assertion per check
     assert len(encode_swap_bound(ctx, 3)) == 1
     assert encode_swap_bound(ctx, 4) == []         # >= |sigma|: vacuous
     assert encode_swap_bound(ctx, 9) == []
@@ -303,13 +341,13 @@ def test_extension_lines_start_at_their_step():
         "(declare-const pos_q0_t4 (_ BitVec 2))", "(declare-const pos_q1_t4 (_ BitVec 2))",
         "(declare-const swp_e0_t6 Bool)", "(declare-const swp_e1_t6 Bool)",
     ]
-    extension = list(encode_base(ctx, 4))
-    assert "(assert (bvult time_g0 time_g1))" in encode_base(ctx)
+    extension = _conjuncts(encode_base(ctx, 4))
+    assert "(assert (bvult time_g0 time_g1))" in _conjuncts(encode_base(ctx))
     assert not any("time_g1 time_g0" in ln or "time_g0 time_g1" in ln for ln in extension)
     # a window starting at step 4 ends at the look-ahead swap 6
     assert "(define-fun busy_p0_t4 () Bool (or swp_e0_t4 swp_e0_t5 swp_e0_t6))" in extension
     # the mapping evolves from the old grid's last step into the new one
-    assert "(assert (=> (and swp_e0_t3 at_q0_t3_p0) at_q0_t4_p1))" in extension
+    assert "(assert (=> swp_e0_t3 at_q0_t3_p0 at_q0_t4_p1))" in extension
     assert ctx.model_names == [
         "pos_q0_t0", "pos_q1_t0", *(f"swp_e{e}_t{t}" for e in (0, 1) for t in range(2, 5)),
         "time_g0", "time_g1",
@@ -354,11 +392,11 @@ _PINNED_SHAPES = ((3, 2, 3), (6, 2, 3), (9, 4, 3), (5, 3, 1))
 # _pinned_parts' cases: a change here is a change to what every solver is
 # sent, so only a deliberate change of the encoding may update them.
 _PINNED = {
-    "base": (9374067, "b12ccc46ed0815052e18d6617989ada37233c65ca9a4f7efe849f1fe36ccc9b5"),
+    "base": (8438409, "30b1891817c2080866b874cdad53ec402cd170c338ea78b85020338c00498c9a"),
     "extension_base": (
-        4519930, "a6aeccf6ba26cc3fce8753cbc5695a0ed1609fc004b7edc703d233037719ca0e"),
-    "depth_bound": (171458, "1521d8b441d47a2634e3e4a31ad767d0e0104ae5fbbc657ae8f3a49c480a9d3f"),
-    "swap_bound_0": (177650, "1e66a07f39986cd37c1029b26220c9fc01c5d8cdbf484136321a7c71e23aff4b"),
+        4002964, "3bcda2125eb066f88433ff6fbb6fdd5597ebb28fa46ce4f753830f31176202b2"),
+    "depth_bound": (119174, "2be1ef2c446ba4f7d0ea1549d76dbc4942d5073fbab1c825783c58d68df3b09c"),
+    "swap_bound_0": (118256, "61bb15165947b518a183cd1d341b8099437cacd213dc299643fa4df67fa9a8e0"),
     "swap_bound_1": (293778, "c1bda2e62e90d57b8e7e2b27f0db1a82bf4dfaeb6d54adfe6e02d7d284098ea2"),
     "swap_bound_2": (293778, "083547c043e8d208fd0855fa2d299070ce77e7bb1308f43594550dbc2951600d"),
     "value_query": (108772, "6bbe3f2d79cfc38c71237550c9861b314d5763f047177ac07aae5af066d88179"),
@@ -395,6 +433,36 @@ def test_encoder_output_is_pinned():
         text = "".join(line + "\n" for line in lines).encode()
         found[part] = (len(text), hashlib.sha256(text).hexdigest())
     assert found == _PINNED
+
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _short_connectives(text: str) -> Counter:
+    """Applications of ``and``, ``or`` and ``=>`` in ``text`` with fewer than
+    two arguments, by operator."""
+    short, open_terms = Counter(), []      # [operator, arguments] of each open term
+    for token in _TOKEN.findall(text):
+        if token == ")":
+            op, count = open_terms.pop()
+            if op in ("and", "or", "=>") and count < 2:
+                short[op] += 1
+        if token == "(":
+            open_terms.append([None, 0])
+        elif open_terms and open_terms[-1][0] is None:
+            open_terms[-1][0] = token      # a closed term in head position reads ")"
+        elif open_terms:
+            open_terms[-1][1] += 1
+    return short
+
+
+def test_every_connective_has_at_least_two_arguments():
+    # SMT-LIB's and, or and => take two arguments or more, and a strict
+    # parser rejects (and x): a group of one term must be the term itself
+    assert _short_connectives("(assert (and (or x) (=> y)))") == {"or": 1, "=>": 1}
+    assert _short_connectives("(assert (=> (and y) (or x y) z))") == {"and": 1}
+    for part, lines in _pinned_parts().items():
+        assert _short_connectives("\n".join(lines)) == Counter(), part
 
 
 # --------------------------------------------------------------------------
@@ -546,25 +614,6 @@ def test_a_gate_is_refuted_at_every_step_outside_its_window():
 # --------------------------------------------------------------------------
 
 
-def _parse_sexp(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def walk():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while tokens[pos] != ")":
-                items.append(walk())
-            pos += 1
-            return items
-        return tok
-
-    return walk()
-
-
 def _eval_bv(node, env, width):
     if isinstance(node, str):
         if node.startswith("#b"):
@@ -598,6 +647,7 @@ def test_adder_tree_popcount_matches_naive_count():
         bound = rng.randint(0, n_indicators - 1)
         frag = encode_swap_bound(ctx, bound)
         if bound == 0:
+            frag = _conjuncts(frag)
             holds = true_count == 0
             assert all(ln.startswith("(assert (not ") for ln in frag)
             violated = any(env[re.findall(r"swp_e\d+_t\d+", ln)[0]] for ln in frag)

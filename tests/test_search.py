@@ -769,12 +769,19 @@ def test_the_swap_phase_starts_at_the_devices_floor(scripted, monkeypatch):
     assert (result.optimal_depth, result.optimal_swaps, result.swap_floor) == (3, 1, 1)
     assert result.swap_history == [(1, True)]
     assert result.telemetry()["swap_floor"] == 1
+    assert result.embeds is False and result.telemetry()["embeds"] is False
+    # a circuit that embeds has floor zero too, but for another reason
+    scripted([("sat", 0), ("sat", 0)])
+    result = solve_optimal(_chain(1), line_graph(3))
+    assert (result.optimal_swaps, result.swap_floor, result.embeds) == (0, 0, True)
+    assert result.telemetry()["embeds"] is True
     # past the embedding test's budget the floor is zero, and bound 0 is checked
     monkeypatch.setattr(search, "EMBED_STEPS", 0)
     scripted([("sat", 1), ("sat", 1), "unsat"])
     result = solve_optimal(_TRIANGLE, line_graph(3))
     assert (result.optimal_swaps, result.swap_floor) == (1, 0)
     assert result.swap_history == [(1, True), (0, False)]
+    assert result.embeds is None and result.telemetry()["embeds"] is None
 
 
 def test_a_depth_model_below_the_swap_floor_is_a_search_error(scripted):
@@ -782,6 +789,7 @@ def test_a_depth_model_below_the_swap_floor_is_a_search_error(scripted):
     with pytest.raises(SearchError, match="needs at least 1") as info:
         solve_optimal(_TRIANGLE, line_graph(3))
     assert info.value.telemetry["swap_floor"] == 1
+    assert info.value.telemetry["embeds"] is False
     assert info.value.telemetry["swap_checks"] == 0
 
 
@@ -882,7 +890,7 @@ def test_outcome_dataclass_shape():
     out = BoundSearchOutcome(3, "p")
     assert (out.optimum, out.payload) == (3, "p")
     assert [f.name for f in dataclasses.fields(SolveResult)] == [
-        "optimal_depth", "optimal_swaps", "checks", "solution", "swap_floor",
+        "optimal_depth", "optimal_swaps", "checks", "solution", "embeds",
     ]
 
 

@@ -35,6 +35,7 @@ def test_a_run_compared_with_itself_shows_no_change(tmp_path):
     assert doc["comparison"]["optima_equal"]
     assert doc["comparison"]["unmatched_checks"] == 0
     assert doc["comparison"]["more_conflicts"] == []
+    assert doc["comparison"]["work_changed"] == []
     assert doc["comparison"]["bytes_changed"] == []
     assert doc["comparison"]["dropped_checks"] == []
 
@@ -43,6 +44,9 @@ def _side(*checks):
     return {"results": {"x@line:2": {"optimal_depth": 2, "optimal_swaps": 0,
                                      "checks": list(checks)}},
             "totals": dict.fromkeys(("bytes_sent", "conflicts", "decisions", "propagations"), 0)}
+
+
+_WORK = {"conflicts": 5, "decisions": 9, "propagations": 40, "clauses": 70, "variables": 30}
 
 
 def _tool():
@@ -55,7 +59,7 @@ def _tool():
 def test_compare_names_each_check_whose_bytes_sent_changed():
     tool = _tool()
     checks = [{"phase": "depth", "bound": bound, "sat": bound == 2, "horizon": 3,
-               "time_bits": 2, "bytes_sent": 1000 + bound, "conflicts": 5}
+               "time_bits": 2, "bytes_sent": 1000 + bound, **_WORK}
               for bound in (1, 2)]
     base = _side(*checks)
     doctored = copy.deepcopy(checks)
@@ -65,12 +69,31 @@ def test_compare_names_each_check_whose_bytes_sent_changed():
                                         "sat": True, "horizon": 3, "time_bits": 2,
                                         "bytes_sent": [1002, 1009]}]
     assert result["more_conflicts"] == [] and result["unmatched_checks"] == 0
+    assert result["work_changed"] == []
     assert tool.compare(base, base)["bytes_changed"] == []
+
+
+def test_compare_names_each_check_whose_search_work_changed():
+    # fewer conflicts are not more_conflicts, but they are changed work
+    tool = _tool()
+    checks = [{"phase": "depth", "bound": bound, "sat": bound == 2, "horizon": 3,
+               "time_bits": 2, "bytes_sent": 1000, **_WORK} for bound in (1, 2)]
+    base = _side(*checks)
+    doctored = copy.deepcopy(checks)
+    doctored[0].update(conflicts=4, variables=31)
+    result = tool.compare(base, _side(*doctored))
+    assert result["work_changed"] == [{"instance": "x@line:2", "phase": "depth", "bound": 1,
+                                       "sat": False, "horizon": 3, "time_bits": 2,
+                                       "conflicts": [5, 4], "decisions": [9, 9],
+                                       "propagations": [40, 40], "clauses": [70, 70],
+                                       "variables": [30, 31]}]
+    assert result["more_conflicts"] == [] and result["bytes_changed"] == []
+    assert tool.compare(base, base)["work_changed"] == []
 
 
 def test_compare_names_each_base_check_the_change_no_longer_runs():
     checks = [{"phase": "swap", "bound": bound, "sat": bound == 1, "horizon": 3,
-               "time_bits": 2, "bytes_sent": 40, "conflicts": 10 + bound}
+               "time_bits": 2, "bytes_sent": 40, **_WORK, "conflicts": 10 + bound}
               for bound in (1, 0)]
     base, change = _side(*checks), _side(checks[0])
     result = _tool().compare(base, change)

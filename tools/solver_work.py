@@ -18,8 +18,10 @@ from run to run, and one run per side decides a comparison.  Wall seconds
 do not repeat: they go to standard error only, labelled ``refsolver``.
 ``--compare`` takes an earlier output as the base side and adds whether
 the optima agree, the totals of both sides, every check whose conflicts
-rose, every check whose bytes sent changed and every base check that the
-change no longer runs (see :func:`compare`).
+rose, every check whose search work changed at all, every check whose bytes
+sent changed and every base check that the change no longer runs (see
+:func:`compare`).  An encoding that sends the same clauses in other words
+shows an empty ``work_changed``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ INSTANCES = (
 SOLVE_TIMEOUT_S = 3600.0
 SUMMED = ("bytes_sent", "conflicts", "decisions", "propagations")
 SHAPE = ("phase", "bound", "sat", "horizon", "time_bits")
+WORK = ("conflicts", "decisions", "propagations", "clauses", "variables")
 
 
 def measure(spec: str) -> dict:
@@ -74,11 +77,12 @@ def measure(spec: str) -> dict:
 
 def compare(base: dict, change: dict) -> dict:
     """Optima agreement, both sides' totals and every check, matched across
-    the sides by phase, bound and grid shape, whose conflicts rose or whose
-    ``bytes_sent`` changed, plus every base check with no match on the change
-    side, with its conflicts.  A swap phase starts from the swap count of the
-    model the solver found, so its checks need not match one for one."""
-    optima_equal, unmatched, rose, resized, dropped = True, 0, [], [], []
+    the sides by phase, bound and grid shape, whose conflicts rose, whose
+    ``WORK`` counts differ (with both values of each) or whose ``bytes_sent``
+    changed, plus every base check with no match on the change side, with its
+    conflicts.  A swap phase starts from the swap count of the model the
+    solver found, so its checks need not match one for one."""
+    optima_equal, unmatched, rose, changed, resized, dropped = True, 0, [], [], [], []
     for spec, new in change["results"].items():
         old = base["results"][spec]
         optima_equal &= all(old[key] == new[key] for key in ("optimal_depth", "optimal_swaps"))
@@ -94,12 +98,15 @@ def compare(base: dict, change: dict) -> dict:
             row = {"instance": spec, **{key: c[key] for key in SHAPE}}
             if c["conflicts"] > b["conflicts"]:
                 rose.append({**row, "conflicts": [b["conflicts"], c["conflicts"]]})
+            if any(c[key] != b[key] for key in WORK):
+                changed.append({**row, **{key: [b[key], c[key]] for key in WORK}})
             if c["bytes_sent"] != b["bytes_sent"]:
                 resized.append({**row, "bytes_sent": [b["bytes_sent"], c["bytes_sent"]]})
     return {"optima_equal": optima_equal,
             "totals": {key: [base["totals"][key], change["totals"][key]] for key in SUMMED},
             "unmatched_checks": unmatched,
             "more_conflicts": rose,
+            "work_changed": changed,
             "bytes_changed": resized,
             "dropped_checks": dropped}
 
