@@ -14,7 +14,10 @@ the rest of the base.  :func:`check` is a
 one-check session: it sends one self-contained script and closes the
 solver's input, so it also serves a solver that answers only at end of
 input.  Both treat an ``(error ...)`` reply before the verdict as a
-solver failure.
+solver failure.  A session's end closes the solver's input without
+waiting: a solver that has answered exits on its own, and is waited for
+at the next launch or at interpreter exit, or killed if its solve's
+budget runs out first.
 
 A model decodes to a schedule; :func:`render_circuit` alone draws the
 physical circuit of one.  Solutions are validated without consulting the
@@ -25,12 +28,14 @@ walk of its swaps, :func:`_maps_at`.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
 import re
 import selectors
 import shlex
 import subprocess
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -48,6 +53,37 @@ DEFAULT_TIMEOUT = 300.0
 # Lines per batch of a streamed load: about 32 KB of this encoding's
 # base text, so a batch usually fits an empty 64 KB pipe in one write.
 _BATCH_LINES = 256
+
+# Solvers whose sessions closed cleanly, each with its solve's deadline,
+# until they are waited for.  Worker threads close sessions, so a lock
+# guards the list.
+_exiting: list[tuple[subprocess.Popen, float]] = []
+_exiting_lock = threading.Lock()
+
+
+def _reap(block: bool = True) -> None:
+    """Wait for the solvers that clean closes left to exit: with ``block``
+    each until its deadline, else only those that have exited.  One whose
+    deadline has passed is killed."""
+    with _exiting_lock:
+        entries = _exiting[:]
+        _exiting.clear()
+    running = []
+    for proc, deadline in entries:
+        remaining = deadline - time.monotonic()
+        try:
+            proc.wait(timeout=max(0.0, remaining) if block else 0)
+        except subprocess.TimeoutExpired:
+            if not block and remaining > 0:
+                running.append((proc, deadline))
+                continue
+            proc.kill()
+            proc.wait()
+    with _exiting_lock:
+        _exiting.extend(running)
+
+
+atexit.register(_reap)
 
 
 class SolverError(RuntimeError):
@@ -193,8 +229,10 @@ class Session:
     """One solver process at a time, answering the checks of one or more solves.
 
     Use as a context manager.  A process starts with the first load or
-    check, and is closed and waited for on exit; on an exception it is
-    killed first.  :meth:`load` makes its lines (declarations and base
+    check.  On exit its input is closed, and it is waited for at the next
+    launch or at interpreter exit, or killed once its solve's budget runs
+    out; on an exception it is killed and waited for at once.
+    :meth:`load` makes its lines (declarations and base
     assertions) the outer scope, replacing the previous one; a process's
     first load also sends ``encode.PREAMBLE``.  :meth:`extend` adds lines
     to the current outer scope, with no pop and no second base, so a grid
@@ -299,7 +337,9 @@ class Session:
                            bytes_sent=sent)
 
     def close(self, kill: bool = False) -> None:
-        """Close the solver's input and wait for it to exit, or kill it."""
+        """Close the solver's input and leave its exit to be waited for at
+        the next launch or at interpreter exit, or kill and wait for it
+        now: with ``kill``, or once the solve's budget is spent."""
         proc = self._proc
         if proc is None:
             self._reset()
@@ -308,17 +348,15 @@ class Session:
         try:
             self._watch_input(proc, False)
             proc.stdin.close()
-            if kill:
-                proc.kill()
-            else:
-                self._pump(proc, lambda: False)
-                proc.wait(timeout=max(0.0, self._deadline - time.monotonic()))
-        except (SolverTimeoutError, subprocess.TimeoutExpired, OSError):
+        except OSError:
             pass
         finally:
-            if proc.poll() is None:
+            if kill or time.monotonic() >= self._deadline:
                 proc.kill()
-            proc.wait()
+                proc.wait()
+            else:
+                with _exiting_lock:
+                    _exiting.append((proc, self._deadline))
             proc.stdout.close()
             proc.stderr.close()
             self._selector.close()
@@ -339,6 +377,7 @@ class Session:
         return reply
 
     def _start(self) -> subprocess.Popen:
+        _reap(block=False)
         command = self.config.command
         try:
             proc = subprocess.Popen(

@@ -39,7 +39,7 @@ from qlayout.search import SearchError
 
 from .conftest import random_circuit
 from .oracles import allknn_per_point, enn_reference, left_to_right_sum
-from .test_backend import _gone, _script_solver
+from .test_backend import _reaped, _script_solver
 
 
 def _fv(a, b, c, d, e, f) -> FeatureVector:
@@ -565,7 +565,7 @@ _PAIRS = [(name, make_circuit(2, [("h", (0,)), ("cx", (0, 1))])) for name in "ab
 def _launches(pids) -> list[int]:
     """The logged solver pids, once every one of them has exited."""
     launched = [int(pid) for pid in pids.read_text().split()]
-    assert all(map(_gone, launched))
+    assert all(map(_reaped, launched))
     return launched
 
 

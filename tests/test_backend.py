@@ -6,10 +6,14 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from qlayout import backend
 from qlayout.arch import line_graph, qx2
 from qlayout.backend import (
     DEFAULT_SOLVER_COMMAND,
@@ -213,6 +217,13 @@ def _gone(pid: int) -> bool:
     return False
 
 
+def _reaped(pid: int) -> bool:
+    """True once the process has exited and been waited for, after waiting
+    for every solver that a clean close left to exit."""
+    backend._reap()
+    return _gone(pid)
+
+
 def test_value_regex_reads_a_multiline_batched_reply():
     out = "sat\n((pos_q0_t0 #b010)\n (swp_e1_t3 true)\n (time_g0 #x0a))\n"
     found = dict(_VALUE_RE.findall(out))
@@ -273,7 +284,7 @@ def test_load_launches_the_solver_before_taking_a_line(tmp_path):
 
     with Session(cfg) as session:
         session.load(lines())
-    assert _gone(int(pid_file.read_text()))
+    assert _reaped(int(pid_file.read_text()))
 
 
 def test_a_load_that_raises_leaves_no_solver_running(tmp_path):
@@ -488,7 +499,7 @@ def test_session_serves_solves_in_one_process_until_one_fails(tmp_path):
                 raise RuntimeError("decode failed")
         assert solve("w") == {"w": 1}
     launched = [int(pid) for pid in pids.read_text().split()]
-    assert len(launched) == 2 and all(map(_gone, launched))
+    assert len(launched) == 2 and all(map(_reaped, launched))
     # after a clean solve the next load pops the old base; after a failed
     # one a fresh process gets the preamble again
     scopes = [line for line in (tmp_path / "input.log").read_text().splitlines()
@@ -500,6 +511,87 @@ def test_session_serves_solves_in_one_process_until_one_fails(tmp_path):
         "(pop 1)", "(declare-const z Bool)",
         "(set-logic QF_BV)", "(declare-const w Bool)",
     ]
+
+
+def _waiting() -> int:
+    """How many solvers that clean closes left to exit are not yet waited for."""
+    with backend._exiting_lock:
+        return len(backend._exiting)
+
+
+def _open_fds() -> int | None:
+    """This process's open file descriptors, or None where /proc is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_each_launch_waits_for_the_solvers_that_have_exited(tmp_path):
+    pids = tmp_path / "pids"
+    cfg = _script_solver(tmp_path, f"echo $$ >> {pids}; exec cat > /dev/null")
+    backend._reap()
+    fds = _open_fds()
+    for _ in range(50):
+        with Session(cfg) as session:
+            session.load(["(declare-const x Bool)"])
+            assert _waiting() <= 5
+    assert _open_fds() == fds
+    backend._reap()
+    assert _waiting() == 0
+    launched = [int(pid) for pid in pids.read_text().split()]
+    assert len(launched) == 50 and all(map(_gone, launched))
+
+
+_DEAF_SOLVER = "cat > /dev/null; exec sleep 30"   # ignores the end of its input
+
+
+def test_a_solver_that_ignores_the_end_of_input_is_killed_at_its_deadline(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; {_DEAF_SOLVER}")
+    start = time.monotonic()
+    with Session(dataclasses.replace(cfg, timeout=0.5)) as session:
+        session.load(["(declare-const x Bool)"])
+    backend._reap()
+    assert time.monotonic() - start < 0.5 + 5.0
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_no_solver_outlives_the_interpreter(tmp_path):
+    pid_file = tmp_path / "pid"
+    cfg = _script_solver(tmp_path, f"echo $$ > {pid_file}; {_DEAF_SOLVER}")
+    code = ("from qlayout.backend import Session, SolverConfig\n"
+            f"with Session(SolverConfig({cfg.command!r}, 0.5)) as session:\n"
+            "    session.load(['(declare-const x Bool)'])\n")
+    src = os.path.dirname(os.path.dirname(backend.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.monotonic()
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                            "-c", code], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 0.5 + 5.0
+    assert (child.returncode, child.stderr) == (0, "")
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_sessions_closed_from_threads_are_all_waited_for(tmp_path):
+    pids = tmp_path / "pids"
+    cfg = _script_solver(tmp_path, f"echo $$ >> {pids}; exec cat > /dev/null")
+
+    def sessions():
+        for _ in range(20):
+            with Session(cfg) as session:
+                session.load(["(declare-const x Bool)"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for future in [pool.submit(sessions) for _ in range(2)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    backend._reap()
+    assert _waiting() == 0
+    launched = [int(pid) for pid in pids.read_text().split()]
+    assert len(launched) == 40 and all(map(_gone, launched))
 
 
 def test_session_budget_restarts_at_each_solve(tmp_path):

@@ -31,7 +31,7 @@ from qlayout.search import (
 from .conftest import _Const, random_circuit
 from .oracles import (bound_search_two_loops, brute_force_optimum, embeds_by_permutation,
                       grid_shape_after)
-from .test_backend import _ECHO_MODEL, _gone, _script_solver
+from .test_backend import _ECHO_MODEL, _gone, _reaped, _script_solver
 
 # --------------------------------------------------------------------------
 # Frontier stepping on synthetic monotone probes
@@ -855,7 +855,7 @@ def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
     )
     result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
     assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
-    assert _gone(int(pid_file.read_text()))
+    assert _reaped(int(pid_file.read_text()))
 
 
 def test_solver_exit_mid_load_is_a_search_error(tmp_path):

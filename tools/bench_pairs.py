@@ -11,7 +11,11 @@ end-to-end metric that BENCHMARK.json lists, both sides' median and
 quartiles, every run's value and the number of pairs in which CHANGE was
 better.  It also holds every run's solver work per solve (the report's
 ``counts``), so equal checks, launches and script bytes per solve on both
-sides show up as equal numbers.  Then one ``--trace 1`` run per side gives
+sides show up as equal numbers.  Next to them go every run's raw seconds
+(the report's ``op_s.p50``, ``reference_task_s.p50`` and
+``host_cpu_s.per_op``) with each side's medians, so a change in ``op_ref``
+can be split into the operation's part and the reference task's part.
+Then one ``--trace 1`` run per side gives
 the per-layer rows named by ``--layers``, in seconds and, for timings, also
 in units of that run's reference task (``*_ref``).  Runs go one at a
 time, so the two sides never compete for the CPU.  Last, one line on
@@ -31,6 +35,8 @@ import sys
 from pathlib import Path
 
 DEFAULT_LAYERS = "augment.refine_s,regressor.fit_s,regressor.predict_s,regressor.tree_nodes"
+# The report's raw timings in seconds, the parts of op_ref and cpu_ref.
+RAW_SECONDS = ("op_s.p50", "reference_task_s.p50", "host_cpu_s.per_op")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -45,6 +51,15 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def raw_seconds(side_runs: list[dict]) -> dict:
+    """Each RAW_SECONDS row of one side: every run's value and their median."""
+    rows = {}
+    for name in RAW_SECONDS:
+        values = [r["report"]["seconds"][name] for r in side_runs]
+        rows[name] = {"median": statistics.median(values), "runs": values}
+    return rows
 
 
 def main(argv=None) -> int:
@@ -121,6 +136,7 @@ def main(argv=None) -> int:
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in sides},
         "end_to_end": end_to_end,
         "counts": {side: [r["report"].get("counts", {}) for r in runs[side]] for side in sides},
+        "seconds": {side: raw_seconds(runs[side]) for side in sides},
         "per_layer": {"seed": args.seed, "reference_task_s": ref, "rows": per_layer},
         "solver_rows": solver,
     }
@@ -129,6 +145,10 @@ def main(argv=None) -> int:
         print(f"{name}: base {row['base']['median']:.6g} change {row['change']['median']:.6g}"
               f" {row['unit']} (median), change better in {row['change_better_pairs']}"
               f"/{args.pairs} pairs", file=sys.stderr)
+    for name in RAW_SECONDS:
+        print(f"{name}: base {doc['seconds']['base'][name]['median']:.6g}"
+              f" change {doc['seconds']['change'][name]['median']:.6g} s (median)",
+              file=sys.stderr)
     return 0
 
 
