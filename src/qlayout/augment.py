@@ -15,13 +15,11 @@ this module adds only the label (an int) and the source (free text).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import heapq
 import json
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -29,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import search
 from .arch import CouplingGraph
-from .backend import Session, SolverConfig
+from .backend import SolverConfig
 from .circuit import Circuit, Gate, emit_qasm
 from .encode import DEFAULT_SWAP_DURATION, check_swap_duration
 from .features import FEATURE_NAMES, FEATURE_TYPES, FeatureVector, extract_features, parse_numbers
@@ -320,7 +318,7 @@ def load_dataset(path, target: str = "depth") -> Dataset:
 
 def label_sample(circuit: Circuit, graph: CouplingGraph, **solve_kwargs):
     """Optimal (depth, swaps) for one circuit, via the full solver search;
-    ``build_corpus`` passes its worker's live session as ``solver``."""
+    ``build_corpus`` passes its solver config as ``solver``."""
     return search.solve_optimal(circuit, graph, **solve_kwargs)
 
 
@@ -344,12 +342,13 @@ def build_corpus(
     swap-target datasets (optionally refined), which are also written as
     ``depth_dataset.csv`` / ``swaps_dataset.csv`` under ``out_dir``.
 
-    Labeling runs on ``jobs`` worker threads.  Each solve takes one of
-    ``jobs`` solver sessions and gives it back when done, so at most
-    ``jobs`` solver processes run, each serving one solve at a time within
-    ``solver.timeout``.  A failed solve's process is killed and the next
-    solve on that session starts a fresh one.  Every session is closed
-    before this returns or raises.
+    Labeling runs on ``jobs`` worker threads, each solve in a session of
+    its own within ``solver.timeout``.  A cleanly ended solve parks its
+    process, and the next solve takes it over, so at most ``jobs`` solver
+    processes run, each serving one solve at a time.  A failed solve's
+    process is killed and the next solve starts a fresh one.  The processes
+    still parked when this returns serve later solves on the same command;
+    a launch on another command, or interpreter exit, releases them.
 
     ``out_dir`` must not hold ``sample_*`` entries already: a second build
     there would leave the first one's samples beside its own.  This, like
@@ -381,15 +380,10 @@ def build_corpus(
                     continue
                 work.append((source_name, chunk_no, chunk))
 
-    # Each worker holds at most one session, so one is always idle when a
-    # solve starts; deque appends and pops are thread-safe.
-    idle: deque[Session] = deque()
-
     def label(item):
         source_name, chunk_no, chunk = item
-        session = idle.pop()
         try:
-            return label_sample(chunk, graph, solver=session, swap_duration=swap_duration)
+            return label_sample(chunk, graph, solver=solver, swap_duration=swap_duration)
         except (search.SearchError, search.InfeasibleError) as exc:
             # any other exception is a bug in qlayout and propagates
             log.warning(
@@ -397,18 +391,14 @@ def build_corpus(
                 source_name, chunk_no, exc,
             )
             return None
-        finally:
-            idle.append(session)
 
-    with contextlib.ExitStack() as stack:
-        idle.extend(stack.enter_context(Session(solver)) for _ in range(jobs))
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(label, work))
-        else:
-            results = [label(item) for item in work]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(label, work))
+    else:
+        results = [label(item) for item in work]
 
     for (source_name, chunk_no, chunk), result in zip(work, results):
         if result is None:

@@ -14,10 +14,11 @@ the rest of the base.  :func:`check` is a
 one-check session: it sends one self-contained script and closes the
 solver's input, so it also serves a solver that answers only at end of
 input.  Both treat an ``(error ...)`` reply before the verdict as a
-solver failure.  A session's end closes the solver's input without
-waiting: a solver that has answered exits on its own, and is waited for
-at the next launch or at interpreter exit, or killed if its solve's
-budget runs out first.
+solver failure.  A cleanly ended solve parks its process for the next
+load on the same command.  A launch on another command, and interpreter
+exit, release it: its input is closed, and it is waited for at the next
+launch or at interpreter exit, or killed once its budget runs out, so no
+solver outlives the interpreter; ``_parking`` keeps these processes.
 
 A model decodes to a schedule; :func:`render_circuit` alone draws the
 physical circuit of one.  Solutions are validated without consulting the
@@ -28,20 +29,19 @@ walk of its swaps, :func:`_maps_at`.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import os
 import re
 import selectors
 import shlex
 import subprocess
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
+from ._parking import _park, _reap, _retire, _unpark
 from .arch import CouplingGraph, json_integer
 from .circuit import Circuit, Gate, build_dag
 from .encode import (DEFAULT_SWAP_DURATION, PREAMBLE, EncodingContext, check_swap_duration,
@@ -53,38 +53,6 @@ DEFAULT_TIMEOUT = 300.0
 # Lines per batch of a streamed load: about 32 KB of this encoding's
 # base text, so a batch usually fits an empty 64 KB pipe in one write.
 _BATCH_LINES = 256
-
-# Solvers whose sessions closed cleanly, each with its solve's deadline,
-# until they are waited for.  Worker threads close sessions, so a lock
-# guards the list.
-_exiting: list[tuple[subprocess.Popen, float]] = []
-_exiting_lock = threading.Lock()
-
-
-def _reap(block: bool = True) -> None:
-    """Wait for the solvers that clean closes left to exit: with ``block``
-    each until its deadline, else only those that have exited.  One whose
-    deadline has passed is killed."""
-    with _exiting_lock:
-        entries = _exiting[:]
-        _exiting.clear()
-    running = []
-    for proc, deadline in entries:
-        remaining = deadline - time.monotonic()
-        try:
-            proc.wait(timeout=max(0.0, remaining) if block else 0)
-        except subprocess.TimeoutExpired:
-            if not block and remaining > 0:
-                running.append((proc, deadline))
-                continue
-            proc.kill()
-            proc.wait()
-    with _exiting_lock:
-        _exiting.extend(running)
-
-
-atexit.register(_reap)
-
 
 class SolverError(RuntimeError):
     """Base class for solver-invocation failures."""
@@ -138,6 +106,7 @@ class CheckResult:
     values: Optional[dict[str, int | bool]]  # None when unsat
     wall_time: float
     bytes_sent: int = 0     # written to the solver for this check
+    launched: bool = False  # a process started for this check
 
 
 # One ``(name value)`` pair, alone or inside a batched get-value reply.
@@ -220,35 +189,37 @@ def check(script: str, config: Optional[SolverConfig] = None) -> CheckResult:
             pass
         session._pump(session._proc, lambda: False)   # to the end of output
         values = _values(session._text[session._pos:]) if sat else None
-        sent = session._written
+        sent, launched = session._written, session._launched
     return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start,
-                       bytes_sent=sent)
+                       bytes_sent=sent, launched=launched)
 
 
 class Session:
     """One solver process at a time, answering the checks of one or more solves.
 
-    Use as a context manager.  A process starts with the first load or
-    check.  On exit its input is closed, and it is waited for at the next
-    launch or at interpreter exit, or killed once its solve's budget runs
-    out; on an exception it is killed and waited for at once.
-    :meth:`load` makes its lines (declarations and base
-    assertions) the outer scope, replacing the previous one; a process's
-    first load also sends ``encode.PREAMBLE``.  :meth:`extend` adds lines
-    to the current outer scope, with no pop and no second base, so a grid
-    can grow in place.  Both launch the process, if none runs, before
-    they take their first line, and stream the lines in batches as they
-    take them: after each batch they write pending text, as much as one
-    write takes without blocking, and read any output waiting.  A load or
-    extension that raises kills the process, so no half-sent base is ever
-    checked.  :meth:`check` adds bound lines in an inner scope, asks for a
-    verdict and, on ``sat``, for the named values in one query, then pops
-    the inner scope.  Streamed text goes out while the load runs instead of
-    waiting for the next check; only what the solver's input has not taken
-    by then, and a check's closing pop, go out with the next load or check.
-    The wall time and ``bytes_sent`` of a check that follows loads or
+    Use as a context manager.  :meth:`load` makes its lines (declarations
+    and base assertions) the outer scope, replacing the previous one; a
+    process's first load also sends ``encode.PREAMBLE``, and each later
+    one, in this session or in one that took the process over, pops the old
+    base instead.  :meth:`extend` adds lines to the current outer scope,
+    with no pop and no second base, so a grid can grow in place.  With no
+    process, a load first takes over a live one that a clean close parked
+    on the same command, else launches one; an extension or a check
+    launches one.  Both stream their lines in batches as they take them:
+    after each batch they write pending text, as much as one write takes
+    without blocking, and read any output waiting.  A load or extension
+    that raises kills the process, so no half-sent base is ever checked.
+    :meth:`check` adds bound lines in an inner scope, asks for a verdict
+    and, on ``sat``, for the named values in one query, then pops the inner
+    scope.  Streamed text goes out while the load runs instead of waiting
+    for the next check; only what the solver's input has not taken by then,
+    and a check's closing pop, go out with the next load or check.  The
+    wall time and ``bytes_sent`` of a check that follows loads or
     extensions include them: the launch, the encoding of their lines and
-    their transfer.
+    their transfer; ``launched`` tells whether they started a process.
+
+    A clean exit after a load parks the process (see :meth:`close`); on
+    an exception it is killed and waited for at once.
 
     ``config.timeout`` is the budget of one solve.  It starts when the
     session is created and restarts at each :meth:`solve`; once it is
@@ -271,6 +242,8 @@ class Session:
         self._unsent: deque[Optional[memoryview]] = deque()  # encoded text; None ends the input
         self._writing = False      # the selector watches the solver's input
         self._written = 0          # bytes written since the last check
+        self._launched = False     # a process started since the last check
+        self._checking = False     # a check has begun and not returned
         self._loading_since: Optional[float] = None  # start of a load not yet checked
         self._loaded = False
         self._text = ""            # solver output; replies before _pos are taken
@@ -297,7 +270,15 @@ class Session:
 
     def load(self, lines: Iterable[str]) -> None:
         """Replace the outer scope with ``lines``, streaming them to the
-        solver, launched first if none runs, as they are taken."""
+        solver as they are taken.  With no process, the load takes over a
+        live parked one of the same command, else launches one first."""
+        if self._proc is None and (parked := _unpark(self.config.command, take=True)):
+            _, _, proc, selector, unsent = parked
+            if proc.poll() is None:
+                self._proc, self._selector, self._unsent = proc, selector, unsent
+                self._loaded = True
+            else:
+                _retire(proc, selector, None)
         self._stream(chain(["(pop 1)"] if self._loaded else PREAMBLE, ["(push 1)"], lines))
         self._loaded = True
 
@@ -324,6 +305,7 @@ class Session:
     def check(self, lines: Iterable[str], names: Iterable[str]) -> CheckResult:
         """Check the outer scope plus ``lines``; values of ``names`` on sat."""
         start = self._loading_since or time.monotonic()
+        self._checking = True
         self._send(["(push 1)", *lines, "(check-sat)"])
         while (sat := _verdict(self._reply())) is None:
             pass
@@ -333,34 +315,32 @@ class Session:
             values = _values(self._reply())
         self._send(["(pop 1)"])
         sent, self._written, self._loading_since = self._written, 0, None
+        launched, self._launched, self._checking = self._launched, False, False
         return CheckResult(sat=sat, values=values, wall_time=time.monotonic() - start,
-                           bytes_sent=sent)
+                           bytes_sent=sent, launched=launched)
 
     def close(self, kill: bool = False) -> None:
-        """Close the solver's input and leave its exit to be waited for at
-        the next launch or at interpreter exit, or kill and wait for it
-        now: with ``kill``, or once the solve's budget is spent."""
+        """Park the process for the next load on its command when this
+        session loaded, every check it began returned, all output was read,
+        the budget is not spent, the input is open and the process runs.
+        Else close its input and leave its exit to be waited for at the next
+        launch or at interpreter exit, or kill and wait for it now: with
+        ``kill``, or once the budget is spent."""
         proc = self._proc
-        if proc is None:
-            self._reset()
-            return
-        self._unsent.clear()
-        try:
+        if proc is not None and not kill and self._parkable(proc):
             self._watch_input(proc, False)
-            proc.stdin.close()
-        except OSError:
-            pass
-        finally:
-            if kill or time.monotonic() >= self._deadline:
-                proc.kill()
-                proc.wait()
-            else:
-                with _exiting_lock:
-                    _exiting.append((proc, self._deadline))
-            proc.stdout.close()
-            proc.stderr.close()
-            self._selector.close()
-            self._reset()
+            _park(self.config, proc, self._selector, self._unsent)
+        elif proc is not None:
+            _retire(proc, self._selector, None if kill else self._deadline)
+        self._reset()
+
+    def _parkable(self, proc: subprocess.Popen) -> bool:
+        """Whether the next load on this command can take ``proc`` over."""
+        return (self._loaded and not self._checking and not self._ended
+                and not self._text[self._pos:].strip()
+                and time.monotonic() < self._deadline
+                and None not in self._unsent and not proc.stdin.closed
+                and proc.poll() is None)
 
     # ---- process plumbing ------------------------------------------------
 
@@ -377,8 +357,9 @@ class Session:
         return reply
 
     def _start(self) -> subprocess.Popen:
-        _reap(block=False)
         command = self.config.command
+        _unpark(command, take=False)
+        _reap(block=False)
         try:
             proc = subprocess.Popen(
                 list(command),
@@ -393,7 +374,7 @@ class Session:
         self._selector = selectors.DefaultSelector()
         for stream in (proc.stdout, proc.stderr):
             self._selector.register(stream, selectors.EVENT_READ)
-        self._proc = proc
+        self._proc, self._launched = proc, True
         return proc
 
     def _watch_input(self, proc: subprocess.Popen, on: bool) -> None:

@@ -11,8 +11,9 @@ zero otherwise.  Both run the frontier walk of
 close a 2-wide gap, so an exact prediction costs at most three checks each.
 
 Each check appends one :class:`CheckRecord` (phase, bound, verdict, grid
-shape, wall time, bytes sent).  That list is the search's only state, and
-each count over it is defined once, as a :class:`SolveResult` property.
+shape, wall time, bytes sent, whether it launched a solver).  That list is
+the search's only state, and each count over it is defined once, as a
+:class:`SolveResult` property.
 A check's grid shape is :func:`grid_shape` of the records before it, in
 closed form: the grid ends at the deepest depth bound probed, and the
 gate-time width is that of the lowest satisfiable depth bound probed so
@@ -154,7 +155,7 @@ def embeds(circuit: Circuit, graph: CouplingGraph) -> Optional[bool]:
 class CheckRecord:
     """One solver check: the bound it probed, its verdict, grid shape, wall
     time and the bytes written to the solver for it, a base it loaded
-    included."""
+    included, and whether a solver process started for it."""
 
     phase: str          # "depth", or "swap" (then ``bound`` is a swap count)
     bound: int
@@ -163,6 +164,7 @@ class CheckRecord:
     time_bits: int
     wall_time: float
     bytes_sent: int = 0
+    launched: bool = False
 
 
 def grid_shape(checks: list[CheckRecord], depth: int) -> tuple[int, int]:
@@ -241,6 +243,7 @@ class SolveResult:
     swap_checks = property(lambda self: len(self.swap_history))
     wall_time_per_check = property(lambda self: [c.wall_time for c in self.checks])
     bytes_sent = property(lambda self: sum(c.bytes_sent for c in self.checks))
+    launches = property(lambda self: sum(c.launched for c in self.checks))
 
     @property
     def resize_events(self) -> list[dict]:
@@ -272,7 +275,7 @@ class SolveResult:
         each check record as a dict."""
         keys = ("optimal_depth", "optimal_swaps", "swap_floor", "embeds", "depth_checks",
                 "swap_checks", "resize_events", "base_loads", "grid_extensions",
-                "bytes_sent", "wall_time_per_check")
+                "bytes_sent", "launches", "wall_time_per_check")
         return {**{key: getattr(self, key) for key in keys},
                 "checks": [asdict(c) for c in self.checks]}
 
@@ -303,12 +306,15 @@ def solve_optimal(
     ``depth_model``/``swap_model`` are optional predictors exposing
     ``predict(features) -> int``; they only seed the search and cannot
     change the reported optima.  ``solver`` is a ``backend.SolverConfig``
-    (None for the default), which runs this solve in a session of its own,
-    or a live ``backend.Session``, which serves it as one of its solves and
-    stays open.  The returned solution alone has its physical circuit drawn,
-    swaps as three CNOTs.  Bad arguments raise ValueError, an instance with
-    no layout :class:`InfeasibleError`, and any solver failure
-    :class:`SearchError`.
+    (None for the default), which runs this solve in a session of its own
+    on a parked process of that command if one is live, else on a fresh
+    one, and parks the process again once the solve ends cleanly; or a live
+    ``backend.Session``, which serves it as one of its solves and stays
+    open.  A process's earlier solves may change which optimal layout a
+    solver returns, never the optima.  The returned solution alone has its
+    physical circuit drawn, swaps as three CNOTs.  Bad arguments raise
+    ValueError, an instance with no layout :class:`InfeasibleError`, and
+    any solver failure :class:`SearchError`.
     """
     check_swap_duration(swap_duration)
     if circuit.num_qubits > graph.num_qubits:
@@ -348,7 +354,7 @@ def solve_optimal(
                 bounds += encode_swap_bound(ctx, swap_bound)
             result = session.check(bounds, ctx.model_names)
             checks.append(CheckRecord(phase, bound, result.sat, *shape, result.wall_time,
-                                      result.bytes_sent))
+                                      result.bytes_sent, result.launched))
             if not result.sat:
                 return False, None
             return True, be.decode_solution(result.values, ctx)

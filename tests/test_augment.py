@@ -8,15 +8,13 @@ import logging
 import math
 import random
 import shlex
-import sys
-import threading
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from qlayout import augment, search
+from qlayout import augment, backend, search
 from qlayout.arch import line_graph
 from qlayout.augment import (
     _CSV_HEADER,
@@ -555,7 +553,7 @@ def test_build_corpus_skips_a_chunk_wider_than_the_device(tmp_path, monkeypatch,
 
 
 # --------------------------------------------------------------------------
-# build_corpus: one solver session per labeling worker
+# build_corpus: solver processes that serve many solves
 # --------------------------------------------------------------------------
 
 # Three one-chunk circuits, each solved in two checks.
@@ -633,38 +631,13 @@ def test_build_corpus_shares_a_session_with_the_same_output(tmp_path, small_solv
     parallel, launches = build("parallel", jobs=2)
     assert parallel == shared and launches <= 2
 
-    # a fresh solver process for every solve, as a SolverConfig gives
+    # a fresh solver process for every solve: none is left parked to take over
     original = augment.label_sample
 
-    def one_process_per_solve(circuit, graph, *, solver, **kwargs):
-        return original(circuit, graph, solver=solver.config, **kwargs)
+    def one_process_per_solve(circuit, graph, **kwargs):
+        backend._reap()
+        return original(circuit, graph, **kwargs)
 
     monkeypatch.setattr(augment, "label_sample", one_process_per_solve)
     fresh, launches = build("fresh")
     assert fresh == shared and launches == 5
-
-
-def test_build_corpus_never_gives_one_session_to_two_solves(tmp_path, monkeypatch):
-    busy, seen, lock = Counter(), set(), threading.Lock()
-
-    def label(circuit, graph, *, solver, swap_duration):
-        with lock:
-            busy[solver] += 1
-            seen.add(solver)
-            clash = busy[solver] > 1
-        time.sleep(0.0005)
-        with lock:
-            busy[solver] -= 1
-        assert not clash, "two solves shared one session"
-        return search._trivial_solution(circuit, graph)
-
-    monkeypatch.setattr(augment, "label_sample", label)
-    inputs = [(str(i), make_circuit(2, [("cx", (0, 1))])) for i in range(100)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        depth_ds, _ = build_corpus(inputs, [ChunkPlan((1,))], line_graph(2), tmp_path,
-                                   refine=False, jobs=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(depth_ds.samples) == 100 and len(seen) <= 8

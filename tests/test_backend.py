@@ -1,5 +1,6 @@
 """Solver subprocess driver, model decoding, and the solution validator."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -8,12 +9,13 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from qlayout import backend
+from qlayout import _parking, backend
 from qlayout.arch import line_graph, qx2
 from qlayout.backend import (
     DEFAULT_SOLVER_COMMAND,
@@ -514,9 +516,15 @@ def test_session_serves_solves_in_one_process_until_one_fails(tmp_path):
 
 
 def _waiting() -> int:
-    """How many solvers that clean closes left to exit are not yet waited for."""
-    with backend._exiting_lock:
-        return len(backend._exiting)
+    """How many released solvers are not yet waited for."""
+    with _parking._lock:
+        return len(_parking._exiting)
+
+
+def _parked() -> list[int]:
+    """The pids of the parked solvers."""
+    with _parking._lock:
+        return [proc.pid for _, _, proc, _, _ in _parking._parked]
 
 
 def _open_fds() -> int | None:
@@ -524,19 +532,36 @@ def _open_fds() -> int | None:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def _logged_line_solver(tmp_path, verdict="sat", timeout=30.0, then="") -> SolverConfig:
+    """:func:`_line_solver` that first logs its pid to ``tmp_path / "pids"``
+    and runs ``then`` after the end of its input."""
+    body = _LINE_SOLVER.replace("LOG", str(tmp_path / "input.log"))
+    cfg = _script_solver(tmp_path, f"echo $$ >> {tmp_path / 'pids'}\n"
+                                   + body.replace("VERDICT", verdict) + f"\n{then}")
+    return dataclasses.replace(cfg, timeout=timeout)
+
+
+def _pids(tmp_path) -> list[int]:
+    return [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+
+
 def test_each_launch_waits_for_the_solvers_that_have_exited(tmp_path):
-    pids = tmp_path / "pids"
-    cfg = _script_solver(tmp_path, f"echo $$ >> {pids}; exec cat > /dev/null")
+    # two commands in turn: each load releases the other's parked solver
+    configs = []
+    for name in "ab":
+        (tmp_path / name).mkdir()
+        configs.append(_logged_line_solver(tmp_path / name))
     backend._reap()
     fds = _open_fds()
-    for _ in range(50):
-        with Session(cfg) as session:
+    for i in range(50):
+        with Session(configs[i % 2]) as session:
             session.load(["(declare-const x Bool)"])
             assert _waiting() <= 5
-    assert _open_fds() == fds
+    assert len(_parked()) == 1
     backend._reap()
-    assert _waiting() == 0
-    launched = [int(pid) for pid in pids.read_text().split()]
+    assert _open_fds() == fds
+    assert _waiting() == 0 and _parked() == []
+    launched = _pids(tmp_path / "a") + _pids(tmp_path / "b")
     assert len(launched) == 50 and all(map(_gone, launched))
 
 
@@ -572,10 +597,8 @@ def test_no_solver_outlives_the_interpreter(tmp_path):
 
 
 def test_sessions_closed_from_threads_are_all_waited_for(tmp_path):
-    pids = tmp_path / "pids"
-    cfg = _script_solver(tmp_path, f"echo $$ >> {pids}; exec cat > /dev/null")
-
-    def sessions():
+    # a command per thread, so each thread's loads release the other's solver
+    def sessions(cfg):
         for _ in range(20):
             with Session(cfg) as session:
                 session.load(["(declare-const x Bool)"])
@@ -584,14 +607,146 @@ def test_sessions_closed_from_threads_are_all_waited_for(tmp_path):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(2) as pool:
-            for future in [pool.submit(sessions) for _ in range(2)]:
+            futures = []
+            for name in "ab":
+                (tmp_path / name).mkdir()
+                futures.append(pool.submit(sessions, _logged_line_solver(tmp_path / name)))
+            for future in futures:
                 future.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     backend._reap()
-    assert _waiting() == 0
-    launched = [int(pid) for pid in pids.read_text().split()]
-    assert len(launched) == 40 and all(map(_gone, launched))
+    assert _waiting() == 0 and _parked() == []
+    launched = _pids(tmp_path / "a") + _pids(tmp_path / "b")
+    assert 2 <= len(launched) <= 40 and all(map(_gone, launched))
+
+
+def _solve(cfg, name="x") -> CheckResult:
+    """One load and one check in a session of its own."""
+    with Session(cfg) as session:
+        session.load([f"(declare-const {name} Bool)"])
+        return session.check([], [name])
+
+
+def test_a_check_script_launches_beside_a_parked_solver(tmp_path):
+    cfg = _logged_line_solver(tmp_path)
+    first = _solve(cfg)
+    (parked,) = _pids(tmp_path)
+    assert first.launched and parked in _parked()
+    # a self-contained script starts with the preamble, so it needs a process of its own
+    result = check("(declare-const y Bool)\n(check-sat)\n(get-value (y))\n", cfg)
+    assert (result.sat, result.values, result.launched) == (True, {"y": 1}, True)
+    assert len(_pids(tmp_path)) == 2 and parked in _parked()
+    again = _solve(cfg, "z")
+    assert (again.values, again.launched) == ({"z": 1}, False)
+    assert len(_pids(tmp_path)) == 2 and parked in _parked()
+    assert all(map(_reaped, _pids(tmp_path)))
+
+
+def _raise_after_a_check(session):
+    session.check([], ["x"])
+    raise RuntimeError("decode failed")
+
+
+def _time_out(session):
+    with pytest.raises(SolverTimeoutError):
+        session.check(["(assert x)"], ["x"])
+
+
+def _spend_the_budget(session):
+    session.check([], ["x"])
+    time.sleep(0.5)
+
+
+def _fail_a_check(session):
+    with pytest.raises(SolverOutputError, match="unknown"):
+        session.check([], ["x"])
+
+
+@pytest.mark.parametrize("verdict, end", [
+    ("sat", _raise_after_a_check), ("", _time_out), ("sat", _spend_the_budget),
+    ("unknown", _fail_a_check),
+], ids=["exception", "timeout", "spent-budget", "failed-check"])
+def test_a_session_that_ends_badly_is_never_parked(tmp_path, verdict, end):
+    # an empty verdict answers nothing, so the check times out
+    cfg = _logged_line_solver(tmp_path, verdict, timeout=0.4)
+    with contextlib.suppress(RuntimeError):
+        with Session(cfg) as session:
+            session.load(["(declare-const x Bool)"])
+            end(session)
+    (pid,) = _pids(tmp_path)
+    assert pid not in _parked()
+    assert _reaped(pid)
+
+
+def test_a_load_on_another_command_releases_the_parked_solver(tmp_path):
+    (tmp_path / "a").mkdir()
+    ended = tmp_path / "ended"
+    first = _logged_line_solver(tmp_path / "a", then=f"touch {ended}")
+    _solve(first)
+    (pid,) = _pids(tmp_path / "a")
+    assert pid in _parked()
+    (tmp_path / "b").mkdir()
+    _solve(_logged_line_solver(tmp_path / "b"))
+    assert pid not in _parked()
+    # it reads to the end of its input and exits; the next launch waits for it
+    _wait_for(ended)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    (tmp_path / "c").mkdir()
+    _solve(_logged_line_solver(tmp_path / "c"))
+    assert _gone(pid)
+
+
+def test_a_forked_child_launches_its_own_solver(tmp_path):
+    cfg = _logged_line_solver(tmp_path)
+    _solve(cfg)
+    (parked,) = _pids(tmp_path)
+    child = os.fork()
+    if child == 0:   # the child must not return into the test runner
+        code = 1
+        try:
+            result = _solve(cfg, "y")
+            # the parent's solver stays parked for the parent, beside the child's own
+            code = 0 if ((result.values, result.launched) == ({"y": 1}, True)
+                         and parked in _parked() and len(_parked()) == 2) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert len(_pids(tmp_path)) == 2
+    again = _solve(cfg, "z")
+    assert (again.values, again.launched) == ({"z": 1}, False)
+    assert parked in _parked() and _reaped(parked)
+
+
+def test_no_parked_solver_serves_two_sessions_at_once(tmp_path):
+    cfg = _logged_line_solver(tmp_path)
+    busy, lock = set(), threading.Lock()
+
+    def solves():
+        for _ in range(20):
+            with Session(cfg) as session:
+                session.load(["(declare-const x Bool)"])
+                pid = session._proc.pid
+                with lock:
+                    assert pid not in busy, "two sessions share one solver"
+                    busy.add(pid)
+                assert session.check([], ["x"]).values == {"x": 1}
+                with lock:
+                    busy.remove(pid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for future in [pool.submit(solves) for _ in range(2)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    # no more solvers parked than sessions ever open at once
+    assert len(_parked()) <= 2
+    launched = _pids(tmp_path)
+    assert 1 <= len(launched) <= 2 and all(map(_reaped, launched))
 
 
 def test_session_budget_restarts_at_each_solve(tmp_path):

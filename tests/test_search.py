@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import os
 import random
 import re
 import shlex
+import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -31,7 +35,8 @@ from qlayout.search import (
 from .conftest import _Const, random_circuit
 from .oracles import (bound_search_two_loops, brute_force_optimum, embeds_by_permutation,
                       grid_shape_after)
-from .test_backend import _ECHO_MODEL, _gone, _reaped, _script_solver
+from .test_backend import (_ECHO_MODEL, _gone, _open_fds, _parked, _pids, _reaped,
+                           _script_solver)
 
 # --------------------------------------------------------------------------
 # Frontier stepping on synthetic monotone probes
@@ -473,7 +478,7 @@ def test_solve_reports_ascent_telemetry_and_horizon_growth(scripted):
     assert (tele["base_loads"], tele["grid_extensions"]) == (2, 7)
     assert tele["checks"][5] == {"phase": "depth", "bound": 19, "sat": False,
                                  "horizon": 19, "time_bits": 5, "wall_time": 0.01,
-                                 "bytes_sent": 0}
+                                 "bytes_sent": 0, "launched": False}
     assert [(c["phase"], c["bound"]) for c in tele["checks"][-3:]] == [
         ("swap", 3), ("swap", 1), ("swap", 0),
     ]
@@ -848,14 +853,77 @@ done""")
     assert isinstance(info.value.__cause__, be.SolverTimeoutError)
 
 
-def test_no_solver_process_outlives_a_solve(tmp_path, small_solver):
-    pid_file = tmp_path / "pid"
-    cfg = _script_solver(
-        tmp_path, f"echo $$ > {pid_file}; exec {shlex.join(small_solver.command)}"
-    )
-    result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
-    assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
-    assert _reaped(int(pid_file.read_text()))
+def _pid_logged(tmp_path, solver: be.SolverConfig, first: str = "") -> be.SolverConfig:
+    """``solver`` behind a script that logs each launch's pid to
+    ``tmp_path / "pids"`` and runs ``first`` before it."""
+    return _script_solver(tmp_path, f"echo $$ >> {tmp_path / 'pids'}\n{first}\n"
+                                    f"exec {shlex.join(solver.command)}")
+
+
+def test_a_clean_solve_parks_its_solver_until_the_reap(tmp_path, small_solver):
+    cfg = _pid_logged(tmp_path, small_solver)
+    fds = None
+    for _ in range(5):
+        result = solve_optimal(_chain(2), line_graph(2), solver=cfg)
+        assert (result.optimal_depth, result.optimal_swaps) == (2, 0)
+        (pid,) = _pids(tmp_path)
+        assert pid in _parked() and not _gone(pid)
+        fds = fds or _open_fds()
+        assert _open_fds() == fds
+    assert _reaped(pid) and pid not in _parked()
+
+
+def test_a_parked_solver_killed_from_outside_is_not_taken_over(tmp_path, small_solver):
+    cfg = _pid_logged(tmp_path, small_solver)
+    solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    (pid,) = _pids(tmp_path)
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)   # dead, not yet waited for
+    result = solve_optimal(_chain(3), line_graph(2), solver=cfg)
+    assert (result.optimal_depth, result.optimal_swaps, result.launches) == (3, 0, 1)
+    assert _gone(pid) and len(_pids(tmp_path)) == 2
+
+
+def test_launches_count_the_solvers_each_solve_started(tmp_path, small_solver):
+    # the first process answers with an error, so its solve is killed
+    cfg = _pid_logged(tmp_path, small_solver, f"""if mkdir {tmp_path / 'failed'} 2>/dev/null; then
+  while read -r line; do
+    [ "$line" = "(check-sat)" ] && echo '(error "scripted failure")'
+  done
+fi""")
+    with pytest.raises(SearchError, match="scripted failure") as info:
+        solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    assert info.value.telemetry["launches"] == 0     # no check finished
+    after_kill = solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    warm = solve_optimal(_chain(2), line_graph(2), solver=cfg)
+    assert (after_kill.launches, warm.launches) == (1, 0)
+    assert [c.launched for c in after_kill.checks] == [True] + [False] * (
+        len(after_kill.checks) - 1)
+    telemetry = warm.telemetry()
+    assert telemetry["launches"] == 0 and set(telemetry) >= {
+        "optimal_depth", "optimal_swaps", "swap_floor", "embeds", "depth_checks",
+        "swap_checks", "resize_events", "base_loads", "grid_extensions", "bytes_sent",
+        "wall_time_per_check", "checks"}
+    assert len(_pids(tmp_path)) == 2 and all(map(_reaped, _pids(tmp_path)))
+
+
+def test_an_interpreter_with_a_parked_solver_exits_cleanly(tmp_path, small_solver):
+    cfg = _pid_logged(tmp_path, small_solver)
+    code = ("from qlayout.arch import line_graph\n"
+            "from qlayout.backend import SolverConfig\n"
+            "from qlayout.circuit import make_circuit\n"
+            "from qlayout.search import solve_optimal\n"
+            f"cfg = SolverConfig({cfg.command!r}, 60.0)\n"
+            "result = solve_optimal(make_circuit(2, [('cx', (0, 1))] * 2), line_graph(2),"
+            " solver=cfg)\n"
+            "assert (result.optimal_depth, result.optimal_swaps) == (2, 0)\n")
+    src = os.path.dirname(os.path.dirname(be.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                            "-c", code], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert all(map(_gone, _pids(tmp_path)))
 
 
 def test_solver_exit_mid_load_is_a_search_error(tmp_path):

@@ -10,8 +10,12 @@ given), the two sides taking turns to go first.  The output holds, for every
 end-to-end metric that BENCHMARK.json lists, both sides' median and
 quartiles, every run's value and the number of pairs in which CHANGE was
 better.  It also holds every run's solver work per solve (the report's
-``counts``), so equal checks, launches and script bytes per solve on both
-sides show up as equal numbers.  Next to them go every run's raw seconds
+``counts``), so equal checks per solve on both sides show up as equal
+numbers.  Launches and script bytes per solve come from the stand-in's
+log, one record per process written when its input ends, so they leave
+out every process still running when the run reports: a checkout whose
+solves leave their process parked for the next solve reads 0 there.
+Next to them go every run's raw seconds
 (the report's ``op_s.p50``, ``reference_task_s.p50`` and
 ``host_cpu_s.per_op``) with each side's medians, so a change in ``op_ref``
 can be split into the operation's part and the reference task's part.
